@@ -4,7 +4,8 @@ Subcommands: expand, expect, correlate, power-count, kernel-check,
 gamma-check, counterterms.  A config file of `key = value` lines supplies
 defaults that individual flags override; given the same configuration and
 seed the output bytes are identical run to run.  Exit codes: 0 success,
-2 usage error, 3 invariant violation, 4 numerical failure.
+2 usage error (including an unreadable or malformed config file),
+3 invariant violation, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .perturbation import (
     COSPINOR, SPINOR, InternalConsistencyError, ResourceError, expand,
     field_counts, graph_statistics, monomial_count,
 )
-from .power_counting import DomainError as PCDomainError, classify
+from .power_counting import classify
 from .properties import run_all
 from .terms import StructuralError, termsum_to_json, to_tex
 
@@ -56,16 +57,20 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {path!r}: {exc.strerror}")
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise StructuralError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"bad config line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        out[key.replace("-", "_")] = val
     return out
 
 
@@ -213,11 +218,13 @@ def _cmd_kernel_check(args) -> int:
 
 
 def _cmd_gamma_check(args) -> int:
-    report = run_all(args.seed, trials=args.trials)
-    if args.export_rep:
+    exported = None
+    if args.export_rep is not None:  # a bad dimension fails before the trials
         rep = clifford.build_gamma_rep(args.export_rep)
         exported = clifford.rep_to_json(rep)
         exported["clifford_defect"] = clifford.clifford_defect(rep)
+    report = run_all(args.seed, trials=args.trials)
+    if exported is not None:
         report["gamma_rep"] = exported
     _emit(_dumps(report), args.output)
     if report["failures"]:
@@ -357,9 +364,12 @@ def main(argv=None) -> int:
             print(f"usage error: {args.command} requires {flags} "
                   "(flag or config entry)", file=sys.stderr)
             return EXIT_USAGE
+        if getattr(args, "trials", 0) < 0:
+            print("usage error: --trials must be >= 0", file=sys.stderr)
+            return EXIT_USAGE
         _threads()
         return args.fn(args)
-    except (DomainError, PCDomainError, clifford.CliffordError, KernelError,
+    except (DomainError, clifford.CliffordError, KernelError,
             ResourceError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

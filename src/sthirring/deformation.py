@@ -35,13 +35,13 @@ from math import comb, factorial
 
 from .diagrams import (
     DeformedSum, Diagram, convolved, free_leaves, iter_children, max_pair_id,
-    replace_at, shift_pair_ids, tensor, vertex_join,
+    rename_pair_ids, replace_at, tensor, vertex_join,
 )
 from .perturbation import COSPINOR, SPINOR, PerturbativeSeries
 from .terms import (
     GPSI, PHI, PHIBAR,
     Conv, Const, Gamma, Leaf, Prod, Term, TermSum, Unit,
-    StructuralError, canonicalize, grading,
+    StructuralError, canonical_key, canonicalize, grading,
 )
 
 CTILDE = "Ctilde"
@@ -53,7 +53,7 @@ class ExtractionError(RuntimeError):
 
 
 class DomainError(ValueError):
-    pass
+    """Argument outside the domain of a computation: a usage error."""
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +137,15 @@ def partial_matchings(phis, phibars):
                 yield tuple(zip(ps, qs))
 
 
+def term_pairings(t: Term):
+    """(template, leaves, matchings) of a canonical term, where matchings
+    runs over every partial pairing of its Phi leaves with its PhiBar leaves."""
+    template, leaves = term_census(t)
+    phis = [l.pos for l in leaves if l.species == PHI]
+    bars = [l.pos for l in leaves if l.species == PHIBAR]
+    return template, leaves, partial_matchings(phis, bars)
+
+
 def contraction_count(r: int, r_bar: int, k: int) -> int:
     """Number of k-pair matchings of r Phi with r_bar PhiBar leaves."""
     if k < 0 or k > min(r, r_bar):
@@ -202,10 +211,8 @@ def gamma_Q(x: Term | TermSum) -> DeformedSum:
     terms = x.terms() if isinstance(x, TermSum) else [_require_canonical(x)]
     ds = DeformedSum(origin="gamma_Q")
     for t in terms:
-        template, leaves = term_census(t)
-        phis = [l.pos for l in leaves if l.species == PHI]
-        bars = [l.pos for l in leaves if l.species == PHIBAR]
-        for matching in partial_matchings(phis, bars):
+        template, leaves, matchings = term_pairings(t)
+        for matching in matchings:
             ds.add(_diagram_for_matching(t, template, leaves, matching))
     return ds
 
@@ -238,7 +245,7 @@ def bullet_cross(da: Diagram, db: Diagram) -> list[Diagram]:
     b_phi = [p for sp, p in frees if sp == PHI and p[0] >= n_a]
     b_bar = [p for sp, p in frees if sp == PHIBAR and p[0] >= n_a]
     out = []
-    pid0 = _next_pid(base)
+    pid0 = max_pair_id(base) + 1
     for m1 in partial_matchings(a_phi, b_bar):
         for m2 in partial_matchings(a_bar, b_phi):
             d = base
@@ -253,10 +260,6 @@ def bullet_cross(da: Diagram, db: Diagram) -> list[Diagram]:
                 pid += 1
             out.append(d)
     return out
-
-
-def _next_pid(d: Diagram) -> int:
-    return max_pair_id(d) + 1
 
 
 # --------------------------------------------------------------------------
@@ -318,10 +321,8 @@ def expectation_report(series: PerturbativeSeries, k: int,
     ds = DeformedSum(origin=f"expectation[{branch}]", order=k)
     examined = 0
     for t in series.coefficient(k, branch):
-        template, leaves = term_census(t)
-        phis = [l.pos for l in leaves if l.species == PHI]
-        bars = [l.pos for l in leaves if l.species == PHIBAR]
-        for matching in partial_matchings(phis, bars):
+        template, leaves, matchings = term_pairings(t)
+        for matching in matchings:
             examined += 1
             if 2 * len(matching) == len(leaves):
                 ds.add(_diagram_for_matching(t, template, leaves, matching))
@@ -360,7 +361,7 @@ class CountertermOperator:
     def argument_species(self) -> set:
         sps = set()
         for d in self.ops:
-            for ch, _ in _iter(d):
+            for ch, _ in iter_children(d):
                 if ch[0] == "argport":
                     sps.add(ch[1])
         return sps
@@ -374,8 +375,8 @@ class CountertermOperator:
         free leaf remains (e.g. H_1 = Ctilde)."""
         total = None
         for d in self.ops:
-            kinds = sorted(ch[0] for ch, _ in _iter(d))
-            names = [ch[1] for ch, _ in _iter(d) if ch[0] in ("ctloop", "const")]
+            kinds = sorted(ch[0] for ch, _ in iter_children(d))
+            names = [ch[1] for ch, _ in iter_children(d) if ch[0] in ("ctloop", "const")]
             if any(k in ("free", "pair", "qloop", "conv") for k in kinds):
                 raise ExtractionError("operator is not a pointwise multiplication")
             if len(names) != 1:
@@ -388,14 +389,9 @@ class CountertermOperator:
 
 
 def _term_add(a: Term, b: Term) -> Term:
-    from .terms import canonical_key as term_key
-    if term_key(a) != term_key(b):
+    if canonical_key(a) != canonical_key(b):
         raise ExtractionError("operator is a sum of distinct terms")
     return Term(a.coeff + b.coeff, a.node)
-
-
-def _iter(d: Diagram):
-    return iter_children(d)
 
 
 def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
@@ -403,12 +399,13 @@ def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
     if len(u.slots) != 1:
         raise ExtractionError("operator argument must be single-slot")
     port = None
-    for ch, p in _iter(op_diag):
+    for ch, p in iter_children(op_diag):
         if ch[0] == "argport":
             port = p
     if port is None:
         raise ExtractionError("operator diagram has no argument slot")
-    shifted = shift_pair_ids(u.slots[0], max_pair_id(op_diag) + 1)
+    off = max_pair_id(op_diag) + 1
+    shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
     grafted = replace_at(op_diag, port, list(shifted))
     return Diagram(grafted.slots, grafted.coeff * u.coeff)
 
@@ -459,20 +456,26 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
     gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(K + 1)}
     H: dict[int, CountertermOperator] = {}
     for k in range(1, K + 1):
-        residual = DeformedSum(order=k)
-        residual.extend(gf[k])
-        residual.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
-        for j in range(1, k):
-            for h in H[j].ops:
-                source = gf if _port_species(h) == PHI else gf_bar
-                for du in source[k - j]:
-                    residual.add(convolved(GPSI, apply_operator(h, du)).scaled(-1))
-        H[k] = _strip_and_mark(residual, k)
+        H[k] = _strip_and_mark(_residual(gf, gf_bar, H, k, range(1, k)), k)
     return H
 
 
+def _residual(gf, gf_bar, H, k: int, js) -> DeformedSum:
+    """Order-k defect of the equation with the counterterms H[j], j in js:
+    Gamma(F_k) minus the pointwise cubic and the H_j insertions."""
+    residual = DeformedSum(order=k)
+    residual.extend(gf[k])
+    residual.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
+    for j in js:
+        for h in H[j].ops:
+            source = gf if _port_species(h) == PHI else gf_bar
+            for du in source[k - j]:
+                residual.add(convolved(GPSI, apply_operator(h, du)).scaled(-1))
+    return residual
+
+
 def _port_species(op_diag: Diagram) -> str:
-    for ch, _ in _iter(op_diag):
+    for ch, _ in iter_children(op_diag):
         if ch[0] == "argport":
             return ch[1]
     raise ExtractionError("operator diagram has no argument slot")
@@ -483,12 +486,4 @@ def renormalized_residual(series: PerturbativeSeries,
     """Order-k defect of the renormalized equation; empty when H is correct."""
     gf = {j: gamma_Q(series.coefficient(j, SPINOR)) for j in range(k + 1)}
     gf_bar = {j: gamma_Q(series.coefficient(j, COSPINOR)) for j in range(k)}
-    residual = DeformedSum(order=k)
-    residual.extend(gf[k])
-    residual.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
-    for j in range(1, k + 1):
-        for h in H[j].ops:
-            source = gf if _port_species(h) == PHI else gf_bar
-            for du in source[k - j]:
-                residual.add(convolved(GPSI, apply_operator(h, du)).scaled(-1))
-    return residual
+    return _residual(gf, gf_bar, H, k, range(1, k + 1))

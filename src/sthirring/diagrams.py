@@ -21,25 +21,24 @@ contracted pair collapses its two leaf endpoints to a single point carrying
 one stem per side, which is exactly the accounting that makes a maximally
 contracted order-k graph have 2k+1 points and 3k+1 propagator edges.
 
-Canonical keys rename pair ids by first occurrence and sort vertex children,
-resolving groups that stay tied through shared pair ids by a small
-permutation search; two contraction outcomes merge exactly when the typed
-multigraphs are isomorphic slot by slot.
+Canonical forms sort vertex children and resolve groups that stay tied
+through shared pair ids by a small permutation search, then renumber pair
+ids by first occurrence; two contraction outcomes merge exactly when the
+typed multigraphs are isomorphic slot by slot.  The canonical form's
+serialization is its key, so `DeformedSum.add` canonicalizes once.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 
-from .terms import GPSI, GPSIBAR, PHI, StructuralError
+from .canonical import KeyedSum, StructuralError, tie_orders, within_budget
+from .terms import GPSI, GPSIBAR, PHI
 
 Q = "Q"
 QT = "Q_tilde"
-
-_PERM_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -104,35 +103,37 @@ def replace_at(diag: Diagram, path: tuple, repl) -> Diagram:
     return Diagram(tuple(slots), diag.coeff)
 
 
-def shift_pair_ids(children, offset):
+def rename_pair_ids(children, f):
+    """The same children with every pair id p replaced by f(p)."""
     out = []
     for ch in children:
         if ch[0] == "pair":
-            out.append(("pair", ch[1] + offset, ch[2], ch[3]))
+            out.append(("pair", f(ch[1]), ch[2], ch[3]))
         elif ch[0] == "conv":
-            out.append(("conv", ch[1], shift_pair_ids(ch[2], offset)))
+            out.append(("conv", ch[1], rename_pair_ids(ch[2], f)))
         else:
             out.append(ch)
     return tuple(out)
 
 
-def _max_pair(children) -> int:
-    m = -1
+def _pair_ids(children):
+    ids = []
     for ch in children:
         if ch[0] == "pair":
-            m = max(m, ch[1])
+            ids.append(ch[1])
         elif ch[0] == "conv":
-            m = max(m, _max_pair(ch[2]))
-    return m
+            ids.extend(_pair_ids(ch[2]))
+    return ids
 
 
 def max_pair_id(diag: Diagram) -> int:
-    return max((_max_pair(b) for b in diag.slots), default=-1)
+    return max((p for body in diag.slots for p in _pair_ids(body)), default=-1)
 
 
 def tensor(a: Diagram, b: Diagram) -> Diagram:
     off = max_pair_id(a) + 1
-    return Diagram(a.slots + tuple(shift_pair_ids(s, off) for s in b.slots),
+    return Diagram(a.slots + tuple(rename_pair_ids(s, lambda p: p + off)
+                                   for s in b.slots),
                    a.coeff * b.coeff)
 
 
@@ -150,8 +151,8 @@ def vertex_join(kind: str, parts) -> Diagram:
     for d in parts:
         if len(d.slots) != 1:
             raise StructuralError("vertex join needs single-slot diagrams")
-        off = max(_max_pair(tuple(kids)), -1) + 1
-        kids.extend(shift_pair_ids(d.slots[0], off))
+        off = max(_pair_ids(kids), default=-1) + 1
+        kids.extend(rename_pair_ids(d.slots[0], lambda p: p + off))
         coeff *= d.coeff
     return Diagram(((("conv", kind, tuple(kids)),),), coeff)
 
@@ -195,16 +196,6 @@ def graph_counts(diag: Diagram) -> dict:
 # canonical form
 # --------------------------------------------------------------------------
 
-def _pair_ids(children):
-    ids = []
-    for ch in children:
-        if ch[0] == "pair":
-            ids.append(ch[1])
-        elif ch[0] == "conv":
-            ids.extend(_pair_ids(ch[2]))
-    return ids
-
-
 def _shape(ch) -> str:
     """Order-insensitive isomorphism invariant of one child subtree.
 
@@ -221,27 +212,35 @@ def _shape(ch) -> str:
     return repr(ch)
 
 
-def _serialize(children, naming, tokens):
+def _serialize(slots, naming: dict) -> str:
     """Left-to-right serialization; pair names assigned on first occurrence."""
-    for ch in children:
-        if ch[0] == "pair":
-            pid = ch[1]
-            if pid not in naming:
-                naming[pid] = f"p{len(naming)}"
-            tokens.append(f"x[{naming[pid]},{ch[2]},{ch[3]}]")
-        elif ch[0] == "conv":
-            tokens.append(f"T[{ch[1]}](")
-            _serialize(ch[2], naming, tokens)
-            tokens.append(")")
-        else:
-            tokens.append(repr(ch))
-        tokens.append(",")
+    tokens: list = []
+
+    def emit(children):
+        for ch in children:
+            if ch[0] == "pair":
+                pid = ch[1]
+                if pid not in naming:
+                    naming[pid] = f"p{len(naming)}"
+                tokens.append(f"x[{naming[pid]},{ch[2]},{ch[3]}]")
+            elif ch[0] == "conv":
+                tokens.append(f"T[{ch[1]}](")
+                emit(ch[2])
+                tokens.append(")")
+            else:
+                tokens.append(repr(ch))
+            tokens.append(",")
+
+    for body in slots:
+        emit(body)
+        tokens.append(";")
+    return "".join(tokens)
 
 
 def _layouts(children):
-    """All child orders obtained by permuting within equal-shape groups,
-    except that groups free of pair ids are inert and kept in one fixed
-    deterministic order.  Yields child tuples; nested conv interiors are
+    """All child orders obtained by permuting within equal-shape groups that
+    carry pair ids.  Equal-shape groups free of pair ids hold identical
+    subtrees, so their one order is fixed.  Nested conv interiors are
     expanded recursively so the product covers every vertex at once."""
     expanded = []
     bound = 1
@@ -250,42 +249,12 @@ def _layouts(children):
             expanded.append([("conv", ch[1], lay) for lay in _layouts(ch[2])])
         else:
             expanded.append([ch])
-        bound *= len(expanded[-1])
-        if bound > _PERM_BUDGET:
-            raise StructuralError("diagram canonicalization budget exceeded")
-    combos = []
-    for variants in iproduct(*expanded):
-        combos.append(tuple(variants))
+        bound = within_budget(bound * len(expanded[-1]))
     out = []
-    for kids in combos:
-        shaped = sorted(((_shape(c), i) for i, c in enumerate(kids)))
-        groups = []
-        i = 0
-        while i < len(shaped):
-            j = i
-            while j + 1 < len(shaped) and shaped[j + 1][0] == shaped[i][0]:
-                j += 1
-            groups.append([kids[idx] for _, idx in shaped[i:j + 1]])
-            i = j + 1
-        opts = []
-        for g in groups:
-            if len(g) > 1 and any(_pair_ids([c]) for c in g):
-                opts.append([list(p) for p in permutations(g)])
-            else:
-                opts.append([sorted(g, key=_content_key)])
-        for combo in iproduct(*opts):
-            out.append(tuple(c for g in combo for c in g))
-    if len(out) > _PERM_BUDGET:
-        raise StructuralError("diagram canonicalization budget exceeded")
+    for kids in iproduct(*expanded):
+        out.extend(tie_orders(kids, [_shape(c) for c in kids], "x["))
+    within_budget(len(out))
     return out
-
-
-def _content_key(ch) -> str:
-    if ch[0] == "conv":
-        return f"T[{ch[1]}](" + ",".join(_content_key(k) for k in ch[2]) + ")"
-    if ch[0] == "pair":
-        return f"x[?,{ch[2]},{ch[3]}]"
-    return repr(ch)
 
 
 def canonicalize(diag: Diagram) -> Diagram:
@@ -293,100 +262,49 @@ def canonicalize(diag: Diagram) -> Diagram:
     per_slot = [_layouts(body) for body in diag.slots]
     total = 1
     for opts in per_slot:
-        total *= len(opts)
-        if total > _PERM_BUDGET:
-            raise StructuralError("diagram canonicalization budget exceeded")
+        total = within_budget(total * len(opts))
     best = None
     for slots in iproduct(*per_slot):
         naming: dict = {}
-        toks: list = []
-        for body in slots:
-            _serialize(body, naming, toks)
-            toks.append(";")
-        key = "".join(toks)
+        key = _serialize(slots, naming)
         if best is None or key < best[0]:
             best = (key, slots, naming)
     _, slots, naming = best
-    mapping = {old: rank for rank, old in
-               enumerate(sorted(naming, key=lambda o: int(naming[o][1:])))}
-    return Diagram(tuple(_renumber(b, mapping) for b in slots), diag.coeff)
-
-
-def _renumber(children, mapping):
-    out = []
-    for ch in children:
-        if ch[0] == "pair":
-            out.append(("pair", mapping[ch[1]], ch[2], ch[3]))
-        elif ch[0] == "conv":
-            out.append(("conv", ch[1], _renumber(ch[2], mapping)))
-        else:
-            out.append(ch)
-    return tuple(out)
+    rank = {old: r for r, old in enumerate(naming)}
+    return Diagram(tuple(rename_pair_ids(b, rank.__getitem__) for b in slots),
+                   diag.coeff)
 
 
 def canonical_key(diag: Diagram) -> str:
-    c = canonicalize(diag)
-    toks: list = []
-    naming: dict = {}
-    for body in c.slots:
-        _serialize(body, naming, toks)
-        toks.append(";")
-    return "".join(toks)
+    return _serialize(canonicalize(diag).slots, {})
 
 
 # --------------------------------------------------------------------------
 # sums of diagrams
 # --------------------------------------------------------------------------
 
-class DeformedSum:
+class DeformedSum(KeyedSum):
     """Diagrams with exact coefficients, merged by canonical key."""
 
     def __init__(self, diagrams=(), origin: str = "", order: int | None = None):
         self.origin = origin
         self.order = order
-        self._data: dict[str, Diagram] = {}
-        for d in diagrams:
-            self.add(d)
+        super().__init__(diagrams)
 
     def add(self, d: Diagram) -> None:
         if d.coeff == 0:
             return
         c = canonicalize(d)
-        key = canonical_key(c)
-        cur = self._data.get(key)
-        if cur is None:
-            self._data[key] = c
-        else:
-            s = cur.coeff + c.coeff
-            if s == 0:
-                del self._data[key]
-            else:
-                self._data[key] = Diagram(cur.slots, s)
+        self._merge(_serialize(c.slots, {}), c)
 
     def extend(self, other: "DeformedSum", scale=1) -> None:
         for d in other.diagrams():
             self.add(d.scaled(scale))
 
-    def diagrams(self) -> list[Diagram]:
-        return [self._data[k] for k in sorted(self._data)]
-
-    def __len__(self):
-        return len(self._data)
-
-    def __iter__(self):
-        return iter(self.diagrams())
-
-    def __eq__(self, other):
-        if not isinstance(other, DeformedSum):
-            return NotImplemented
-        return {k: d.coeff for k, d in self._data.items()} == \
-               {k: d.coeff for k, d in other._data.items()}
+    diagrams = KeyedSum.entries
 
     def is_zero(self) -> bool:
         return not self._data
-
-    def keys(self):
-        return sorted(self._data)
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +458,3 @@ def deformedsum_to_json(ds: DeformedSum) -> dict:
 def deformedsum_from_json(d: dict) -> DeformedSum:
     return DeformedSum((diagram_from_json(x) for x in d["diagrams"]),
                        origin=d.get("origin", ""), order=d.get("order"))
-
-
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -24,7 +24,7 @@ from .terms import (
     GPSI, GPSIBAR, UP, DOWN,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
     StructuralError, free_indices, grading, max_index, mirror, phi, phibar,
-    shift_indices,
+    rename_indices,
 )
 
 DEFAULT_ORDER_CEILING = 6
@@ -58,9 +58,10 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
     wrapped in the branch propagator.
     """
     na = ta.node
-    nb = shift_indices(tb.node, max_index(na) + 1)
+    off_b = max_index(na) + 1
+    nb = rename_indices(tb.node, lambda i: i + off_b)
     off_c = max(max_index(na), max_index(nb)) + 1
-    nc = shift_indices(tc.node, off_c)
+    nc = rename_indices(tc.node, lambda i: i + off_c)
 
     a = _sole_free(na, DOWN)
     b = _sole_free(nb, UP)

@@ -25,18 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .deformation import DomainError, _diagram_for_matching, term_pairings
 from .diagrams import DeformedSum, Diagram, free_leaves, graph_counts
 from .perturbation import (
     SPINOR, InternalConsistencyError, PerturbativeSeries,
 )
-from .terms import PHI, PHIBAR
+from .terms import PHI
 
 REGULAR = "regular"
 DIVERGENT = "borderline_or_divergent"
-
-
-class DomainError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -109,13 +106,11 @@ def maximal_contractions(series: PerturbativeSeries, k: int,
     Yields one diagram per contraction pattern (no canonical merging);
     every diagram keeps exactly one free leaf by parity of 2k+1.
     """
-    from .deformation import term_census, partial_matchings, _diagram_for_matching
     for t in series.coefficient(k, branch):
-        template, leaves = term_census(t)
-        phis = [l.pos for l in leaves if l.species == PHI]
-        bars = [l.pos for l in leaves if l.species == PHIBAR]
-        size = min(len(phis), len(bars))
-        for matching in partial_matchings(phis, bars):
+        template, leaves, matchings = term_pairings(t)
+        n_phi = sum(l.species == PHI for l in leaves)
+        size = min(n_phi, len(leaves) - n_phi)
+        for matching in matchings:
             if len(matching) == size:
                 yield _diagram_for_matching(t, template, leaves, matching)
 

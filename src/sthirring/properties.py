@@ -21,7 +21,7 @@ from .terms import (
     GPSI, GPSIBAR, PHI, PHIBAR,
     Leaf, Prod, Term, TermSum,
     canonical_key, canonicalize, convolve, grading, index_occurrences,
-    product,
+    product, rename_indices,
 )
 
 _SERIES = None
@@ -133,8 +133,7 @@ def check_canonical_stability(rng: random.Random, trials: int) -> dict:
         shuffled = ids[:]
         rng.shuffle(shuffled)
         mapping = dict(zip(ids, shuffled))
-        from .terms import _rename
-        renamed = Term(t.coeff, _rename(node, mapping))
+        renamed = Term(t.coeff, rename_indices(node, mapping.__getitem__))
         if canonical_key(canonicalize(renamed)) != key:
             failures += 1
     return {"name": "canonical_stability", "trials": trials, "failures": failures}

@@ -20,15 +20,19 @@ canonicalize to the identical tree.  Product children are sorted by a
 shape key; groups of children that remain tied *and* are coupled through
 shared indices are resolved by brute-force permutation, taking the
 lexicographically smallest serialization.  Tied groups in this model are
-tiny (at most a few identical branches), so the search is cheap.
+tiny (at most a few identical branches), so the search is cheap.  The
+canonical tree has its indices renamed 0, 1, 2, ... in order of first
+occurrence, so its serialization is its key: `TermSum.add` canonicalizes
+once and serializes the result, with no second search.
 """
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+
+from .canonical import KeyedSum, StructuralError, tie_orders
 
 PHI = "phi"
 PHIBAR = "phibar"
@@ -37,13 +41,6 @@ GPSIBAR = "G_psi_bar"
 
 UP = 1
 DOWN = -1
-
-_PERM_BUDGET = 20000
-
-
-class StructuralError(ValueError):
-    """Malformed term: index collision, rank mismatch, bad wiring."""
-
 
 # --------------------------------------------------------------------------
 # node types
@@ -203,19 +200,20 @@ def max_index(node: Node) -> int:
     return max((idx for idx, _, _ in index_occurrences(node)), default=-1)
 
 
-def shift_indices(node: Node, offset: int) -> Node:
+def rename_indices(node: Node, f) -> Node:
+    """The same tree with every index id i replaced by f(i)."""
     if isinstance(node, Unit):
         return node
     if isinstance(node, Leaf):
-        return Leaf(node.species, node.index + offset)
+        return Leaf(node.species, f(node.index))
     if isinstance(node, Gamma):
-        return Gamma(node.mu + offset, node.row + offset, node.col + offset)
+        return Gamma(f(node.mu), f(node.row), f(node.col))
     if isinstance(node, Const):
-        return Const(node.name, node.order, node.row + offset, node.col + offset)
+        return Const(node.name, node.order, f(node.row), f(node.col))
     if isinstance(node, Conv):
-        return Conv(node.kind, node.out_index + offset, node.in_index + offset,
-                    shift_indices(node.inner, offset))
-    return Prod(tuple(shift_indices(c, offset) for c in node.children))
+        return Conv(node.kind, f(node.out_index), f(node.in_index),
+                    rename_indices(node.inner, f))
+    return Prod(tuple(rename_indices(c, f) for c in node.children))
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +281,8 @@ def product(a: Term, b: Term, rename: bool = True) -> Term:
         return ZERO
     node_b = b.node
     if rename:
-        node_b = shift_indices(node_b, max_index(a.node) + 1)
+        off = max_index(a.node) + 1
+        node_b = rename_indices(node_b, lambda i: i + off)
     else:
         clash = {i for i, _, _ in index_occurrences(a.node)} & \
                 {i for i, _, _ in index_occurrences(b.node)}
@@ -341,14 +340,8 @@ def mirror(t: Term) -> Term:
 # canonical form
 # --------------------------------------------------------------------------
 
-def _serialize(node: Node, naming: dict, tokens: list) -> None:
-    """Emit tokens; index names assigned on first encounter."""
-
-    def name(idx):
-        if idx not in naming:
-            naming[idx] = f"i{len(naming)}"
-        return naming[idx]
-
+def _emit(node: Node, name, tokens: list) -> None:
+    """Append the serialization tokens of node; name(idx) spells an index."""
     if isinstance(node, Unit):
         tokens.append("1")
     elif isinstance(node, Leaf):
@@ -359,16 +352,33 @@ def _serialize(node: Node, naming: dict, tokens: list) -> None:
         tokens.append(f"K[{node.name},{node.order},{name(node.row)},{name(node.col)}]")
     elif isinstance(node, Conv):
         tokens.append(f"C[{node.kind},{name(node.out_index)},{name(node.in_index)}](")
-        _serialize(node.inner, naming, tokens)
+        _emit(node.inner, name, tokens)
         tokens.append(")")
     elif isinstance(node, Prod):
         tokens.append("P(")
         for c in node.children:
-            _serialize(c, naming, tokens)
+            _emit(c, name, tokens)
             tokens.append(",")
         tokens.append(")")
     else:  # pragma: no cover
         raise TypeError(node)
+
+
+def _namer(naming: dict):
+    """Index namer that assigns i0, i1, ... on first encounter into naming."""
+
+    def name(idx):
+        if idx not in naming:
+            naming[idx] = f"i{len(naming)}"
+        return naming[idx]
+
+    return name
+
+
+def _key(node: Node) -> str:
+    tokens: list = []
+    _emit(node, _namer({}), tokens)
+    return "".join(tokens)
 
 
 def _child_shape(child: Node, outside_counts: dict, prenamed: dict) -> str:
@@ -379,93 +389,44 @@ def _child_shape(child: Node, outside_counts: dict, prenamed: dict) -> str:
     (or free elsewhere) are reduced to link/free markers so that the key is
     independent of sibling identity.
     """
+    inside = Counter(i for i, _, _ in index_occurrences(child))
     local = {}
-    toks = []
 
     def name(idx):
         if idx in prenamed:
             return "@" + prenamed[idx]
-        inside = sum(1 for i, _, _ in index_occurrences(child) if i == idx)
-        total = outside_counts.get(idx, 0)
-        if inside == 2:
+        if inside[idx] == 2:
             if idx not in local:
                 local[idx] = f"l{len(local)}"
             return local[idx]
-        return "*LINK*" if total > inside else "*FREE*"
+        return "*LINK*" if outside_counts.get(idx, 0) > inside[idx] else "*FREE*"
 
-    def go(n):
-        if isinstance(n, Unit):
-            toks.append("1")
-        elif isinstance(n, Leaf):
-            toks.append(f"L[{n.species},{name(n.index)}]")
-        elif isinstance(n, Gamma):
-            toks.append(f"g[{name(n.mu)},{name(n.row)},{name(n.col)}]")
-        elif isinstance(n, Const):
-            toks.append(f"K[{n.name},{n.order},{name(n.row)},{name(n.col)}]")
-        elif isinstance(n, Conv):
-            toks.append(f"C[{n.kind},{name(n.out_index)},{name(n.in_index)}](")
-            go(n.inner)
-            toks.append(")")
-        elif isinstance(n, Prod):
-            toks.append("P(")
-            for c in n.children:
-                go(c)
-                toks.append(",")
-            toks.append(")")
-
-    go(child)
-    return "".join(toks)
+    tokens: list = []
+    _emit(child, name, tokens)
+    return "".join(tokens)
 
 
 def _order_prod(node: Prod, naming: dict, whole_counts: dict) -> tuple:
     """Canonical child order for a product under the current naming."""
-    kids = list(node.children)
-    shapes = [_child_shape(c, whole_counts, naming) for c in kids]
-    order = sorted(range(len(kids)), key=lambda i: shapes[i])
-    groups = []
-    start = 0
-    while start < len(order):
-        end = start
-        while end + 1 < len(order) and shapes[order[end + 1]] == shapes[order[start]]:
-            end += 1
-        groups.append(order[start:end + 1])
-        start = end + 1
-    # groups whose members carry sibling links need a permutation search
-    needs_search = False
-    total = 1
-    options = []
-    for g in groups:
-        if len(g) > 1 and "*LINK*" in shapes[g[0]]:
-            needs_search = True
-            for n in range(2, len(g) + 1):
-                total *= n
-            if total > _PERM_BUDGET:
-                raise StructuralError("canonicalization permutation budget exceeded")
-            options.append([list(p) for p in permutations(g)])
-        else:
-            options.append([list(g)])
-    if not needs_search:
-        return tuple(kids[i] for g in groups for i in g)
-    best = None
-    for combo in iproduct(*options):
-        cand = tuple(kids[i] for g in combo for i in g)
-        toks: list = []
-        trial = dict(naming)
+    kids = node.children
+    orders = tie_orders(kids, [_child_shape(c, whole_counts, naming) for c in kids],
+                        "*LINK*")
+    if len(orders) == 1:
+        return orders[0]
+
+    def serialization(cand):
+        name = _namer(dict(naming))
+        tokens: list = []
         for c in cand:
-            _serialize(c, trial, toks)
-            toks.append(",")
-        key = "".join(toks)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+            _emit(c, name, tokens)
+            tokens.append(",")
+        return "".join(tokens)
+
+    return min(orders, key=serialization)
 
 
 def _canon_node(node: Node, naming: dict, whole_counts: dict) -> Node:
-    def name(idx):
-        if idx not in naming:
-            naming[idx] = f"i{len(naming)}"
-        return naming[idx]
-
+    name = _namer(naming)
     if isinstance(node, (Unit, Leaf, Gamma, Const)):
         for idx, _, _ in index_occurrences(node):
             name(idx)
@@ -485,92 +446,42 @@ def _canon_node(node: Node, naming: dict, whole_counts: dict) -> Node:
     raise TypeError(node)  # pragma: no cover
 
 
-def _rename(node: Node, mapping: dict) -> Node:
-    if isinstance(node, Unit):
-        return node
-    if isinstance(node, Leaf):
-        return Leaf(node.species, mapping[node.index])
-    if isinstance(node, Gamma):
-        return Gamma(mapping[node.mu], mapping[node.row], mapping[node.col])
-    if isinstance(node, Const):
-        return Const(node.name, node.order, mapping[node.row], mapping[node.col])
-    if isinstance(node, Conv):
-        return Conv(node.kind, mapping[node.out_index], mapping[node.in_index],
-                    _rename(node.inner, mapping))
-    return Prod(tuple(_rename(c, mapping) for c in node.children))
-
-
 def canonicalize(t: Term) -> Term:
-    """Canonical representative: sorted products, indices renamed 0,1,2,..."""
+    """Canonical representative: sorted products, indices renamed 0,1,2,...
+    in order of first occurrence."""
     if is_zero(t):
         return ZERO
     validate(t.node)
     counts = {i: len(o) for i, o in index_census(t.node).items()}
-    naming: dict = {}
-    ordered = _canon_node(t.node, naming, counts)
-    final: dict = {}
-    toks: list = []
-    _serialize(ordered, final, toks)
-    mapping = {old: rank for rank, old in
-               enumerate(sorted(final, key=lambda o: int(final[o][1:])))}
-    return Term(t.coeff, _rename(ordered, mapping))
+    ordered = _canon_node(t.node, {}, counts)
+    first_seen: dict = {}
+    _emit(ordered, _namer(first_seen), [])
+    rank = {old: r for r, old in enumerate(first_seen)}
+    return Term(t.coeff, rename_indices(ordered, rank.__getitem__))
 
 
 def canonical_key(t: Term | Node) -> str:
     node = t.node if isinstance(t, Term) else t
-    ct = canonicalize(Term(Fraction(1), node))
-    toks: list = []
-    _serialize(ct.node, {}, toks)
-    return "".join(toks)
+    return _key(canonicalize(Term(Fraction(1), node)).node)
 
 
 # --------------------------------------------------------------------------
 # sums of terms
 # --------------------------------------------------------------------------
 
-class TermSum:
+class TermSum(KeyedSum):
     """Formal sum of terms with exact coefficients, merged by canonical form."""
-
-    def __init__(self, terms=()):
-        self._data: dict[str, Term] = {}
-        for t in terms:
-            self.add(t)
 
     def add(self, t: Term) -> None:
         if is_zero(t):
             return
         ct = canonicalize(t)
-        key = canonical_key(ct)
-        cur = self._data.get(key)
-        if cur is None:
-            self._data[key] = ct
-        else:
-            c = cur.coeff + ct.coeff
-            if c == 0:
-                del self._data[key]
-            else:
-                self._data[key] = Term(c, cur.node)
+        self._merge(_key(ct.node), ct)
 
-    def terms(self) -> list[Term]:
-        return [self._data[k] for k in sorted(self._data)]
-
-    def __len__(self):
-        return len(self._data)
-
-    def __eq__(self, other):
-        if not isinstance(other, TermSum):
-            return NotImplemented
-        return {k: t.coeff for k, t in self._data.items()} == \
-               {k: t.coeff for k, t in other._data.items()}
-
-    def __iter__(self):
-        return iter(self.terms())
+    terms = KeyedSum.entries
 
     def map(self, fn) -> "TermSum":
         return TermSum(fn(t) for t in self.terms())
-
-    def scaled(self, c) -> "TermSum":
-        return TermSum(t.scaled(c) for t in self.terms())
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +574,3 @@ def term_from_json(d: dict) -> Term:
 
 def termsum_to_json(s: TermSum) -> list:
     return [term_to_json(t) for t in s.terms()]
-
-
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

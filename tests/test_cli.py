@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from sthirring.cli import main
 
@@ -161,3 +164,57 @@ def test_domain_errors_exit_usage():
 def test_expand_dot_at_order_zero():
     rc, out = run_cli("expand", "--order", "0", "--format", "dot")
     assert rc == 0 and out.lstrip().startswith("digraph")
+
+
+def test_export_rep_zero_is_a_usage_error():
+    assert run_cli("gamma-check", "--trials", "1", "--export-rep", "0")[0] == 2
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path):
+    assert run_cli("--config", str(tmp_path / "absent.cfg"),
+                   "expect", "--order", "1")[0] == 2
+
+
+def test_malformed_config_line_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("order = 1\nno equals sign here\n")
+    assert run_cli("--config", str(cfg), "expect")[0] == 2
+
+
+def test_negative_trials_is_a_usage_error():
+    rc, out = run_cli("gamma-check", "--trials", "-2")
+    assert rc == 2 and out == ""
+    assert run_cli("kernel-check", "--dim", "1", "--trials", "-1")[0] == 2
+
+
+# sha256 of stdout of cheap runs of every symbolic command.  A change of
+# canonical representative, of merge order or of formatting fails here, not
+# only in the benchmark digests (perfbench/digests.json), which must be
+# re-pinned together with these.
+GOLDEN = {
+    "expand --order 3 --format tex":
+        "e2cb6790853043515b62a6df1d23c5982e5148a3e3721dc06c2cdcf9058ab724",
+    "expand --order 3 --format json":
+        "06e0b99dc125018a516e125232217b04e2e7149f56b8447d8ef93b4a0e23ec70",
+    "expand --order 4 --format tex":
+        "356d4f8c08d5de8e06fe655f361db1644ec0583dc693f9764145f20a8958730b",
+    "expand --order 4 --format json":
+        "47f98cf9bc85846b04334259056b645f18133d1afa14412fa246933433abfe10",
+    "correlate --order 2 --format json":
+        "c4a1fe2004d61bdaafb14a85329227871067376994e6ef0abbac7bc3ec60aed9",
+    "correlate --order 2 --format dot":
+        "7ad2f10af7cb24c52afc29f6249ba06d781f7f82388d501ed59c15b71aa10fd8",
+    "counterterms --order 2":
+        "4a9cb47c51ee2b3ebdf29f6e5fdc42b898e90a7e8ef31f30bb911dbbd1528248",
+    "gamma-check --seed 3 --trials 2 --export-rep 2":
+        "20d8c6113bfb16ef670ef1e3a9daf38e8699ee3f872d72ad8a17b94a6ec4a296",
+    "power-count --dim 2 --max-order 3":
+        "481857edf786fb208c84848d69691e3f8c1183e4849e0ef5ee25553d0b9f062b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_output_bytes(argv):
+    rc, out = run_cli(*argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
