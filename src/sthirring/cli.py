@@ -4,7 +4,8 @@ Subcommands: expand, expect, correlate, power-count, kernel-check,
 gamma-check, counterterms.  A config file of `key = value` lines supplies
 defaults that individual flags override; given the same configuration and
 seed the output bytes are identical run to run.  Exit codes: 0 success,
-2 usage error (including an unreadable or malformed config file),
+2 usage error (including an unreadable or malformed config file, or a
+config value that its flag's type or choices refuse),
 3 invariant violation, 4 numerical failure.
 """
 
@@ -267,6 +268,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             # flags still override (3.10 subparsers reparse their defaults,
             # so parent-level set_defaults would be clobbered)
             sp.set_defaults(**config)
+            # argparse checks `choices` only on flags, not on defaults, so
+            # main checks the config values against them
+            sp.set_defaults(config_choices=[
+                (a.dest, a.choices) for a in sp._actions if a.choices])
 
     sp = sub.add_parser("expand", help="perturbative coefficients")
     sp.add_argument("--order", type=int)
@@ -334,27 +339,15 @@ _REQUIRED = {
 }
 
 
-def _coerce(val: str):
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            pass
-    if val in ("true", "false"):
-        return val == "true"
-    return val
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     try:
-        config = None
-        if known.config:
-            config = {k: _coerce(v)
-                      for k, v in _read_config(known.config).items()}
+        # config values stay strings: argparse applies each option's `type`
+        # to a string default, as it does to a flag
+        config = _read_config(known.config) if known.config else None
         parser = build_parser(config)
         args = parser.parse_args(argv)
         missing = [name for name in _REQUIRED[args.command]
@@ -364,6 +357,11 @@ def main(argv=None) -> int:
             print(f"usage error: {args.command} requires {flags} "
                   "(flag or config entry)", file=sys.stderr)
             return EXIT_USAGE
+        for dest, choices in getattr(args, "config_choices", ()):
+            if getattr(args, dest) not in choices:
+                raise DomainError(
+                    f"config value {dest} = {getattr(args, dest)!r} is not "
+                    f"one of {', '.join(map(str, choices))}")
         if getattr(args, "trials", 0) < 0:
             print("usage error: --trials must be >= 0", file=sys.stderr)
             return EXIT_USAGE

@@ -20,7 +20,7 @@ from sthirring.deformation import (
 from sthirring.diagrams import DeformedSum, Diagram
 from sthirring.kernels import (
     KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
-    q_kernel_1d, scaling_degree_probe,
+    greens_identity_residual, q_kernel_1d, scaling_degree_probe,
 )
 from sthirring.perturbation import (
     COSPINOR, SPINOR, expand, field_counts, graph_statistics, monomial_count,
@@ -202,3 +202,11 @@ def test_criterion_9_scaling_degree_probe():
                                      (1.0, 0.7))
         assert probe.conclusive
         assert abs(probe.sd - 1.0) <= 0.1  # sd = d - 1 at d = 2
+
+
+def test_criterion_10_d2_green_identity():
+    with _Timer(10, "d=2 Green identity", 5.0):
+        f = TestFunction((0.3, -0.2), 0.4, 1.0)
+        for m in (0.0, 1.0):  # the kernel-check case, for both masses
+            assert greens_identity_residual(KernelParams(2, m), f,
+                                            (0.3, -0.2)) <= 1e-6

@@ -181,6 +181,29 @@ def test_malformed_config_line_is_a_usage_error(tmp_path):
     assert run_cli("--config", str(cfg), "expect")[0] == 2
 
 
+@pytest.mark.parametrize("line, argv", [
+    ("format = xml", ("expand", "--order", "0")),
+    ("dim = 3", ("kernel-check",)),
+    ("order = 1.5", ("expect",)),
+])
+def test_config_values_are_checked_like_flags(tmp_path, line, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    try:
+        rc, out = run_cli("--config", str(cfg), *argv)
+    except SystemExit as exc:  # argparse's own usage error
+        rc, out = exc.code, ""
+    assert (rc, out) == (2, "")
+
+
+def test_flag_overrides_a_bad_config_value(tmp_path):
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text("format = xml\n")
+    rc, out = run_cli("--config", str(cfg), "expand", "--order", "0",
+                      "--format", "json")
+    assert rc == 0 and json.loads(out)["order"] == 0
+
+
 def test_negative_trials_is_a_usage_error():
     rc, out = run_cli("gamma-check", "--trials", "-2")
     assert rc == 2 and out == ""

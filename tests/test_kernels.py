@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
+from sthirring import kernels
 from sthirring.kernels import (
-    KernelError, KernelParams, ProbeResult, SingularPointError, TestFunction,
-    clipped_integral, dirac_kernel_2d, green_2d, greens_identity_residual,
-    propagator_1d, q_kernel_1d, scaling_degree_probe, theta,
+    KernelError, KernelParams, NumericalError, ProbeResult, SingularPointError,
+    TestFunction, clipped_integral, dirac_kernel_2d, green_2d,
+    greens_identity_residual, propagator_1d, q_kernel_1d, scaling_degree_probe,
+    theta,
 )
 
 
@@ -79,6 +81,23 @@ def test_q_kernel_randomized_bumps():
             assert abs(got - want) <= max(1e-8 * abs(want), 1e-10)
 
 
+def test_q_kernel_matches_oracle_on_bumps_straddling_the_cuts():
+    for m in (0.5, 1.0, 2.0):
+        p = KernelParams(1, m)
+        for edge in (-m, m):
+            for shift in (-0.9, -0.3, -0.01, 0.0, 0.01, 0.3, 0.9):
+                f = TestFunction((edge + shift * 0.4 * m,), 0.4 * m, 1.3)
+                got = q_kernel_1d(p, f).real
+                want = clipped_integral(p, f)
+                assert abs(got - want) <= max(1e-8 * abs(want), 1e-10)
+
+
+def test_q_kernel_rules_disagreeing_raise(monkeypatch):
+    monkeypatch.setattr(kernels, "Q_KERNEL_1D_NODES", 2)
+    with pytest.raises(NumericalError):
+        q_kernel_1d(KernelParams(1, 1.0), TestFunction((0.2,), 0.5, 1.0))
+
+
 def test_theta_convention():
     assert theta(0.0) == 1.0 and theta(-1e-12) == 0.0
 
@@ -112,6 +131,63 @@ def test_green_convolution_identity(m):
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
     x = (0.32, -0.18)
     assert greens_identity_residual(p, f, x) <= 1e-6
+
+
+# the bump of test_green_convolution_identity has its support edge at x = 0.7
+@pytest.mark.parametrize("x", [
+    (0.3, -0.2),                # the bump's centre
+    (0.45, -0.1),               # off-centre
+    (0.69, -0.2),               # 0.01 inside the edge
+    (0.7, -0.2),                # on the edge
+    (0.75, 0.1),                # outside the support, where f(x) = 0
+])
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0])
+def test_green_identity_polar_rule(m, x):
+    f = TestFunction((0.3, -0.2), 0.4, 1.0)
+    assert greens_identity_residual(KernelParams(2, m), f, x) <= 1e-6
+
+
+def test_green_identity_rules_disagreeing_raise(monkeypatch):
+    monkeypatch.setattr(kernels, "GREEN_2D_NODES", (4, 8))
+    f = TestFunction((0.3, -0.2), 0.4, 1.0)
+    with pytest.raises(NumericalError):
+        greens_identity_residual(KernelParams(2, 1.0), f, (0.32, -0.18))
+
+
+def _probe_samples(evaluator, x0):
+    """The probe's own samples: its default scales and |u| at each."""
+    lams = np.geomspace(1e-4, 1e-1, 40)
+    vals = [float(np.max(np.abs(evaluator(lam * np.asarray(x0)))))
+            for lam in lams]
+    return np.log(lams), np.log(vals)
+
+
+@pytest.mark.parametrize("kernel, m", [
+    (dirac_kernel_2d, 0.5), (dirac_kernel_2d, 1.0), (dirac_kernel_2d, 2.0),
+    (green_2d, 0.0),
+])
+def test_probe_fit_matches_linregress(kernel, m):
+    evaluator = lambda x: kernel(KernelParams(2, m), x)
+    from scipy.stats import linregress
+    fit = linregress(*_probe_samples(evaluator, (1.0, 0.7)))
+    probe = scaling_degree_probe(evaluator, (1.0, 0.7))
+    sd = -fit.slope
+    want = (sd, sd - 2 * fit.stderr, sd + 2 * fit.stderr, fit.rvalue ** 2)
+    got = (probe.sd, probe.ci_low, probe.ci_high, probe.r_squared)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_probe_fit_of_an_exact_power_law():
+    # linregress takes the slope's error from 1 - r^2, which cancels to
+    # rounding noise (~3e-9 here) on an exact power law; the residuals give
+    # an error at the rounding level of the samples themselves
+    evaluator = lambda x: dirac_kernel_2d(KernelParams(2, 0.0), x)
+    from scipy.stats import linregress
+    fit = linregress(*_probe_samples(evaluator, (1.0, 0.7)))
+    probe = scaling_degree_probe(evaluator, (1.0, 0.7))
+    assert probe.sd == pytest.approx(-fit.slope, rel=1e-12, abs=0)
+    assert probe.ci_high - probe.ci_low <= 1e-12
+    assert probe.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probe_self_tests():
