@@ -5,8 +5,9 @@ pointwise product of terms, or the children of a diagram vertex) are sorted
 by an order-insensitive shape, and only runs of equal shape that are coupled
 to the rest of the object (through shared spinor indices, or through pair
 ids) are searched by permutation.  `tie_orders` enumerates those candidate
-orders under one budget.  `KeyedSum` is the exact linear combination that
-merges canonical forms under their serialization.
+orders under one budget; a search past it raises `ResourceError`.
+`KeyedSum` is the exact linear combination that merges canonical forms under
+a key that determines the form, and lists them in serialization order.
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ _PERM_BUDGET = 20000
 
 
 class StructuralError(ValueError):
-    """Malformed object (index collision, rank mismatch, bad wiring), or a
-    canonical-form search past its budget."""
+    """Malformed object (index collision, rank mismatch, bad wiring)."""
+
+
+class ResourceError(RuntimeError):
+    """Work past a configured limit: an expansion order above the ceiling,
+    or a canonical-form search past its permutation budget."""
 
 
 def within_budget(n: int) -> int:
     """n, the size of a canonical-form search, unless it exceeds the budget."""
     if n > _PERM_BUDGET:
-        raise StructuralError("canonicalization permutation budget exceeded")
+        raise ResourceError("canonicalization permutation budget exceeded")
     return n
 
 
@@ -53,14 +58,22 @@ def tie_orders(items, shapes: list, link: str) -> list[tuple]:
 class KeyedSum:
     """Exact linear combination of frozen items with a `coeff` field, merged
     by canonical key.  Subclasses define `add`, which canonicalizes its
-    argument once and passes the result to `_merge` under its key."""
+    argument once and passes the result to `_merge` under its key.  When the
+    key is not the serialization itself, `_serial(key)` gives it; `entries`
+    orders by serialization and keeps that order until the next merge."""
 
     def __init__(self, items=()):
         self._data: dict = {}
+        self._order: list | None = None
         for x in items:
             self.add(x)
 
-    def _merge(self, key: str, item) -> None:
+    @staticmethod
+    def _serial(key) -> str:
+        return key
+
+    def _merge(self, key, item) -> None:
+        self._order = None
         cur = self._data.get(key)
         if cur is None:
             self._data[key] = item
@@ -72,8 +85,10 @@ class KeyedSum:
             self._data[key] = replace(cur, coeff=c)
 
     def entries(self) -> list:
-        """The items in key order."""
-        return [self._data[k] for k in sorted(self._data)]
+        """The items in serialization order."""
+        if self._order is None:
+            self._order = sorted(self._data, key=self._serial)
+        return [self._data[k] for k in self._order]
 
     def __len__(self):
         return len(self._data)

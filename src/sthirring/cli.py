@@ -4,8 +4,9 @@ Subcommands: expand, expect, correlate, power-count, kernel-check,
 gamma-check, counterterms.  A config file of `key = value` lines supplies
 defaults that individual flags override; given the same configuration and
 seed the output bytes are identical run to run.  Exit codes: 0 success,
-2 usage error (including an unreadable or malformed config file, or a
-config value that its flag's type or choices refuse),
+2 usage error (including an unreadable or malformed config file, a
+config value that its flag's type or choices refuse, and a resource limit:
+an order above the ceiling or a canonical-form search past its budget),
 3 invariant violation, 4 numerical failure.
 """
 

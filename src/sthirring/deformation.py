@@ -217,6 +217,16 @@ def gamma_Q(x: Term | TermSum) -> DeformedSum:
     return ds
 
 
+def deformed_coefficient(series: PerturbativeSeries, k: int,
+                         branch: str = SPINOR) -> DeformedSum:
+    """gamma_Q of one coefficient of the series, computed once per series
+    and shared by every consumer; callers must not modify it."""
+    ds = series._deformed.get((branch, k))
+    if ds is None:
+        ds = series._deformed[branch, k] = gamma_Q(series.coefficient(k, branch))
+    return ds
+
+
 def gamma_Q_convolved(kind: str, x: Term | TermSum) -> DeformedSum:
     """convolve(G, .) pushed through the deformation, diagram by diagram."""
     inner = gamma_Q(x)
@@ -332,8 +342,8 @@ def expectation_report(series: PerturbativeSeries, k: int,
 def two_point(series: PerturbativeSeries, branch_a: str, branch_b: str,
               K: int) -> dict[int, DeformedSum]:
     """Order-by-order cross-deformed tensor product at zero configuration."""
-    ga = {k: gamma_Q(series.coefficient(k, branch_a)) for k in range(K + 1)}
-    gb = {k: gamma_Q(series.coefficient(k, branch_b)) for k in range(K + 1)}
+    ga = {k: deformed_coefficient(series, k, branch_a) for k in range(K + 1)}
+    gb = {k: deformed_coefficient(series, k, branch_b) for k in range(K + 1)}
     out = {}
     for k in range(K + 1):
         ds = DeformedSum(origin=f"two_point[{branch_a},{branch_b}]", order=k)
@@ -452,8 +462,8 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
     """The operators H_k making the renormalized equation hold through K."""
     if K > series.max_order:
         raise DomainError("K above series order")
-    gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(K + 1)}
-    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(K + 1)}
+    gf = {k: deformed_coefficient(series, k, SPINOR) for k in range(K + 1)}
+    gf_bar = {k: deformed_coefficient(series, k, COSPINOR) for k in range(K + 1)}
     H: dict[int, CountertermOperator] = {}
     for k in range(1, K + 1):
         H[k] = _strip_and_mark(_residual(gf, gf_bar, H, k, range(1, k)), k)
@@ -484,6 +494,6 @@ def _port_species(op_diag: Diagram) -> str:
 def renormalized_residual(series: PerturbativeSeries,
                           H: dict[int, CountertermOperator], k: int) -> DeformedSum:
     """Order-k defect of the renormalized equation; empty when H is correct."""
-    gf = {j: gamma_Q(series.coefficient(j, SPINOR)) for j in range(k + 1)}
-    gf_bar = {j: gamma_Q(series.coefficient(j, COSPINOR)) for j in range(k)}
+    gf = {j: deformed_coefficient(series, j, SPINOR) for j in range(k + 1)}
+    gf_bar = {j: deformed_coefficient(series, j, COSPINOR) for j in range(k)}
     return _residual(gf, gf_bar, H, k, range(1, k + 1))

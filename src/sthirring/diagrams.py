@@ -21,17 +21,24 @@ contracted pair collapses its two leaf endpoints to a single point carrying
 one stem per side, which is exactly the accounting that makes a maximally
 contracted order-k graph have 2k+1 points and 3k+1 propagator edges.
 
-Canonical forms sort vertex children and resolve groups that stay tied
-through shared pair ids by a small permutation search, then renumber pair
-ids by first occurrence; two contraction outcomes merge exactly when the
-typed multigraphs are isomorphic slot by slot.  The canonical form's
-serialization is its key, so `DeformedSum.add` canonicalizes once.
+Canonical forms sort vertex children by shape, resolve runs that stay tied
+through shared pair ids by a small permutation search for the layout with
+the smallest serialization, then renumber pair ids by first occurrence; two
+contraction outcomes merge exactly when the typed multigraphs are
+isomorphic slot by slot.  Shapes are built once per subtree, bottom-up, and
+a subtree's layouts are memoized on its value, since subtrees repeat across
+the matchings of a term.  A diagram with one layout is not serialized at
+all while it is canonicalized.  `DeformedSum.add` canonicalizes once and
+merges under the canonical slots, which are equal exactly when the keys
+(serializations) are; only the diagrams it keeps are serialized, to list
+them in key order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .canonical import KeyedSum, StructuralError, tie_orders, within_budget
@@ -196,22 +203,6 @@ def graph_counts(diag: Diagram) -> dict:
 # canonical form
 # --------------------------------------------------------------------------
 
-def _shape(ch) -> str:
-    """Order-insensitive isomorphism invariant of one child subtree.
-
-    Pair ids are reduced to their species/type decoration; conv interiors
-    contribute the sorted multiset of their children's shapes.  Isomorphic
-    subtrees always share a shape, so restricting reorderings to equal-shape
-    groups loses no isomorphisms.
-    """
-    if ch[0] == "pair":
-        return f"x[{ch[2]},{ch[3]}]"
-    if ch[0] == "conv":
-        inner = ",".join(sorted(_shape(k) for k in ch[2]))
-        return f"T[{ch[1]}]({inner})"
-    return repr(ch)
-
-
 def _serialize(slots, naming: dict) -> str:
     """Left-to-right serialization; pair names assigned on first occurrence."""
     tokens: list = []
@@ -237,39 +228,71 @@ def _serialize(slots, naming: dict) -> str:
     return "".join(tokens)
 
 
-def _layouts(children):
-    """All child orders obtained by permuting within equal-shape groups that
-    carry pair ids.  Equal-shape groups free of pair ids hold identical
-    subtrees, so their one order is fixed.  Nested conv interiors are
-    expanded recursively so the product covers every vertex at once."""
-    expanded = []
-    bound = 1
+_LAYOUT_MEMO = 256
+
+
+@lru_cache(maxsize=_LAYOUT_MEMO)
+def _layouts(children) -> tuple[str, tuple]:
+    """(shape, layouts) of the children of one vertex.
+
+    The shape is an order-insensitive isomorphism invariant: the sorted
+    multiset of the children's shapes, where a pair reduces to its
+    species/type decoration, a conv to its kind and its interior's shape,
+    and any other child to itself.  Isomorphic subtrees share a shape, so
+    restricting reorderings to equal-shape runs loses no isomorphisms.
+
+    The layouts are the child orders sorted by shape, with every permutation
+    of each equal-shape run that carries pair ids (a pair-free run holds
+    identical subtrees, so its one order is fixed), and with each conv
+    interior in each of its own layouts.  Shapes are built bottom-up from
+    the interiors' shapes, once per call; calls are memoized on the
+    children tuple, since subtrees repeat across the matchings of a term.
+    """
+    shapes = []
+    options = []
     for ch in children:
         if ch[0] == "conv":
-            expanded.append([("conv", ch[1], lay) for lay in _layouts(ch[2])])
+            inner, lays = _layouts(ch[2])
+            shapes.append(f"T[{ch[1]}]({inner})")
+            options.append([("conv", ch[1], lay) for lay in lays])
         else:
-            expanded.append([ch])
-        bound = within_budget(bound * len(expanded[-1]))
-    out = []
-    for kids in iproduct(*expanded):
-        out.extend(tie_orders(kids, [_shape(c) for c in kids], "x["))
-    within_budget(len(out))
-    return out
+            shapes.append(f"x[{ch[2]},{ch[3]}]" if ch[0] == "pair" else repr(ch))
+            options.append((ch,))
+    bound = 1
+    for opts in options:
+        bound = within_budget(bound * len(opts))
+    order = sorted(range(len(children)), key=shapes.__getitem__)
+    if any(shapes[a] == shapes[b] and "x[" in shapes[a]
+           for a, b in zip(order, order[1:])):
+        orders = tie_orders(range(len(children)), shapes, "x[")
+        within_budget(bound * len(orders))
+    else:
+        orders = [order]
+    layouts = tuple(tuple(kids[i] for i in o)
+                    for kids in iproduct(*options) for o in orders)
+    return ",".join(shapes[i] for i in order), layouts
 
 
 def canonicalize(diag: Diagram) -> Diagram:
-    """Minimal-serialization layout with pair ids renumbered 0,1,2,..."""
-    per_slot = [_layouts(body) for body in diag.slots]
+    """Minimal-serialization layout with pair ids renumbered 0,1,2,...
+
+    A diagram with one layout needs no serialization: its pair ids are
+    renumbered in the order the serialization would name them."""
+    per_slot = [_layouts(body)[1] for body in diag.slots]
     total = 1
     for opts in per_slot:
         total = within_budget(total * len(opts))
-    best = None
-    for slots in iproduct(*per_slot):
-        naming: dict = {}
-        key = _serialize(slots, naming)
-        if best is None or key < best[0]:
-            best = (key, slots, naming)
-    _, slots, naming = best
+    if total == 1:
+        slots = tuple(opts[0] for opts in per_slot)
+        naming = dict.fromkeys(p for body in slots for p in _pair_ids(body))
+    else:
+        best = None
+        for slots in iproduct(*per_slot):
+            naming = {}
+            key = _serialize(slots, naming)
+            if best is None or key < best[0]:
+                best = (key, slots, naming)
+        _, slots, naming = best
     rank = {old: r for r, old in enumerate(naming)}
     return Diagram(tuple(rename_pair_ids(b, rank.__getitem__) for b in slots),
                    diag.coeff)
@@ -284,7 +307,8 @@ def canonical_key(diag: Diagram) -> str:
 # --------------------------------------------------------------------------
 
 class DeformedSum(KeyedSum):
-    """Diagrams with exact coefficients, merged by canonical key."""
+    """Diagrams with exact coefficients, merged under their canonical slots
+    (equal exactly when the canonical keys are) and listed in key order."""
 
     def __init__(self, diagrams=(), origin: str = "", order: int | None = None):
         self.origin = origin
@@ -295,7 +319,11 @@ class DeformedSum(KeyedSum):
         if d.coeff == 0:
             return
         c = canonicalize(d)
-        self._merge(_serialize(c.slots, {}), c)
+        self._merge(c.slots, c)
+
+    @staticmethod
+    def _serial(slots) -> str:
+        return _serialize(slots, {})
 
     def extend(self, other: "DeformedSum", scale=1) -> None:
         for d in other.diagrams():

@@ -29,9 +29,12 @@ that drives the power counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import integrate, special
+
+from . import clifford
 
 
 class KernelError(ValueError):
@@ -270,17 +273,26 @@ def greens_identity_residual(params: KernelParams, f: TestFunction,
     return abs(val - float(f(x)))
 
 
+@cache
+def _gamma_rep_2d():
+    """The Cl(2) representation, built once per process and shared; its
+    arrays are made read-only."""
+    rep = clifford.build_gamma_rep(2)
+    for a in (rep.identity, *rep.gammas):
+        a.flags.writeable = False
+    return rep
+
+
 def dirac_kernel_2d(params: KernelParams, x) -> np.ndarray:
     """First-order massive kernel (i gamma^mu d_mu + m) G applied to the
     scalar Green function; the matrix whose entries scale like 1/r."""
-    from .clifford import build_gamma_rep
     if params.d != 2:
         raise KernelError("dirac_kernel_2d needs d = 2")
     x = np.asarray(x, dtype=float)
     r = float(np.hypot(x[0], x[1]))
     if r == 0.0:
         raise SingularPointError("Dirac kernel evaluated on the diagonal")
-    rep = build_gamma_rep(2)
+    rep = _gamma_rep_2d()
     m = params.m
     g0 = _radial_green(m, r)
     if m > 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .canonical import ResourceError
 from .terms import (
     GPSI, GPSIBAR, UP, DOWN,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
@@ -31,10 +32,6 @@ DEFAULT_ORDER_CEILING = 6
 
 SPINOR = "spinor"
 COSPINOR = "cospinor"
-
-
-class ResourceError(RuntimeError):
-    """Requested order exceeds the configured expansion ceiling."""
 
 
 class InternalConsistencyError(RuntimeError):
@@ -82,11 +79,18 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
 
 @dataclass
 class PerturbativeSeries:
-    """Coefficients of both branches up to max_order, canonically merged."""
+    """Coefficients of both branches up to max_order, canonically merged.
+
+    `_deformed` holds the local deformation of each coefficient, keyed by
+    (branch, k), for consumers that deform the same coefficients more than
+    once; it is filled by `deformation` and never mutated after an entry is
+    stored."""
 
     max_order: int
     spinor: dict[int, TermSum] = field(default_factory=dict)
     cospinor: dict[int, TermSum] = field(default_factory=dict)
+    _deformed: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def coefficient(self, k: int, branch: str = SPINOR) -> TermSum:
         if not 0 <= k <= self.max_order:

@@ -20,15 +20,17 @@ canonicalize to the identical tree.  Product children are sorted by a
 shape key; groups of children that remain tied *and* are coupled through
 shared indices are resolved by brute-force permutation, taking the
 lexicographically smallest serialization.  Tied groups in this model are
-tiny (at most a few identical branches), so the search is cheap.  The
-canonical tree has its indices renamed 0, 1, 2, ... in order of first
-occurrence, so its serialization is its key: `TermSum.add` canonicalizes
-once and serializes the result, with no second search.
+tiny (at most a few identical branches), so the search is cheap.  A
+child's shape counts each index's occurrences inside the child from one
+table of occurrence positions built per canonicalization.  The canonical
+tree has its indices renamed 0, 1, 2, ... in order of first occurrence, so
+the walk that assigns those names spells its serialization, which is its
+key: `canonicalize` records it on the returned term and `TermSum.add`
+merges under it, with no second search and no second walk.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -375,41 +377,67 @@ def _namer(naming: dict):
     return name
 
 
-def _key(node: Node) -> str:
-    tokens: list = []
-    _emit(node, _namer({}), tokens)
-    return "".join(tokens)
+def _occurrences(node: Node):
+    """(where, span) from one walk in `index_occurrences` order: where[i]
+    lists the positions of index i, span[id(n)] is the half-open range of
+    positions inside subtree n."""
+    where: dict = {}
+    span: dict = {}
+    count = 0
+
+    def visit(n):
+        nonlocal count
+        lo = count
+        if isinstance(n, Conv):
+            own = (n.out_index, n.in_index)
+        elif isinstance(n, Prod):
+            own = ()
+        else:
+            own = [i for i, _, _ in index_occurrences(n)]
+        for i in own:
+            where.setdefault(i, []).append(count)
+            count += 1
+        for c in _children(n):
+            visit(c)
+        span[id(n)] = (lo, count)
+
+    visit(node)
+    return where, span
 
 
-def _child_shape(child: Node, outside_counts: dict, prenamed: dict) -> str:
+def _child_shape(child: Node, occ, prenamed: dict) -> str:
     """Order key for a product child.
 
     Indices already named in the enclosing context keep their names; indices
     local to the child get positional names; indices linking to siblings
     (or free elsewhere) are reduced to link/free markers so that the key is
-    independent of sibling identity.
+    independent of sibling identity.  occ is the `_occurrences` table of
+    the whole term, so counting an index inside the child walks nothing.
     """
-    inside = Counter(i for i, _, _ in index_occurrences(child))
+    where, span = occ
+    lo, hi = span[id(child)]
     local = {}
 
     def name(idx):
         if idx in prenamed:
             return "@" + prenamed[idx]
-        if inside[idx] == 2:
+        at = where[idx]
+        inside = sum(lo <= p < hi for p in at)
+        if inside == 2:
             if idx not in local:
                 local[idx] = f"l{len(local)}"
             return local[idx]
-        return "*LINK*" if outside_counts.get(idx, 0) > inside[idx] else "*FREE*"
+        return "*LINK*" if len(at) > inside else "*FREE*"
 
     tokens: list = []
     _emit(child, name, tokens)
     return "".join(tokens)
 
 
-def _order_prod(node: Prod, naming: dict, whole_counts: dict) -> tuple:
+def _order_prod(node: Prod, naming: dict, occ) -> tuple:
     """Canonical child order for a product under the current naming."""
     kids = node.children
-    orders = tie_orders(kids, [_child_shape(c, whole_counts, naming) for c in kids],
+    orders = tie_orders(kids, [_child_shape(c, occ, naming) for c in kids],
                         "*LINK*")
     if len(orders) == 1:
         return orders[0]
@@ -425,7 +453,7 @@ def _order_prod(node: Prod, naming: dict, whole_counts: dict) -> tuple:
     return min(orders, key=serialization)
 
 
-def _canon_node(node: Node, naming: dict, whole_counts: dict) -> Node:
+def _canon_node(node: Node, naming: dict, occ) -> Node:
     name = _namer(naming)
     if isinstance(node, (Unit, Leaf, Gamma, Const)):
         for idx, _, _ in index_occurrences(node):
@@ -434,35 +462,39 @@ def _canon_node(node: Node, naming: dict, whole_counts: dict) -> Node:
     if isinstance(node, Conv):
         name(node.out_index)
         name(node.in_index)
-        inner = _canon_node(node.inner, naming, whole_counts)
+        inner = _canon_node(node.inner, naming, occ)
         return Conv(node.kind, node.out_index, node.in_index, inner)
     if isinstance(node, Prod):
         flat = Prod(_flatten(node.children))
         if not flat.children:
             return Unit()
-        ordered = _order_prod(flat, naming, whole_counts)
-        out = tuple(_canon_node(c, naming, whole_counts) for c in ordered)
+        ordered = _order_prod(flat, naming, occ)
+        out = tuple(_canon_node(c, naming, occ) for c in ordered)
         return Prod(out)
     raise TypeError(node)  # pragma: no cover
 
 
 def canonicalize(t: Term) -> Term:
     """Canonical representative: sorted products, indices renamed 0,1,2,...
-    in order of first occurrence."""
+    in order of first occurrence.  The returned term carries its
+    serialization as `_key`: the tokens that name the indices by first
+    occurrence spell the renamed tree."""
     if is_zero(t):
         return ZERO
     validate(t.node)
-    counts = {i: len(o) for i, o in index_census(t.node).items()}
-    ordered = _canon_node(t.node, {}, counts)
+    ordered = _canon_node(t.node, {}, _occurrences(t.node))
     first_seen: dict = {}
-    _emit(ordered, _namer(first_seen), [])
+    tokens: list = []
+    _emit(ordered, _namer(first_seen), tokens)
     rank = {old: r for r, old in enumerate(first_seen)}
-    return Term(t.coeff, rename_indices(ordered, rank.__getitem__))
+    out = Term(t.coeff, rename_indices(ordered, rank.__getitem__))
+    object.__setattr__(out, "_key", "".join(tokens))
+    return out
 
 
 def canonical_key(t: Term | Node) -> str:
     node = t.node if isinstance(t, Term) else t
-    return _key(canonicalize(Term(Fraction(1), node)).node)
+    return canonicalize(Term(Fraction(1), node))._key
 
 
 # --------------------------------------------------------------------------
@@ -476,7 +508,7 @@ class TermSum(KeyedSum):
         if is_zero(t):
             return
         ct = canonicalize(t)
-        self._merge(_key(ct.node), ct)
+        self._merge(ct._key, ct)
 
     terms = KeyedSum.entries
 

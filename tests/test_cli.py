@@ -241,3 +241,36 @@ def test_golden_output_bytes(argv):
     rc, out = run_cli(*argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_permutation_budget_overflow_is_a_usage_error(monkeypatch, capsys):
+    """A canonical-form search past its budget is a resource limit (exit 2),
+    not an invariant violation.  counterterms --order 2 has a diagram with
+    four candidate layouts, so a budget of 3 trips the diagram search."""
+    from sthirring import canonical, diagrams
+    monkeypatch.setattr(canonical, "_PERM_BUDGET", 3)
+    diagrams._layouts.cache_clear()  # memoized layouts skip the budget check
+    try:
+        rc, out = run_cli("counterterms", "--order", "2")
+    finally:
+        diagrams._layouts.cache_clear()
+    assert rc == 2 and out == ""
+    assert capsys.readouterr().err == \
+        "usage error: canonicalization permutation budget exceeded\n"
+
+
+def test_counterterms_deform_each_coefficient_once(monkeypatch):
+    """extract_counterterms and the three residual checks share one gamma_Q
+    of each of F_0..F_3 on both branches."""
+    from sthirring import deformation
+    calls = []
+    real = deformation.gamma_Q
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(deformation, "gamma_Q", counting)
+    rc, out = run_cli("counterterms", "--order", "3")
+    assert rc == 0 and json.loads(out)["orders"]["3"]["residual_zero"]
+    assert len(calls) == 8

@@ -6,14 +6,15 @@ from sthirring.deformation import (
     CountertermOperator, DomainError, ExtractionError,
     apply_operator, brute_force_contractions, bullet_cross, contraction_count,
     expectation, expectation_report, extract_counterterms, gamma_Q,
-    gamma_Q_convolved, renormalized_residual, term_census, two_point,
+    gamma_Q_convolved, partial_matchings, renormalized_residual, term_census,
+    two_point,
 )
 from sthirring.diagrams import (
     DeformedSum, Diagram, canonical_key, convolved, deformedsum_from_json,
     deformedsum_to_json, diagram_from_json, diagram_to_json, free_leaves,
     graph_counts, iter_children, to_dot, to_graph,
 )
-from sthirring.perturbation import COSPINOR, SPINOR, expand
+from sthirring.perturbation import COSPINOR, SPINOR, ResourceError, expand
 from sthirring.properties import run_all
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR,
@@ -315,3 +316,67 @@ def test_non_isomorphic_edge_types_do_not_merge():
     assert canonical_key(qq) != canonical_key(tt)
     ds = DeformedSum([qq, tt])
     assert len(ds) == 2
+
+
+def test_mass_checksum_per_contraction_order():
+    """For every monomial of F_0..F_3, the coefficients of gamma_Q(t) summed
+    per number of contracted pairs equal the census closed form: each
+    matching weighs t.coeff, halved once per tagged coincident pair.  A
+    canonicalizer that lost or double-counted a diagram would break a sum
+    (all weights are positive, so nothing cancels)."""
+    series = expand(3)
+    checked = 0
+    for branch in (SPINOR, COSPINOR):
+        for k in range(4):
+            for t in series.coefficient(k, branch):
+                _, leaves = term_census(t)
+                phis = [l.pos for l in leaves if l.species == PHI]
+                bars = [l.pos for l in leaves if l.species == PHIBAR]
+                want: dict = {}
+                count: dict = {}
+                for m in partial_matchings(phis, bars):
+                    w = t.coeff
+                    for i, j in m:
+                        if leaves[i].vertex == leaves[j].vertex and leaves[i].taggable:
+                            w /= 2
+                    want[len(m)] = want.get(len(m), 0) + w
+                    count[len(m)] = count.get(len(m), 0) + 1
+                assert count == {n: contraction_count(len(phis), len(bars), n)
+                                 for n in range(min(len(phis), len(bars)) + 1)}
+                got: dict = {}
+                for d in gamma_Q(t):
+                    n = graph_counts(d)["pair_points"]
+                    got[n] = got.get(n, 0) + d.coeff
+                assert got == want
+                checked += 1
+    assert checked == 2 * (1 + 1 + 3 + 12)
+
+
+def test_linearity_check_deforms_independently(monkeypatch):
+    """check_linearity compares gamma_Q of the combination with gamma_Q of
+    each term: three separate calls per trial, none of them shared."""
+    import random
+
+    from sthirring import properties
+    calls = []
+    real = properties.gamma_Q
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(properties, "gamma_Q", counting)
+    assert properties.check_linearity(random.Random(5), 2)["failures"] == 0
+    assert len(calls) == 6
+    assert len({id(x) for x in calls}) == 6
+
+
+def test_deformed_coefficients_shared_within_a_series():
+    from sthirring.deformation import deformed_coefficient
+    s = expand(2)
+    a = deformed_coefficient(s, 2, COSPINOR)
+    assert deformed_coefficient(s, 2, COSPINOR) is a
+    assert a == gamma_Q(s.coefficient(2, COSPINOR))
+    assert deformed_coefficient(expand(2), 2, COSPINOR) is not a
+    with pytest.raises(ResourceError):
+        deformed_coefficient(s, 3)

@@ -218,3 +218,27 @@ def test_params_validation():
         KernelParams(1, -1.0)
     with pytest.raises(KernelError):
         TestFunction((0.0,), -0.5)
+
+
+def test_dirac_kernel_builds_the_gamma_rep_once(monkeypatch):
+    from sthirring import clifford
+    calls = []
+    real = clifford.build_gamma_rep
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(clifford, "build_gamma_rep", counting)
+    kernels._gamma_rep_2d.cache_clear()
+    p = KernelParams(2, 1.0)
+    x = np.array([0.3, -0.4])
+    vals = [dirac_kernel_2d(p, lam * x) for lam in (1.0, 0.5, 0.25)]
+    assert calls == [2]
+    rep = kernels._gamma_rep_2d()
+    assert not rep.identity.flags.writeable
+    assert not any(g.flags.writeable for g in rep.gammas)
+    # later calls on the shared representation match a fresh build
+    kernels._gamma_rep_2d.cache_clear()
+    assert np.array_equal(dirac_kernel_2d(p, 0.5 * x), vals[1])
+    assert calls == [2, 2]
