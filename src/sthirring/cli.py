@@ -25,12 +25,12 @@ from .deformation import (
 from .diagrams import deformedsum_to_json, diagram_to_json, to_dot
 from .kernels import (
     KernelError, KernelParams, NumericalError, TestFunction,
-    clipped_integral, dirac_kernel_2d, green_2d, greens_identity_residual,
-    propagator_1d, q_kernel_1d, scaling_degree_probe,
+    clipped_integral, dirac_kernel_2d, greens_identity_residual, q_kernel_1d,
+    scaling_degree_probe,
 )
 from .perturbation import (
     COSPINOR, SPINOR, InternalConsistencyError, ResourceError, expand,
-    field_counts, graph_statistics, monomial_count,
+    field_counts, graph_statistics,
 )
 from .power_counting import classify
 from .properties import run_all

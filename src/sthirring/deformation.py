@@ -368,14 +368,6 @@ class CountertermOperator:
     order: int
     ops: DeformedSum
 
-    def argument_species(self) -> set:
-        sps = set()
-        for d in self.ops:
-            for ch, _ in iter_children(d):
-                if ch[0] == "argport":
-                    sps.add(ch[1])
-        return sps
-
     def is_even(self) -> bool:
         """Even polynomial field degree: all odd derivatives vanish at zero."""
         return all(len(free_leaves(d)) % 2 == 0 for d in self.ops)
@@ -404,16 +396,23 @@ def _term_add(a: Term, b: Term) -> Term:
     return Term(a.coeff + b.coeff, a.node)
 
 
-def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
-    """Graft u into the operator's argument slot (operator composition)."""
-    if len(u.slots) != 1:
-        raise ExtractionError("operator argument must be single-slot")
-    port = None
+def _argport(op_diag: Diagram) -> tuple[str, tuple]:
+    """(species, path) of the operator's one argument port."""
     for ch, p in iter_children(op_diag):
         if ch[0] == "argport":
-            port = p
-    if port is None:
-        raise ExtractionError("operator diagram has no argument slot")
+            return ch[1], p
+    raise ExtractionError("operator diagram has no argument slot")
+
+
+def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
+    """Graft u into the operator's argument slot (operator composition)."""
+    return _graft(op_diag, _argport(op_diag)[1], u)
+
+
+def _graft(op_diag: Diagram, port: tuple, u: Diagram) -> Diagram:
+    """Graft u into op_diag at the argument port `port`."""
+    if len(u.slots) != 1:
+        raise ExtractionError("operator argument must be single-slot")
     off = max_pair_id(op_diag) + 1
     shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
     grafted = replace_at(op_diag, port, list(shifted))
@@ -478,17 +477,11 @@ def _residual(gf, gf_bar, H, k: int, js) -> DeformedSum:
     residual.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
     for j in js:
         for h in H[j].ops:
-            source = gf if _port_species(h) == PHI else gf_bar
+            species, port = _argport(h)
+            source = gf if species == PHI else gf_bar
             for du in source[k - j]:
-                residual.add(convolved(GPSI, apply_operator(h, du)).scaled(-1))
+                residual.add(convolved(GPSI, _graft(h, port, du)).scaled(-1))
     return residual
-
-
-def _port_species(op_diag: Diagram) -> str:
-    for ch, _ in iter_children(op_diag):
-        if ch[0] == "argport":
-            return ch[1]
-    raise ExtractionError("operator diagram has no argument slot")
 
 
 def renormalized_residual(series: PerturbativeSeries,

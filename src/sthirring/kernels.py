@@ -9,10 +9,9 @@ so their pointwise product is the indicator of [-m, m] and the coincident
 covariance acts on a test function as the clipped integral over [-m, m];
 both facts are exercised numerically here.  The step arguments mix x and m
 dimensionally but are internally consistent with the clipped-integral
-identity; a `retarded` flag switches to the conventional Theta(x) support
-split for exploratory use only.  `q_kernel_1d` integrates the literal
-kernels by Gauss-Legendre on the bump's support split at +-m, and
-`clipped_integral` keeps adaptive quadrature as its independent oracle.
+identity.  `q_kernel_1d` integrates the literal kernels by Gauss-Legendre
+on the bump's support split at +-m, and `clipped_integral` keeps adaptive
+quadrature as its independent oracle.
 
 For d = 2 the scalar Green function of (-Laplace + m^2) is the modified
 Bessel kernel K_0(m r)/(2 pi), logarithmic at m = 0; it is validated
@@ -56,6 +55,10 @@ QUAD_TOL_2D = 1e-8
 # at twice these counts; the two results must agree within the tolerance.
 Q_KERNEL_1D_NODES = 64
 GREEN_2D_NODES = (128, 256)
+# scaling_degree_probe fits PROBE_SAMPLES dilations, log-spaced over the
+# range PROBE_LAMBDAS.
+PROBE_LAMBDAS = (1e-4, 1e-1)
+PROBE_SAMPLES = 40
 _ANGLE_CHUNK = 32  # angles per block; bounds the polar rule's arrays to ~1 MB
 
 
@@ -63,17 +66,12 @@ _ANGLE_CHUNK = 32  # angles per block; bounds the polar rule's arrays to ~1 MB
 class KernelParams:
     d: int
     m: float
-    cutoff_center: float = 0.0
-    cutoff_radius: float = 1.0
-    retarded: bool = False
 
     def __post_init__(self):
         if self.d not in (1, 2):
             raise KernelError("kernel backend covers d = 1 and d = 2")
         if self.m < 0:
             raise KernelError("mass must be nonnegative")
-        if self.cutoff_radius <= 0:
-            raise KernelError("cutoff radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,8 @@ def propagator_1d(params: KernelParams, x):
         raise KernelError("the one-dimensional closed forms assume m > 0")
     x = np.asarray(x, dtype=float)
     m = params.m
-    if params.retarded:
-        g = -1j * np.exp(-1j * m * x) * theta(x)
-        gbar = 1j * np.exp(1j * m * x) * theta(-x)
-    else:
-        g = -1j * np.exp(-1j * m * x) * theta(-x + m)
-        gbar = 1j * np.exp(1j * m * x) * theta(x + m)
+    g = -1j * np.exp(-1j * m * x) * theta(-x + m)
+    gbar = 1j * np.exp(1j * m * x) * theta(x + m)
     return g, gbar
 
 
@@ -275,12 +269,9 @@ def greens_identity_residual(params: KernelParams, f: TestFunction,
 
 @cache
 def _gamma_rep_2d():
-    """The Cl(2) representation, built once per process and shared; its
-    arrays are made read-only."""
-    rep = clifford.build_gamma_rep(2)
-    for a in (rep.identity, *rep.gammas):
-        a.flags.writeable = False
-    return rep
+    """The Cl(2) representation (read-only arrays), built once per process
+    and shared."""
+    return clifford.build_gamma_rep(2)
 
 
 def dirac_kernel_2d(params: KernelParams, x) -> np.ndarray:
@@ -315,16 +306,16 @@ class ProbeResult:
     r_squared: float
 
 
-def scaling_degree_probe(evaluator, x0, lam_lo: float = 1e-4,
-                         lam_hi: float = 1e-1, n: int = 40) -> ProbeResult:
+def scaling_degree_probe(evaluator, x0) -> ProbeResult:
     """Estimate inf{w : lam^w u(lam x0) -> 0} by a log-log slope fit.
 
     For a power-law kernel u ~ |x|^-s the slope of log |u(lam x0)| against
-    log lam is -s, so the estimate is minus the fitted slope.  A poor
-    linear fit (non-power-law behaviour, e.g. logarithms) is reported as
-    inconclusive rather than raised.
+    log lam (sampled at the PROBE_LAMBDAS dilations) is -s, so the
+    estimate is minus the fitted slope.  A poor linear fit (non-power-law
+    behaviour, e.g. logarithms) is reported as inconclusive rather than
+    raised.
     """
-    lams = np.geomspace(lam_lo, lam_hi, n)
+    lams = np.geomspace(*PROBE_LAMBDAS, PROBE_SAMPLES)
     x0 = np.asarray(x0, dtype=float)
     vals = []
     for lam in lams:
@@ -337,13 +328,13 @@ def scaling_degree_probe(evaluator, x0, lam_lo: float = 1e-4,
         return ProbeResult(0.0, 0.0, 0.0, bool(np.all(vals == vals[0])), 1.0)
     # ordinary least-squares line through (log lam, log |u|): slope,
     # correlation r, and the slope's standard error from the residuals on
-    # n - 2 degrees of freedom
+    # PROBE_SAMPLES - 2 degrees of freedom
     log_lam, log_val = np.log(lams), np.log(vals)
     dx, dy = log_lam - log_lam.mean(), log_val - log_val.mean()
     sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
     slope = sxy / sxx
     resid = dy - slope * dx
-    stderr = np.sqrt(resid @ resid / (n - 2) / sxx) if n > 2 else 0.0
+    stderr = np.sqrt(resid @ resid / (PROBE_SAMPLES - 2) / sxx)
     r = float(np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)) if syy > 0 else 0.0
     sd = -slope
     half = 2.0 * stderr

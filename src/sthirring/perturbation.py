@@ -24,11 +24,11 @@ from .canonical import ResourceError
 from .terms import (
     GPSI, GPSIBAR, UP, DOWN,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
-    StructuralError, free_indices, grading, max_index, mirror, phi, phibar,
-    rename_indices,
+    StructuralError, grading, max_index, mirror, phi, phibar, rename_indices,
+    sole_free_index,
 )
 
-DEFAULT_ORDER_CEILING = 6
+ORDER_CEILING = 6
 
 SPINOR = "spinor"
 COSPINOR = "cospinor"
@@ -36,14 +36,6 @@ COSPINOR = "cospinor"
 
 class InternalConsistencyError(RuntimeError):
     """A generated monomial violates a structural counting law."""
-
-
-def _sole_free(node, want_pol):
-    slots = [i for i, (pol, kind) in free_indices(node).items()
-             if kind == "spinor" and pol == want_pol]
-    if len(slots) != 1:
-        raise StructuralError(f"expected one free index of polarity {want_pol}")
-    return slots[0]
 
 
 def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
@@ -60,15 +52,15 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
     off_c = max(max_index(na), max_index(nb)) + 1
     nc = rename_indices(tc.node, lambda i: i + off_c)
 
-    a = _sole_free(na, DOWN)
-    b = _sole_free(nb, UP)
+    a = sole_free_index(na, DOWN)
+    b = sole_free_index(nb, UP)
     top = max(max_index(na), max_index(nb), max_index(nc)) + 1
     mu, rho1, out = top, top + 1, top + 2
     if kind == GPSI:
-        c = _sole_free(nc, UP)
+        c = sole_free_index(nc, UP)
         g2 = Gamma(mu, rho1, c)        # (g^mu)^{rho'}_{c}
     elif kind == GPSIBAR:
-        c = _sole_free(nc, DOWN)
+        c = sole_free_index(nc, DOWN)
         g2 = Gamma(mu, c, rho1)        # (g^mu)^{c}_{rho'}
     else:
         raise StructuralError(f"unknown branch propagator {kind!r}")
@@ -95,15 +87,20 @@ class PerturbativeSeries:
     def coefficient(self, k: int, branch: str = SPINOR) -> TermSum:
         if not 0 <= k <= self.max_order:
             raise ResourceError(f"order {k} outside 0..{self.max_order}")
-        return self.spinor[k] if branch == SPINOR else self.cospinor[k]
+        if branch == SPINOR:
+            return self.spinor[k]
+        if branch == COSPINOR:
+            return self.cospinor[k]
+        raise StructuralError(f"unknown branch {branch!r}")
 
 
-def expand(K: int, ceiling: int = DEFAULT_ORDER_CEILING) -> PerturbativeSeries:
-    """Build F_0..F_K and the mirrored branch via the cubic recursion."""
+def expand(K: int) -> PerturbativeSeries:
+    """Build F_0..F_K and the mirrored branch via the cubic recursion;
+    K above ORDER_CEILING is a ResourceError."""
     if K < 0:
         raise ResourceError("order must be nonnegative")
-    if K > ceiling:
-        raise ResourceError(f"order {K} above ceiling {ceiling}")
+    if K > ORDER_CEILING:
+        raise ResourceError(f"order {K} above ceiling {ORDER_CEILING}")
     s = PerturbativeSeries(K)
     s.spinor[0] = TermSum([phi(0)])
     s.cospinor[0] = TermSum([phibar(0)])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .deformation import DomainError, _diagram_for_matching, term_pairings
-from .diagrams import DeformedSum, Diagram, free_leaves, graph_counts
+from .diagrams import DeformedSum, Diagram, graph_counts
 from .perturbation import (
     SPINOR, InternalConsistencyError, PerturbativeSeries,
 )
@@ -75,9 +75,9 @@ def divergence_degree(graph: Diagram, d: int, order: int | None = None) -> Diver
         raise DomainError("dimension must be >= 1")
     if len(graph.slots) != 1:
         raise DomainError("admissible graphs are single-slot")
-    if len(free_leaves(graph)) > 1:
-        raise DomainError("graph is not maximally contracted")
     counts = graph_counts(graph)
+    if counts["free_points"] > 1:
+        raise DomainError("graph is not maximally contracted")
     if counts["const_insertions"]:
         raise DomainError("operator insertions are not admissible graph data")
     n, l = counts["N"], counts["L"]
@@ -115,16 +115,14 @@ def maximal_contractions(series: PerturbativeSeries, k: int,
                 yield _diagram_for_matching(t, template, leaves, matching)
 
 
-def classify(d: int, K: int, series: PerturbativeSeries | None = None) -> list[DivergenceReport]:
-    """Power-counting verdicts for all admissible graphs through order K.
+def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceReport]:
+    """Power-counting verdicts for all admissible graphs of `series`
+    through order K.
 
     Every generated graph is checked against the counting laws N = 2k+1 and
     L = 3k+1 and against the closed-form degree of divergence; one report
     per order is returned since all graphs of an order share the counts.
     """
-    if series is None:
-        from .perturbation import expand
-        series = expand(K)
     reports = []
     for k in range(K + 1):
         want = divergence_closed_form(k, d)

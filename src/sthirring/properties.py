@@ -24,6 +24,9 @@ from .terms import (
     product, rename_indices,
 )
 
+BARE_LEAVES_MAX = 4         # most leaves of each species in a bare monomial
+CONTRACTION_COUNTS_MAX = 5  # most leaves of each species checked for counts
+
 _SERIES = None
 
 
@@ -34,9 +37,9 @@ def _series():
     return _SERIES
 
 
-def random_bare_monomial(rng: random.Random, max_each: int = 4) -> Term:
-    r = rng.randint(0, max_each)
-    rb = rng.randint(0 if r else 1, max_each)
+def random_bare_monomial(rng: random.Random) -> Term:
+    r = rng.randint(0, BARE_LEAVES_MAX)
+    rb = rng.randint(0 if r else 1, BARE_LEAVES_MAX)
     kids = tuple([Leaf(PHI, i) for i in range(r)] +
                  [Leaf(PHIBAR, r + i) for i in range(rb)])
     node = kids[0] if len(kids) == 1 else Prod(kids)
@@ -108,10 +111,10 @@ def check_leaf_parity(rng: random.Random, trials: int) -> dict:
     return {"name": "leaf_parity", "trials": trials, "failures": failures}
 
 
-def check_contraction_counts(limit: int = 5) -> dict:
+def check_contraction_counts() -> dict:
     failures = checked = 0
-    for r in range(limit + 1):
-        for rb in range(limit + 1):
+    for r in range(CONTRACTION_COUNTS_MAX + 1):
+        for rb in range(CONTRACTION_COUNTS_MAX + 1):
             for k in range(min(r, rb) + 1):
                 checked += 1
                 if contraction_count(r, rb, k) != brute_force_contractions(r, rb, k):

@@ -109,7 +109,6 @@ class Term:
 
 
 ZERO = Term(Fraction(0), Unit())
-ONE = Term(Fraction(1), Unit())
 
 
 def phi(index: int = 0) -> Term:
@@ -183,6 +182,18 @@ def validate(node: Node) -> None:
         if len(occ) == 2 and "spinor" in kinds:
             if occ[0][0] + occ[1][0] != 0:
                 raise StructuralError(f"index {idx} contracted with equal polarity")
+
+
+def sole_free_index(node: Node, pol: int) -> int:
+    """The one free spinor index of polarity pol; StructuralError unless
+    there is exactly one."""
+    slots = [idx for idx, (p, kind) in free_indices(node).items()
+             if kind == "spinor" and p == pol]
+    if len(slots) != 1:
+        raise StructuralError(
+            f"expected exactly one free {'upper' if pol == UP else 'lower'} "
+            f"spinor index, found {len(slots)}")
+    return slots[0]
 
 
 def external_rank(node: Node) -> tuple[int, int]:
@@ -273,23 +284,13 @@ def _flatten(children):
     return tuple(out)
 
 
-def product(a: Term, b: Term, rename: bool = True) -> Term:
+def product(a: Term, b: Term) -> Term:
     """Pointwise product.  Unit is the identity, the zero term absorbs.
-
-    With rename=True (default) the indices of b are shifted into a fresh
-    range; with rename=False a clash of index ids raises StructuralError.
-    """
+    The indices of b are shifted into a fresh range above those of a."""
     if is_zero(a) or is_zero(b):
         return ZERO
-    node_b = b.node
-    if rename:
-        off = max_index(a.node) + 1
-        node_b = rename_indices(node_b, lambda i: i + off)
-    else:
-        clash = {i for i, _, _ in index_occurrences(a.node)} & \
-                {i for i, _, _ in index_occurrences(b.node)}
-        if clash:
-            raise StructuralError(f"index collision without renaming: {sorted(clash)}")
+    off = max_index(a.node) + 1
+    node_b = rename_indices(b.node, lambda i: i + off)
     if isinstance(a.node, Unit):
         return Term(a.coeff * b.coeff, node_b)
     if isinstance(node_b, Unit):
@@ -307,15 +308,9 @@ def convolve(kind: str, t: Term) -> Term:
         raise StructuralError(f"unknown propagator kind {kind!r}")
     if is_zero(t):
         return ZERO
-    want = UP if kind == GPSI else DOWN
-    slots = [idx for idx, (pol, k) in free_indices(t.node).items()
-             if k == "spinor" and pol == want]
-    if len(slots) != 1:
-        raise StructuralError(
-            f"{kind} needs exactly one free {'upper' if want == UP else 'lower'} "
-            f"spinor index, found {len(slots)}")
+    slot = sole_free_index(t.node, UP if kind == GPSI else DOWN)
     out = max_index(t.node) + 1
-    return Term(t.coeff, Conv(kind, out, slots[0], t.node))
+    return Term(t.coeff, Conv(kind, out, slot, t.node))
 
 
 def mirror(t: Term) -> Term:

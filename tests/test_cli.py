@@ -233,6 +233,18 @@ GOLDEN = {
         "20d8c6113bfb16ef670ef1e3a9daf38e8699ee3f872d72ad8a17b94a6ec4a296",
     "power-count --dim 2 --max-order 3":
         "481857edf786fb208c84848d69691e3f8c1183e4849e0ef5ee25553d0b9f062b",
+    "expand --order 3 --format dot":
+        "86f54a3a98234788919e89550e86ecb538ae57f120e1456dcd35f44be7924a49",
+    "expand --order 3 --branch psibar --format dot":
+        "128a4d4348397a8e71dcaf374d56cb2badc5a0d17073ec9e606af9362537c69e",
+    "expect --order 3":
+        "5b3ea2bb5146c8786f77afd0c2a0feaddd0244031c632d23da7f9843e1fcd586",
+    "expect --order 3 --format json":
+        "8e87b52f982ceebeb9f735456ed25fd8ef7fbb85d99fbfae99514546fa04c1ac",
+    "power-count --dim 2 --max-order 3 --format json":
+        "b9b7a8b966c36351bccf27cc8d2313ba817e013c821035eb6bf6b56f09f9140f",
+    "correlate --order 2 --branches psibar-psi":
+        "b7533ac6fc52de2631dac74652a26edb760c418a9ad27d5a12f6bd6383f00d05",
 }
 
 

@@ -36,14 +36,6 @@ def test_massless_1d_unsupported():
         propagator_1d(p, 0.1)
 
 
-def test_retarded_flag_changes_support():
-    lit = KernelParams(1, 1.0)
-    ret = KernelParams(1, 1.0, retarded=True)
-    g_lit, _ = propagator_1d(lit, -0.5)
-    g_ret, _ = propagator_1d(ret, -0.5)
-    assert g_lit != 0 and g_ret == 0
-
-
 def test_q_kernel_inside_support():
     p = KernelParams(1, 1.0)
     f = TestFunction((0.0,), 0.5, 2.0)

@@ -6,8 +6,8 @@ from sthirring.perturbation import (
     vertex_term,
 )
 from sthirring.terms import (
-    GPSI, GPSIBAR, Conv, Gamma, Leaf, PHI, PHIBAR, Prod, Term, TermSum,
-    canonical_key, canonicalize, grading, mirror, phi, phibar,
+    GPSI, GPSIBAR, Conv, Gamma, Leaf, PHI, PHIBAR, Prod, StructuralError, Term,
+    TermSum, canonical_key, canonicalize, grading, mirror, phi, phibar,
 )
 
 
@@ -128,6 +128,13 @@ def test_order_ceiling():
 def test_out_of_range_order(series):
     with pytest.raises(ResourceError):
         series.coefficient(5)
+
+
+@pytest.mark.parametrize("branch", ["psi", "bogus", ""])
+def test_unknown_branch_rejected(series, branch):
+    # only the two branch names select a coefficient; the CLI's "psi" is not one
+    with pytest.raises(StructuralError, match="unknown branch"):
+        series.coefficient(1, branch)
 
 
 def test_convolve_composes_to_f1(series):

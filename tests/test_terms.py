@@ -32,11 +32,6 @@ def test_product_merges_gradings():
     assert (g.r, g.r_bar, g.l, g.l_bar) == (1, 1, 0, 0)
 
 
-def test_product_index_collision():
-    with pytest.raises(StructuralError):
-        product(phi(0), phibar(0), rename=False)
-
-
 def test_commutativity_of_canonical_product():
     a, b = phi(0), phibar(0)
     assert canonical_key(product(a, b)) == canonical_key(product(b, a))
