@@ -5,8 +5,9 @@ gamma-check, counterterms.  A config file of `key = value` lines supplies
 defaults that individual flags override; given the same configuration and
 seed the output bytes are identical run to run.  Exit codes: 0 success,
 2 usage error (including an unreadable or malformed config file, a
-config value that its flag's type or choices refuse, and a resource limit:
-an order above the ceiling or a canonical-form search past its budget),
+config value that its flag's type or choices refuse, a STHIRRING_THREADS
+value that is not an integer >= 1, and a resource limit: an order above
+the ceiling or a canonical-form search past its budget),
 3 invariant violation, 4 numerical failure.
 """
 
@@ -81,9 +82,9 @@ def _threads() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise StructuralError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+        raise DomainError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     if n < 1:
-        raise StructuralError(f"{THREADS_ENV} must be >= 1")
+        raise DomainError(f"{THREADS_ENV} must be >= 1, got {raw!r}")
     return n
 
 

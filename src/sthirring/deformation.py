@@ -128,13 +128,17 @@ def term_census(t: Term):
 # pairings
 # --------------------------------------------------------------------------
 
+def matchings_of_size(phis, phibars, k):
+    """The injective matchings of exactly k Phi leaves with k PhiBar leaves."""
+    for ps in combinations(phis, k):
+        for qs in permutations(phibars, k):
+            yield tuple(zip(ps, qs))
+
+
 def partial_matchings(phis, phibars):
-    """All injective partial matchings of the two leaf lists."""
-    top = min(len(phis), len(phibars))
-    for k in range(top + 1):
-        for ps in combinations(phis, k):
-            for qs in permutations(phibars, k):
-                yield tuple(zip(ps, qs))
+    """All injective partial matchings of the two leaf lists, by size."""
+    for k in range(min(len(phis), len(phibars)) + 1):
+        yield from matchings_of_size(phis, phibars, k)
 
 
 def term_pairings(t: Term):

@@ -25,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deformation import DomainError, _diagram_for_matching, term_pairings
+from .deformation import (
+    DomainError, _diagram_for_matching, matchings_of_size, term_census,
+)
 from .diagrams import DeformedSum, Diagram, graph_counts
 from .perturbation import (
     SPINOR, InternalConsistencyError, PerturbativeSeries,
 )
-from .terms import PHI
+from .terms import PHI, PHIBAR
 
 REGULAR = "regular"
 DIVERGENT = "borderline_or_divergent"
@@ -104,15 +106,16 @@ def maximal_contractions(series: PerturbativeSeries, k: int,
     """All maximally contracted diagrams of the order-k coefficient.
 
     Yields one diagram per contraction pattern (no canonical merging);
-    every diagram keeps exactly one free leaf by parity of 2k+1.
+    every diagram keeps exactly one free leaf by parity of 2k+1.  Only
+    matchings of the maximal size min(r, r_bar) are enumerated.
     """
     for t in series.coefficient(k, branch):
-        template, leaves, matchings = term_pairings(t)
-        n_phi = sum(l.species == PHI for l in leaves)
-        size = min(n_phi, len(leaves) - n_phi)
-        for matching in matchings:
-            if len(matching) == size:
-                yield _diagram_for_matching(t, template, leaves, matching)
+        template, leaves = term_census(t)
+        phis = [l.pos for l in leaves if l.species == PHI]
+        bars = [l.pos for l in leaves if l.species == PHIBAR]
+        for matching in matchings_of_size(phis, bars,
+                                          min(len(phis), len(bars))):
+            yield _diagram_for_matching(t, template, leaves, matching)
 
 
 def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceReport]:

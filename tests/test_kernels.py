@@ -6,7 +6,7 @@ import pytest
 from sthirring import kernels
 from sthirring.kernels import (
     KernelError, KernelParams, NumericalError, ProbeResult, SingularPointError,
-    TestFunction, clipped_integral, dirac_kernel_2d, green_2d,
+    TestFunction, bessel_k01, clipped_integral, dirac_kernel_2d, green_2d,
     greens_identity_residual, propagator_1d, q_kernel_1d, scaling_degree_probe,
     theta,
 )
@@ -88,6 +88,69 @@ def test_q_kernel_rules_disagreeing_raise(monkeypatch):
     monkeypatch.setattr(kernels, "Q_KERNEL_1D_NODES", 2)
     with pytest.raises(NumericalError):
         q_kernel_1d(KernelParams(1, 1.0), TestFunction((0.2,), 0.5, 1.0))
+
+
+def _cli_bumps(m, n, seed):
+    """n bumps drawn as `kernel-check --dim 1 --mass m --seed seed` draws
+    them."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        center = rng.uniform(-2 * m, 2 * m)
+        radius = rng.uniform(0.1, m)
+        yield TestFunction((center,), radius, rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+def test_clipped_integral_sweep_matches_tight_quad(m):
+    # at m = 2 and 3 about 0.7% of these bumps made the adaptive oracle
+    # report an error estimate above its own 1e-8 relative acceptance
+    from scipy.integrate import quad
+    p = KernelParams(1, m)
+    for f in _cli_bumps(m, 500, seed=int(10 * m)):
+        got = clipped_integral(p, f)
+        (lo,), (hi,) = f.support()
+        a, b = max(lo, -m), min(hi, m)
+        want = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0] \
+            if a < b else 0.0
+        assert abs(got - want) <= 1e-13
+
+
+def test_clipped_integral_rules_disagreeing_raise(monkeypatch):
+    monkeypatch.setattr(kernels, "TANH_SINH_STEP", 1.0)
+    with pytest.raises(NumericalError):
+        clipped_integral(KernelParams(1, 1.0), TestFunction((0.2,), 0.5, 1.0))
+
+
+def test_bessel_k01_matches_scipy():
+    from scipy import special
+    x = np.geomspace(1e-10, 700, 2001)
+    k0, k1 = bessel_k01(x)
+    assert k0.shape == k1.shape == x.shape
+    assert np.max(np.abs(k0 / special.k0(x) - 1)) <= 1e-13
+    assert np.max(np.abs(k1 / special.k1(x) - 1)) <= 1e-13
+    for v in x[::50]:
+        s0, s1 = bessel_k01(float(v))
+        assert np.ndim(s0) == np.ndim(s1) == 0
+        assert abs(s0 / special.k0(v) - 1) <= 1e-13
+        assert abs(s1 / special.k1(v) - 1) <= 1e-13
+    grid = x[:12].reshape(3, 4)  # array shape is kept
+    assert np.array_equal(bessel_k01(grid)[1], k1[:12].reshape(3, 4))
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_d2_kernels_match_scipy_built_references(m):
+    from scipy import special
+    p = KernelParams(2, m)
+    rep = kernels._gamma_rep_2d()
+    for x in [(1e-3, 0.0), (0.3, -0.4), (1.2, 0.5), (3.0, 4.0)]:
+        r = np.hypot(*x)
+        g = special.k0(m * r) / (2 * np.pi)
+        assert green_2d(p, x) == pytest.approx(g, rel=1e-13, abs=0)
+        grad = -m * special.k1(m * r) / (2 * np.pi) * np.asarray(x) / r
+        want = m * g * rep.identity + 1j * (rep.gammas[0] * grad[0]
+                                            + rep.gammas[1] * grad[1])
+        got = dirac_kernel_2d(p, x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_theta_convention():

@@ -107,3 +107,34 @@ def test_distinct_graph_merging(series):
     # the two maximal contractions of the order-1 vertex are isomorphic
     assert len(ds) == 1
     assert ds.diagrams()[0].coeff == 1  # two tagged pairings at weight 1/2
+
+
+def test_maximal_contractions_count_and_order():
+    from itertools import combinations, permutations
+
+    from sthirring.deformation import (
+        _diagram_for_matching, contraction_count, term_census,
+    )
+    s4 = expand(4)
+    for k in range(5):
+        want = 0
+        for t in s4.coefficient(k, "spinor"):
+            _, leaves = term_census(t)
+            r = sum(l.species == PHI for l in leaves)
+            rb = sum(l.species == PHIBAR for l in leaves)
+            want += contraction_count(r, rb, min(r, rb))
+        assert sum(1 for _ in maximal_contractions(s4, k)) == want
+    # same diagrams in the same order as before: Phi subsets in combination
+    # order, each with its PhiBar partners in permutation order
+    for k in range(4):
+        ref = []
+        for t in s4.coefficient(k, "spinor"):
+            template, leaves = term_census(t)
+            phis = [l.pos for l in leaves if l.species == PHI]
+            bars = [l.pos for l in leaves if l.species == PHIBAR]
+            top = min(len(phis), len(bars))
+            ref += [_diagram_for_matching(t, template, leaves,
+                                          tuple(zip(ps, qs)))
+                    for ps in combinations(phis, top)
+                    for qs in permutations(bars, top)]
+        assert list(maximal_contractions(s4, k)) == ref
