@@ -4,8 +4,7 @@ kernels in one and two dimensions."""
 
 from .clifford import GammaRep, build_gamma_rep, contract_index, verify_clifford
 from .deformation import (
-    contraction_count, expectation, extract_counterterms, gamma_Q,
-    renormalized_residual, two_point,
+    contraction_count, expectation, extract_counterterms, gamma_Q, two_point,
 )
 from .perturbation import (
     COSPINOR, SPINOR, PerturbativeSeries, expand, field_counts,
@@ -20,7 +19,7 @@ from .terms import Grading, Term, TermSum, canonicalize, convolve, grading, prod
 __all__ = [
     "GammaRep", "build_gamma_rep", "contract_index", "verify_clifford",
     "contraction_count", "expectation", "extract_counterterms", "gamma_Q",
-    "renormalized_residual", "two_point",
+    "two_point",
     "COSPINOR", "SPINOR", "PerturbativeSeries", "expand", "field_counts",
     "graph_statistics", "monomial_count",
     "DivergenceReport", "classify", "divergence_closed_form",

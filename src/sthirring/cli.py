@@ -20,10 +20,10 @@ import sys
 
 from . import clifford
 from .deformation import (
-    DomainError, ExtractionError, expectation_report, extract_counterterms,
-    gamma_Q, renormalized_residual, two_point,
+    DomainError, ExtractionError, _diagram_for_matching, expectation_report,
+    extract_counterterms, term_pairings, two_point,
 )
-from .diagrams import deformedsum_to_json, diagram_to_json, to_dot
+from .diagrams import DeformedSum, deformedsum_to_json, diagram_to_json, to_dot
 from .kernels import (
     KernelError, KernelParams, NumericalError, TestFunction,
     clipped_integral, dirac_kernel_2d, greens_identity_residual, q_kernel_1d,
@@ -108,18 +108,14 @@ def _cmd_expand(args) -> int:
             "branch": args.branch,
             "monomials": termsum_to_json(series.coefficient(args.order, branch)),
         }), args.output)
-    else:  # dot: the undeformed diagrams, one per monomial
-        ds = gamma_Q(series.coefficient(args.order, branch))
-        chunks = [to_dot(d, f"m{i}") for i, d in enumerate(ds)
-                  if not _has_contraction(d)]
+    else:  # dot: the uncontracted diagrams, isomorphic monomials merged
+        ds = DeformedSum()
+        for t in terms:
+            template, leaves, (bare,) = term_pairings(t, 0)
+            ds.add(_diagram_for_matching(t, template, leaves, bare))
+        chunks = [to_dot(d, f"m{i}") for i, d in enumerate(ds)]
         _emit("\n".join(chunks), args.output)
     return EXIT_OK
-
-
-def _has_contraction(d) -> bool:
-    from .diagrams import iter_children
-    return any(ch[0] in ("pair", "qloop", "ctloop")
-               for ch, _ in iter_children(d))
 
 
 def _cmd_expect(args) -> int:
@@ -244,7 +240,7 @@ def _cmd_counterterms(args) -> int:
         payload["orders"][str(k)] = {
             "even": h.is_even(),
             "operators": [diagram_to_json(d) for d in h.ops],
-            "residual_zero": renormalized_residual(series, H, k).is_zero(),
+            "residual_zero": h.residual.is_zero(),
         }
     _emit(_dumps(payload), args.output)
     return EXIT_OK

@@ -24,6 +24,12 @@ no diagonal marker, and same-slot leaves are never re-contracted.
 Expectation values are evaluations at the zero field configuration, i.e.
 only fully contracted diagrams survive; an odd leaf count makes every
 such sum empty.
+
+H_k is read off the order-k defect of the renormalized equation; that
+same sum, less H_k's insertion on F_0, is kept as H_k's residual.  So a
+zero residual mostly checks the strip-and-graft round trip.  The content
+is that every defect diagram has operator form (ExtractionError
+otherwise), that H_k is even, and that H_1 = Ctilde.
 """
 
 from __future__ import annotations
@@ -141,13 +147,16 @@ def partial_matchings(phis, phibars):
         yield from matchings_of_size(phis, phibars, k)
 
 
-def term_pairings(t: Term):
+def term_pairings(t: Term, size: int | None = None):
     """(template, leaves, matchings) of a canonical term, where matchings
-    runs over every partial pairing of its Phi leaves with its PhiBar leaves."""
+    runs over every partial pairing of its Phi leaves with its PhiBar leaves,
+    or, given a size, over the pairings of exactly that many pairs."""
     template, leaves = term_census(t)
     phis = [l.pos for l in leaves if l.species == PHI]
     bars = [l.pos for l in leaves if l.species == PHIBAR]
-    return template, leaves, partial_matchings(phis, bars)
+    if size is None:
+        return template, leaves, partial_matchings(phis, bars)
+    return template, leaves, matchings_of_size(phis, bars, size)
 
 
 def contraction_count(r: int, r_bar: int, k: int) -> int:
@@ -306,13 +315,13 @@ def shifted_gamma_Q(x: Term | TermSum, shift: RenormalizationShift) -> DeformedS
     terms = x.terms() if isinstance(x, TermSum) else [_require_canonical(x)]
     ds = DeformedSum(origin=f"gamma_Q+{shift.label}")
     for t in terms:
-        base = gamma_Q(TermSum([t]))
-        ds.extend(base)
         g = grading(t)
-        if shift.vanishes_on(g.r, g.r_bar):
-            continue
-        for d in base:
-            for ch, p in iter_children(d):
+        shifted = not shift.vanishes_on(g.r, g.r_bar)
+        template, leaves, matchings = term_pairings(t)
+        for matching in matchings:
+            d = _diagram_for_matching(t, template, leaves, matching)
+            ds.add(d)
+            for ch, p in iter_children(d) if shifted else ():
                 if ch == ("ctloop", shift.target):
                     ds.add(replace_at(d, p, ("ctloop", shift.label)))
     return ds
@@ -367,10 +376,12 @@ def two_point(series: PerturbativeSeries, branch_a: str, branch_b: str,
 
 @dataclass
 class CountertermOperator:
-    """H_k: operator diagrams with one marked argument slot each."""
+    """H_k: operator diagrams with one marked argument slot each, and the
+    order-k defect of the renormalized equation with H_1..H_k inserted."""
 
     order: int
     ops: DeformedSum
+    residual: DeformedSum
 
     def is_even(self) -> bool:
         """Even polynomial field degree: all odd derivatives vanish at zero."""
@@ -410,41 +421,33 @@ def _argport(op_diag: Diagram) -> tuple[str, tuple]:
 
 def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
     """Graft u into the operator's argument slot (operator composition)."""
-    return _graft(op_diag, _argport(op_diag)[1], u)
-
-
-def _graft(op_diag: Diagram, port: tuple, u: Diagram) -> Diagram:
-    """Graft u into op_diag at the argument port `port`."""
     if len(u.slots) != 1:
         raise ExtractionError("operator argument must be single-slot")
     off = max_pair_id(op_diag) + 1
     shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
-    grafted = replace_at(op_diag, port, list(shifted))
+    grafted = replace_at(op_diag, _argport(op_diag)[1], list(shifted))
     return Diagram(grafted.slots, grafted.coeff * u.coeff)
 
 
 def _designate(d: Diagram) -> Diagram:
-    """Replace the preferred free leaf by an argument port."""
-    frees = free_leaves(d)
-    if not frees:
-        raise ExtractionError("residual diagram with no free leaf")
-    phis = [(sp, p) for sp, p in frees if sp == PHI]
-    sp, p = (phis or frees)[0]
-    return replace_at(d, p, ("argport", sp))
+    """Replace the first free Phi leaf by an argument port.  Every diagram
+    of a defect has one more free Phi than free PhiBar, so one exists."""
+    phis = [p for sp, p in free_leaves(d) if sp == PHI]
+    if not phis:
+        raise ExtractionError("residual diagram with no free Phi leaf")
+    return replace_at(d, phis[0], ("argport", PHI))
 
 
-def _strip_and_mark(residual: DeformedSum, order: int) -> CountertermOperator:
+def _strip_and_mark(defect: DeformedSum, order: int) -> DeformedSum:
+    """Unwrap each defect diagram and mark a free leaf as the argument."""
     ops = DeformedSum(origin=f"H_{order}", order=order)
-    for d in residual:
+    for d in defect:
         if len(d.slots) != 1 or len(d.slots[0]) != 1 or \
                 d.slots[0][0][0] != "conv" or d.slots[0][0][1] != GPSI:
             raise ExtractionError("residual not wrapped in the branch propagator")
         inner = Diagram((d.slots[0][0][2],), d.coeff)
         ops.add(_designate(inner))
-    h = CountertermOperator(order, ops)
-    if not h.is_even():
-        raise ExtractionError(f"H_{order} has odd field degree")
-    return h
+    return ops
 
 
 def _pointwise_cubic(gf_bar, gf, k: int) -> DeformedSum:
@@ -462,35 +465,32 @@ def _pointwise_cubic(gf_bar, gf, k: int) -> DeformedSum:
 
 
 def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, CountertermOperator]:
-    """The operators H_k making the renormalized equation hold through K."""
+    """The operators H_k making the renormalized equation hold through K,
+    each read off the order-k defect (Gamma(F_k) minus the pointwise cubic
+    and the H_1..H_{k-1} insertions) that becomes its residual."""
     if K > series.max_order:
         raise DomainError("K above series order")
     gf = {k: deformed_coefficient(series, k, SPINOR) for k in range(K + 1)}
     gf_bar = {k: deformed_coefficient(series, k, COSPINOR) for k in range(K + 1)}
     H: dict[int, CountertermOperator] = {}
     for k in range(1, K + 1):
-        H[k] = _strip_and_mark(_residual(gf, gf_bar, H, k, range(1, k)), k)
+        defect = DeformedSum(order=k)
+        defect.extend(gf[k])
+        defect.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
+        for j in range(1, k):
+            _subtract_insertions(defect, H[j].ops, gf[k - j])
+        H[k] = CountertermOperator(k, _strip_and_mark(defect, k), defect)
+        if not H[k].is_even():
+            raise ExtractionError(f"H_{k} has odd field degree")
+        # in place: the defect becomes H[k].residual
+        _subtract_insertions(defect, H[k].ops, gf[0])
     return H
 
 
-def _residual(gf, gf_bar, H, k: int, js) -> DeformedSum:
-    """Order-k defect of the equation with the counterterms H[j], j in js:
-    Gamma(F_k) minus the pointwise cubic and the H_j insertions."""
-    residual = DeformedSum(order=k)
-    residual.extend(gf[k])
-    residual.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
-    for j in js:
-        for h in H[j].ops:
-            species, port = _argport(h)
-            source = gf if species == PHI else gf_bar
-            for du in source[k - j]:
-                residual.add(convolved(GPSI, _graft(h, port, du)).scaled(-1))
-    return residual
-
-
-def renormalized_residual(series: PerturbativeSeries,
-                          H: dict[int, CountertermOperator], k: int) -> DeformedSum:
-    """Order-k defect of the renormalized equation; empty when H is correct."""
-    gf = {j: deformed_coefficient(series, j, SPINOR) for j in range(k + 1)}
-    gf_bar = {j: deformed_coefficient(series, j, COSPINOR) for j in range(k)}
-    return _residual(gf, gf_bar, H, k, range(1, k + 1))
+def _subtract_insertions(defect: DeformedSum, ops: DeformedSum,
+                         u: DeformedSum) -> None:
+    """defect -= G_psi * (op du) for every operator diagram op and every
+    spinor-branch diagram du of u (each op's argument port is a Phi)."""
+    for h in ops:
+        for du in u:
+            defect.add(convolved(GPSI, apply_operator(h, du)).scaled(-1))

@@ -298,10 +298,14 @@ def bessel_k01(x):
     return k0.reshape(x.shape)[()], k1.reshape(x.shape)[()]
 
 
+@cache
 def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    """Nodes and weights (read-only arrays) of the n-point Gauss-Legendre
+    rule on [0, 1], built once per n and shared."""
     t, w = leggauss(n)
-    return (t + 1.0) / 2.0, w / 2.0
+    u, w = (t + 1.0) / 2.0, w / 2.0
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def greens_identity_residual(params: KernelParams, f: TestFunction,

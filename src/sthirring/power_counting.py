@@ -25,14 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deformation import (
-    DomainError, _diagram_for_matching, matchings_of_size, term_census,
-)
+from .deformation import DomainError, _diagram_for_matching, term_pairings
 from .diagrams import DeformedSum, Diagram, graph_counts
 from .perturbation import (
     SPINOR, InternalConsistencyError, PerturbativeSeries,
 )
-from .terms import PHI, PHIBAR
+from .terms import grading
 
 REGULAR = "regular"
 DIVERGENT = "borderline_or_divergent"
@@ -110,11 +108,9 @@ def maximal_contractions(series: PerturbativeSeries, k: int,
     matchings of the maximal size min(r, r_bar) are enumerated.
     """
     for t in series.coefficient(k, branch):
-        template, leaves = term_census(t)
-        phis = [l.pos for l in leaves if l.species == PHI]
-        bars = [l.pos for l in leaves if l.species == PHIBAR]
-        for matching in matchings_of_size(phis, bars,
-                                          min(len(phis), len(bars))):
+        g = grading(t)
+        template, leaves, matchings = term_pairings(t, min(g.r, g.r_bar))
+        for matching in matchings:
             yield _diagram_for_matching(t, template, leaves, matching)
 
 

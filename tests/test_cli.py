@@ -257,14 +257,16 @@ GOLDEN = {
         "7ad2f10af7cb24c52afc29f6249ba06d781f7f82388d501ed59c15b71aa10fd8",
     "counterterms --order 2":
         "4a9cb47c51ee2b3ebdf29f6e5fdc42b898e90a7e8ef31f30bb911dbbd1528248",
+    "counterterms --order 3":
+        "527846394fd6bddcf9c4f0893c7e8a70f9b660a2edbcdd144946eb7c9dcbec24",
     "gamma-check --seed 3 --trials 2 --export-rep 2":
         "20d8c6113bfb16ef670ef1e3a9daf38e8699ee3f872d72ad8a17b94a6ec4a296",
     "power-count --dim 2 --max-order 3":
         "481857edf786fb208c84848d69691e3f8c1183e4849e0ef5ee25553d0b9f062b",
     "expand --order 3 --format dot":
-        "86f54a3a98234788919e89550e86ecb538ae57f120e1456dcd35f44be7924a49",
+        "25b15a6ea24755c908b6ab52ac7f19f96deed1ca808054eb2237ee30d4a8bbb3",
     "expand --order 3 --branch psibar --format dot":
-        "128a4d4348397a8e71dcaf374d56cb2badc5a0d17073ec9e606af9362537c69e",
+        "9878d3c2951c66b91b4923c4d5824c09c743879d5f14438e0e7fca717d8340d3",
     "expect --order 3":
         "5b3ea2bb5146c8786f77afd0c2a0feaddd0244031c632d23da7f9843e1fcd586",
     "expect --order 3 --format json":
@@ -300,8 +302,8 @@ def test_permutation_budget_overflow_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_counterterms_deform_each_coefficient_once(monkeypatch):
-    """extract_counterterms and the three residual checks share one gamma_Q
-    of each of F_0..F_3 on both branches."""
+    """Extraction and the residuals share one gamma_Q of each of F_0..F_3
+    on both branches."""
     from sthirring import deformation
     calls = []
     real = deformation.gamma_Q
@@ -314,3 +316,20 @@ def test_counterterms_deform_each_coefficient_once(monkeypatch):
     rc, out = run_cli("counterterms", "--order", "3")
     assert rc == 0 and json.loads(out)["orders"]["3"]["residual_zero"]
     assert len(calls) == 8
+
+
+def test_counterterms_build_each_defect_once(monkeypatch):
+    """One pointwise cubic per order: the residual of H_k is the defect H_k
+    was read off, not a second build of it."""
+    from sthirring import deformation
+    calls = []
+    real = deformation._pointwise_cubic
+
+    def counting(gf_bar, gf, k):
+        calls.append(k)
+        return real(gf_bar, gf, k)
+
+    monkeypatch.setattr(deformation, "_pointwise_cubic", counting)
+    rc, out = run_cli("counterterms", "--order", "3")
+    assert rc == 0 and json.loads(out)["orders"]["3"]["residual_zero"]
+    assert calls == [1, 2, 3]

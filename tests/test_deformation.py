@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from sthirring.deformation import (
-    CountertermOperator, DomainError, ExtractionError,
-    apply_operator, brute_force_contractions, bullet_cross, contraction_count,
-    expectation, expectation_report, extract_counterterms, gamma_Q,
-    gamma_Q_convolved, partial_matchings, renormalized_residual, term_census,
-    two_point,
+    CountertermOperator, DomainError, ExtractionError, _argport,
+    _pointwise_cubic, apply_operator, brute_force_contractions, bullet_cross,
+    contraction_count, expectation, expectation_report, extract_counterterms,
+    gamma_Q, gamma_Q_convolved, partial_matchings, term_census, two_point,
 )
 from sthirring.diagrams import (
     DeformedSum, Diagram, canonical_key, convolved, deformedsum_from_json,
@@ -219,7 +218,40 @@ def test_counterterm_operators_even_through_order_2(series):
 def test_renormalized_residual_zero(series):
     H = extract_counterterms(series, 2)
     for k in (1, 2):
-        assert renormalized_residual(series, H, k).is_zero()
+        assert H[k].residual.is_zero()
+
+
+def test_counterterms_even_with_zero_residual_through_order_4(series):
+    H = extract_counterterms(series, 4)
+    assert sorted(H) == [1, 2, 3, 4]
+    for k, h in H.items():
+        assert h.is_even() and h.residual.is_zero()
+
+
+def test_residual_matches_a_rebuilt_defect():
+    """H[k].residual against the order-k defect rebuilt here from fresh
+    deformations: Gamma(F_k) minus the pointwise cubic and every H_j
+    insertion, j <= k, each built with apply_operator."""
+    s = expand(3)
+    H = extract_counterterms(s, 3)
+    gf = {k: gamma_Q(s.coefficient(k, SPINOR)) for k in range(4)}
+    gf_bar = {k: gamma_Q(s.coefficient(k, COSPINOR)) for k in range(4)}
+
+    def subtract_insertions(defect, j, k):
+        for h in H[j].ops:
+            source = gf if _argport(h)[0] == PHI else gf_bar
+            for du in source[k - j]:
+                defect.add(convolved(GPSI, apply_operator(h, du)).scaled(-1))
+
+    for k in range(1, 4):
+        defect = DeformedSum()
+        defect.extend(gf[k])
+        defect.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
+        for j in range(1, k):
+            subtract_insertions(defect, j, k)
+        assert not defect.is_zero()  # H_k has something to cancel
+        subtract_insertions(defect, k, k)
+        assert defect == H[k].residual
 
 
 def test_operator_application_roundtrip(series):
@@ -289,7 +321,7 @@ def test_renormalized_equation_closes_at_order_3():
     s = expand(3)
     H = extract_counterterms(s, 3)
     assert len(H[3].ops) == 96 and H[3].is_even()
-    assert renormalized_residual(s, H, 3).is_zero()
+    assert H[3].residual.is_zero()
 
 
 def test_isomorphic_contraction_outcomes_merge():

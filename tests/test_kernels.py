@@ -36,6 +36,16 @@ def test_massless_1d_unsupported():
         propagator_1d(p, 0.1)
 
 
+def test_gauss_legendre_rules_are_built_once():
+    u, w = kernels._gauss_legendre(16)
+    again = kernels._gauss_legendre(16)
+    assert again[0] is u and again[1] is w
+    assert not u.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+    assert abs(w.sum() - 1.0) <= 1e-14
+
+
 def test_q_kernel_inside_support():
     p = KernelParams(1, 1.0)
     f = TestFunction((0.0,), 0.5, 2.0)
