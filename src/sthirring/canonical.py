@@ -5,7 +5,8 @@ pointwise product of terms, or the children of a diagram vertex) are sorted
 by an order-insensitive shape, and only runs of equal shape that are coupled
 to the rest of the object (through shared spinor indices, or through pair
 ids) are searched by permutation.  `tie_orders` enumerates those candidate
-orders under one budget; a search past it raises `ResourceError`.
+orders under one budget; a search past it is a `UsageError` (a resource
+limit, exit 2).
 `KeyedSum` is the exact linear combination that merges canonical forms under
 a key that determines the form, and lists them in serialization order.
 """
@@ -16,22 +17,15 @@ from dataclasses import replace
 from itertools import groupby, permutations, product as iproduct
 from math import factorial
 
+from .errors import UsageError
+
 _PERM_BUDGET = 20000
-
-
-class StructuralError(ValueError):
-    """Malformed object (index collision, rank mismatch, bad wiring)."""
-
-
-class ResourceError(RuntimeError):
-    """Work past a configured limit: an expansion order above the ceiling,
-    or a canonical-form search past its permutation budget."""
 
 
 def within_budget(n: int) -> int:
     """n, the size of a canonical-form search, unless it exceeds the budget."""
     if n > _PERM_BUDGET:
-        raise ResourceError("canonicalization permutation budget exceeded")
+        raise UsageError("canonicalization permutation budget exceeded")
     return n
 
 

@@ -2,13 +2,13 @@
 
 Subcommands: expand, expect, correlate, power-count, kernel-check,
 gamma-check, counterterms.  A config file of `key = value` lines supplies
-defaults that individual flags override; given the same configuration and
-seed the output bytes are identical run to run.  Exit codes: 0 success,
-2 usage error (including an unreadable or malformed config file, a
-config value that its flag's type or choices refuse, a STHIRRING_THREADS
-value that is not an integer >= 1, and a resource limit: an order above
-the ceiling or a canonical-form search past its budget),
-3 invariant violation, 4 numerical failure.
+defaults to the subcommands with an option of that name; flags override
+them.  The same configuration and seed give the same output bytes.  Exit
+codes: 0 success, else that of the `errors` class raised: 2 usage error
+(an unreadable, non-UTF-8 or malformed config file, a config value its
+flag would refuse, an unwritable output file, a bad STHIRRING_THREADS, or
+a resource limit: an order above the ceiling or a canonical-form search
+past its budget), 3 invariant violation, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,31 +18,27 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import clifford
 from .deformation import (
-    DomainError, ExtractionError, _diagram_for_matching, expectation_report,
-    extract_counterterms, term_pairings, two_point,
+    _diagram_for_matching, expectation_report, extract_counterterms,
+    term_pairings, two_point,
 )
 from .diagrams import DeformedSum, deformedsum_to_json, diagram_to_json, to_dot
+from .errors import Error, InvariantError, NumericalError, UsageError
 from .kernels import (
-    KernelError, KernelParams, NumericalError, TestFunction,
-    clipped_integral, dirac_kernel_2d, greens_identity_residual, q_kernel_1d,
-    scaling_degree_probe,
+    KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
+    greens_identity_residual, q_kernel_1d, scaling_degree_probe,
 )
 from .perturbation import (
-    COSPINOR, SPINOR, InternalConsistencyError, ResourceError, expand,
-    field_counts, graph_statistics,
+    COSPINOR, SPINOR, expand, field_counts, graph_statistics,
 )
 from .power_counting import classify
 from .properties import run_all
-from .terms import StructuralError, termsum_to_json, to_tex
+from .terms import termsum_to_json, to_tex
 
 THREADS_ENV = "STHIRRING_THREADS"
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_INVARIANT = 3
-EXIT_NUMERICAL = 4
 
 _BRANCH = {"psi": SPINOR, "psibar": COSPINOR}
 
@@ -53,25 +49,32 @@ def _dumps(obj) -> str:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write output file {path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text + "\n")
 
 
 def _read_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise DomainError(f"cannot read config file {path!r}: {exc.strerror}")
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path!r} is not UTF-8 text: "
+                         f"{exc.reason} at byte {exc.start}")
     out = {}
     for line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DomainError(f"bad config line: {line!r}")
+            raise UsageError(f"bad config line: {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         out[key.replace("-", "_")] = val
     return out
@@ -82,9 +85,9 @@ def _threads() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise DomainError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     if n < 1:
-        raise DomainError(f"{THREADS_ENV} must be >= 1, got {raw!r}")
+        raise UsageError(f"{THREADS_ENV} must be >= 1, got {raw!r}")
     return n
 
 
@@ -92,7 +95,7 @@ def _threads() -> int:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> None:
     series = expand(args.order)
     branch = _BRANCH[args.branch]
     terms = series.coefficient(args.order, branch).terms()
@@ -115,10 +118,9 @@ def _cmd_expand(args) -> int:
             ds.add(_diagram_for_matching(t, template, leaves, bare))
         chunks = [to_dot(d, f"m{i}") for i, d in enumerate(ds)]
         _emit("\n".join(chunks), args.output)
-    return EXIT_OK
 
 
-def _cmd_expect(args) -> int:
+def _cmd_expect(args) -> None:
     series = expand(args.order)
     ds, examined = expectation_report(series, args.order, _BRANCH[args.branch])
     if args.format == "json":
@@ -132,12 +134,11 @@ def _cmd_expect(args) -> int:
     else:
         _emit(f"0   ({examined} contraction patterns examined)", args.output)
     if not ds.is_zero():
-        raise InternalConsistencyError(
+        raise InvariantError(
             f"expectation at order {args.order} is not the empty sum")
-    return EXIT_OK
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_correlate(args) -> None:
     series = expand(args.order)
     a, b = args.branches.split("-")
     tp = two_point(series, _BRANCH[a], _BRANCH[b], args.order)
@@ -153,10 +154,9 @@ def _cmd_correlate(args) -> int:
                        for k in range(args.order + 1)},
         }
         _emit(_dumps(payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_power_count(args) -> int:
+def _cmd_power_count(args) -> None:
     series = expand(args.max_order)
     reports = classify(args.dim, args.max_order, series=series)
     rows = [r.as_row() for r in reports]
@@ -170,16 +170,14 @@ def _cmd_power_count(args) -> int:
             lines.append("  ".join(str(r[h]).ljust(w)
                                    for h, w in zip(header, widths)))
         _emit("\n".join(lines), args.output)
-    return EXIT_OK
 
 
-def _cmd_kernel_check(args) -> int:
+def _cmd_kernel_check(args) -> None:
     import random
     rng = random.Random(args.seed)
     report: dict = {"dimension": args.dim, "mass": args.mass, "seed": args.seed}
     if args.dim == 1:
         params = KernelParams(1, args.mass)
-        worst = 0.0
         trials = []
         for _ in range(args.trials):
             center = rng.uniform(-2 * args.mass, 2 * args.mass)
@@ -190,9 +188,11 @@ def _cmd_kernel_check(args) -> int:
             want = clipped_integral(params, f)
             # relative 1e-8 floored at the absolute quadrature tolerance
             excess = abs(got - want) / max(1e-8 * abs(want), 1e-10)
-            worst = max(worst, excess)
             trials.append({"center": center, "radius": radius,
                            "amplitude": amp, "tolerance_fraction": excess})
+        # np.max, unlike max, carries a NaN through, and NaN <= 1 fails
+        worst = float(np.max([t["tolerance_fraction"] for t in trials],
+                             initial=0.0))
         report["identity"] = "q_kernel == clipped integral over [-m, m]"
         report["worst_tolerance_fraction"] = worst
         report["trials"] = trials
@@ -208,15 +208,14 @@ def _cmd_kernel_check(args) -> int:
             "estimate": probe.sd, "ci": [probe.ci_low, probe.ci_high],
             "conclusive": probe.conclusive,
         }
-        ok = res <= 1e-6 and abs(probe.sd - 1.0) <= 0.1
+        ok = bool(res <= 1e-6 and abs(probe.sd - 1.0) <= 0.1)
     report["pass"] = ok
     _emit(_dumps(report), args.output)
     if not ok:
         raise NumericalError("kernel identity check failed")
-    return EXIT_OK
 
 
-def _cmd_gamma_check(args) -> int:
+def _cmd_gamma_check(args) -> None:
     exported = None
     if args.export_rep is not None:  # a bad dimension fails before the trials
         rep = clifford.build_gamma_rep(args.export_rep)
@@ -227,12 +226,11 @@ def _cmd_gamma_check(args) -> int:
         report["gamma_rep"] = exported
     _emit(_dumps(report), args.output)
     if report["failures"]:
-        raise InternalConsistencyError(
+        raise InvariantError(
             f"{report['failures']} deformation property failures")
-    return EXIT_OK
 
 
-def _cmd_counterterms(args) -> int:
+def _cmd_counterterms(args) -> None:
     series = expand(args.order)
     H = extract_counterterms(series, args.order)
     payload = {"orders": {}}
@@ -243,7 +241,6 @@ def _cmd_counterterms(args) -> int:
             "residual_zero": h.residual.is_zero(),
         }
     _emit(_dumps(payload), args.output)
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -262,10 +259,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--output", help="write to file instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
         if config:
-            # config entries act as defaults on every subcommand; explicit
-            # flags still override (3.10 subparsers reparse their defaults,
-            # so parent-level set_defaults would be clobbered)
-            sp.set_defaults(**config)
+            # a config entry is a default only where an option has its
+            # name; flags still override (3.10 subparsers reparse their
+            # defaults, so parent-level set_defaults would be clobbered)
+            dests = {a.dest for a in sp._actions}
+            sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
             # argparse checks `choices` only on flags, not on defaults, so
             # main checks the config values against them
             sp.set_defaults(config_choices=[
@@ -352,29 +350,21 @@ def main(argv=None) -> int:
                    if getattr(args, name, None) is None]
         if missing:
             flags = ", ".join("--" + m.replace("_", "-") for m in missing)
-            print(f"usage error: {args.command} requires {flags} "
-                  "(flag or config entry)", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(
+                f"{args.command} requires {flags} (flag or config entry)")
         for dest, choices in getattr(args, "config_choices", ()):
             if getattr(args, dest) not in choices:
-                raise DomainError(
+                raise UsageError(
                     f"config value {dest} = {getattr(args, dest)!r} is not "
                     f"one of {', '.join(map(str, choices))}")
         if getattr(args, "trials", 0) < 0:
-            print("usage error: --trials must be >= 0", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("--trials must be >= 0")
         _threads()
-        return args.fn(args)
-    except (DomainError, clifford.CliffordError, KernelError,
-            ResourceError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InternalConsistencyError, ExtractionError, StructuralError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        args.fn(args)
+    except Error as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

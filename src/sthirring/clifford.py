@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
+
 MAX_DIM = 12
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-class CliffordError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ def build_gamma_rep(d: int) -> GammaRep:
     For d = 1 the anticommutation relation forces gamma_1^2 = 1; we pick +1.
     """
     if not isinstance(d, int) or d < 1 or d > MAX_DIM:
-        raise CliffordError(f"dimension must be an integer in 1..{MAX_DIM}, got {d!r}")
+        raise UsageError(f"dimension must be an integer in 1..{MAX_DIM}, got {d!r}")
     m = d // 2
     gammas = []
     for j in range(1, m + 1):
@@ -87,7 +85,7 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def verify_clifford(rep: GammaRep, tolerance: float) -> bool:
     """True iff max |{gamma_i,gamma_j} - 2 delta_ij I| <= tolerance over all pairs."""
     if tolerance < 0:
-        raise CliffordError("tolerance must be nonnegative")
+        raise UsageError("tolerance must be nonnegative")
     worst = clifford_defect(rep)
     return worst <= tolerance
 

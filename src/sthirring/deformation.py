@@ -28,7 +28,7 @@ such sum empty.
 H_k is read off the order-k defect of the renormalized equation; that
 same sum, less H_k's insertion on F_0, is kept as H_k's residual.  So a
 zero residual mostly checks the strip-and-graft round trip.  The content
-is that every defect diagram has operator form (ExtractionError
+is that every defect diagram has operator form (InvariantError
 otherwise), that H_k is even, and that H_1 = Ctilde.
 """
 
@@ -43,23 +43,16 @@ from .diagrams import (
     DeformedSum, Diagram, convolved, free_leaves, iter_children, max_pair_id,
     rename_pair_ids, replace_at, tensor, vertex_join,
 )
+from .errors import InvariantError, UsageError
 from .perturbation import COSPINOR, SPINOR, PerturbativeSeries
 from .terms import (
     GPSI, PHI, PHIBAR,
     Conv, Const, Gamma, Leaf, Prod, Term, TermSum, Unit,
-    StructuralError, canonical_key, canonicalize, grading,
+    canonical_key, canonicalize, grading,
 )
 
 CTILDE = "Ctilde"
 C = "C"
-
-
-class ExtractionError(RuntimeError):
-    """Residual not of counterterm-operator form: contraction-engine bug."""
-
-
-class DomainError(ValueError):
-    """Argument outside the domain of a computation: a usage error."""
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +155,7 @@ def term_pairings(t: Term, size: int | None = None):
 def contraction_count(r: int, r_bar: int, k: int) -> int:
     """Number of k-pair matchings of r Phi with r_bar PhiBar leaves."""
     if k < 0 or k > min(r, r_bar):
-        raise DomainError(f"k={k} outside 0..min({r},{r_bar})")
+        raise UsageError(f"k={k} outside 0..min({r},{r_bar})")
     return factorial(k) * comb(r, k) * comb(r_bar, k)
 
 
@@ -215,7 +208,7 @@ def _diagram_for_matching(t, template, leaves, matching):
 
 def _require_canonical(t: Term) -> Term:
     if canonicalize(t).node != t.node:
-        raise StructuralError("gamma_Q requires canonicalized input")
+        raise InvariantError("gamma_Q requires canonicalized input")
     return t
 
 
@@ -395,19 +388,19 @@ class CountertermOperator:
             kinds = sorted(ch[0] for ch, _ in iter_children(d))
             names = [ch[1] for ch, _ in iter_children(d) if ch[0] in ("ctloop", "const")]
             if any(k in ("free", "pair", "qloop", "conv") for k in kinds):
-                raise ExtractionError("operator is not a pointwise multiplication")
+                raise InvariantError("operator is not a pointwise multiplication")
             if len(names) != 1:
-                raise ExtractionError("composite multiplication operator")
+                raise InvariantError("composite multiplication operator")
             t = Term(d.coeff, Const(names[0], self.order, 0, 1))
             total = t if total is None else _term_add(total, t)
         if total is None:
-            raise ExtractionError("empty operator")
+            raise InvariantError("empty operator")
         return total
 
 
 def _term_add(a: Term, b: Term) -> Term:
     if canonical_key(a) != canonical_key(b):
-        raise ExtractionError("operator is a sum of distinct terms")
+        raise InvariantError("operator is a sum of distinct terms")
     return Term(a.coeff + b.coeff, a.node)
 
 
@@ -416,13 +409,13 @@ def _argport(op_diag: Diagram) -> tuple[str, tuple]:
     for ch, p in iter_children(op_diag):
         if ch[0] == "argport":
             return ch[1], p
-    raise ExtractionError("operator diagram has no argument slot")
+    raise InvariantError("operator diagram has no argument slot")
 
 
 def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
     """Graft u into the operator's argument slot (operator composition)."""
     if len(u.slots) != 1:
-        raise ExtractionError("operator argument must be single-slot")
+        raise InvariantError("operator argument must be single-slot")
     off = max_pair_id(op_diag) + 1
     shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
     grafted = replace_at(op_diag, _argport(op_diag)[1], list(shifted))
@@ -434,7 +427,7 @@ def _designate(d: Diagram) -> Diagram:
     of a defect has one more free Phi than free PhiBar, so one exists."""
     phis = [p for sp, p in free_leaves(d) if sp == PHI]
     if not phis:
-        raise ExtractionError("residual diagram with no free Phi leaf")
+        raise InvariantError("residual diagram with no free Phi leaf")
     return replace_at(d, phis[0], ("argport", PHI))
 
 
@@ -444,7 +437,7 @@ def _strip_and_mark(defect: DeformedSum, order: int) -> DeformedSum:
     for d in defect:
         if len(d.slots) != 1 or len(d.slots[0]) != 1 or \
                 d.slots[0][0][0] != "conv" or d.slots[0][0][1] != GPSI:
-            raise ExtractionError("residual not wrapped in the branch propagator")
+            raise InvariantError("residual not wrapped in the branch propagator")
         inner = Diagram((d.slots[0][0][2],), d.coeff)
         ops.add(_designate(inner))
     return ops
@@ -469,7 +462,7 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
     each read off the order-k defect (Gamma(F_k) minus the pointwise cubic
     and the H_1..H_{k-1} insertions) that becomes its residual."""
     if K > series.max_order:
-        raise DomainError("K above series order")
+        raise UsageError("K above series order")
     gf = {k: deformed_coefficient(series, k, SPINOR) for k in range(K + 1)}
     gf_bar = {k: deformed_coefficient(series, k, COSPINOR) for k in range(K + 1)}
     H: dict[int, CountertermOperator] = {}
@@ -481,7 +474,7 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
             _subtract_insertions(defect, H[j].ops, gf[k - j])
         H[k] = CountertermOperator(k, _strip_and_mark(defect, k), defect)
         if not H[k].is_even():
-            raise ExtractionError(f"H_{k} has odd field degree")
+            raise InvariantError(f"H_{k} has odd field degree")
         # in place: the defect becomes H[k].residual
         _subtract_insertions(defect, H[k].ops, gf[0])
     return H

@@ -41,7 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .canonical import KeyedSum, StructuralError, tie_orders, within_budget
+from .canonical import KeyedSum, tie_orders, within_budget
+from .errors import InvariantError
 from .terms import GPSI, GPSIBAR, PHI
 
 Q = "Q"
@@ -146,7 +147,7 @@ def tensor(a: Diagram, b: Diagram) -> Diagram:
 
 def convolved(kind: str, diag: Diagram) -> Diagram:
     if len(diag.slots) != 1:
-        raise StructuralError("convolution applies to single-slot diagrams")
+        raise InvariantError("convolution applies to single-slot diagrams")
     return Diagram(((("conv", kind, diag.slots[0]),),), diag.coeff)
 
 
@@ -157,7 +158,7 @@ def vertex_join(kind: str, parts) -> Diagram:
     coeff = Fraction(1)
     for d in parts:
         if len(d.slots) != 1:
-            raise StructuralError("vertex join needs single-slot diagrams")
+            raise InvariantError("vertex join needs single-slot diagrams")
         off = max(_pair_ids(kids), default=-1) + 1
         kids.extend(rename_pair_ids(d.slots[0], lambda p: p + off))
         coeff *= d.coeff
@@ -394,7 +395,7 @@ def to_graph(diag: Diagram) -> dict:
             elif kind == "argport":
                 tags.append(("argport", here))
             else:  # pragma: no cover
-                raise StructuralError(f"unknown child kind {kind!r}")
+                raise InvariantError(f"unknown child kind {kind!r}")
 
     for s, body in enumerate(diag.slots):
         root = new_site("root")

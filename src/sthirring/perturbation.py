@@ -13,18 +13,18 @@ separately stated low-order expressions is covered by tests.
 Every monomial of F_k has k+1 spinor and k cospinor leaves, k interaction
 vertices and, counting leaf stems and trunk propagators, 3k+1 graph edges.
 These structural statistics are recomputed from the actual trees on demand
-and any deviation raises an internal consistency error.
+and any deviation raises an InvariantError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canonical import ResourceError
+from .errors import InvariantError, UsageError
 from .terms import (
     GPSI, GPSIBAR, UP, DOWN,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
-    StructuralError, grading, max_index, mirror, phi, phibar, rename_indices,
+    grading, max_index, mirror, phi, phibar, rename_indices,
     sole_free_index,
 )
 
@@ -32,10 +32,6 @@ ORDER_CEILING = 6
 
 SPINOR = "spinor"
 COSPINOR = "cospinor"
-
-
-class InternalConsistencyError(RuntimeError):
-    """A generated monomial violates a structural counting law."""
 
 
 def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
@@ -63,7 +59,7 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
         c = sole_free_index(nc, DOWN)
         g2 = Gamma(mu, c, rho1)        # (g^mu)^{c}_{rho'}
     else:
-        raise StructuralError(f"unknown branch propagator {kind!r}")
+        raise InvariantError(f"unknown branch propagator {kind!r}")
     body = Prod((na, Gamma(mu, a, b), nb, g2, nc))
     coeff = ta.coeff * tb.coeff * tc.coeff
     return Term(coeff, Conv(kind, out, rho1, body))
@@ -86,21 +82,21 @@ class PerturbativeSeries:
 
     def coefficient(self, k: int, branch: str = SPINOR) -> TermSum:
         if not 0 <= k <= self.max_order:
-            raise ResourceError(f"order {k} outside 0..{self.max_order}")
+            raise UsageError(f"order {k} outside 0..{self.max_order}")
         if branch == SPINOR:
             return self.spinor[k]
         if branch == COSPINOR:
             return self.cospinor[k]
-        raise StructuralError(f"unknown branch {branch!r}")
+        raise InvariantError(f"unknown branch {branch!r}")
 
 
 def expand(K: int) -> PerturbativeSeries:
     """Build F_0..F_K and the mirrored branch via the cubic recursion;
-    K above ORDER_CEILING is a ResourceError."""
+    K below 0 or above ORDER_CEILING is a UsageError."""
     if K < 0:
-        raise ResourceError("order must be nonnegative")
+        raise UsageError("order must be nonnegative")
     if K > ORDER_CEILING:
-        raise ResourceError(f"order {K} above ceiling {ORDER_CEILING}")
+        raise UsageError(f"order {K} above ceiling {ORDER_CEILING}")
     s = PerturbativeSeries(K)
     s.spinor[0] = TermSum([phi(0)])
     s.cospinor[0] = TermSum([phibar(0)])
@@ -130,7 +126,7 @@ def field_counts(series: PerturbativeSeries, k: int, branch: str = SPINOR) -> tu
     for t in series.coefficient(k, branch):
         g = grading(t)
         if (g.r, g.r_bar) != want:
-            raise InternalConsistencyError(
+            raise InvariantError(
                 f"order {k} monomial has field counts {(g.r, g.r_bar)}, expected {want}")
     return want
 
@@ -150,7 +146,7 @@ def _tree_statistics(t: Term) -> tuple[int, int, int]:
             vertices += 1
             stack.extend(n.children)
     if convs != vertices:
-        raise InternalConsistencyError("trunk/vertex mismatch in recursion monomial")
+        raise InvariantError("trunk/vertex mismatch in recursion monomial")
     return leaves, vertices, leaves + convs
 
 
@@ -160,7 +156,7 @@ def graph_statistics(series: PerturbativeSeries, k: int, branch: str = SPINOR) -
     for t in series.coefficient(k, branch):
         got = _tree_statistics(t)
         if got != want:
-            raise InternalConsistencyError(
+            raise InvariantError(
                 f"order {k} monomial has graph statistics {got}, expected {want}")
     return want
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deformation import DomainError, _diagram_for_matching, term_pairings
+from .deformation import _diagram_for_matching, term_pairings
 from .diagrams import DeformedSum, Diagram, graph_counts
-from .perturbation import (
-    SPINOR, InternalConsistencyError, PerturbativeSeries,
-)
+from .errors import InvariantError, UsageError
+from .perturbation import SPINOR, PerturbativeSeries
 from .terms import grading
 
 REGULAR = "regular"
@@ -61,7 +60,7 @@ class DivergenceReport:
 def sd_propagator(d: int) -> int:
     """Scaling degree of either fundamental solution at the diagonal."""
     if d < 1:
-        raise DomainError("dimension must be >= 1")
+        raise UsageError("dimension must be >= 1")
     return d - 1
 
 
@@ -72,14 +71,14 @@ def verdict_for(rho: Fraction) -> str:
 def divergence_degree(graph: Diagram, d: int, order: int | None = None) -> DivergenceReport:
     """Direct power counting of one maximally contracted admissible graph."""
     if d < 1:
-        raise DomainError("dimension must be >= 1")
+        raise UsageError("dimension must be >= 1")
     if len(graph.slots) != 1:
-        raise DomainError("admissible graphs are single-slot")
+        raise UsageError("admissible graphs are single-slot")
     counts = graph_counts(graph)
     if counts["free_points"] > 1:
-        raise DomainError("graph is not maximally contracted")
+        raise UsageError("graph is not maximally contracted")
     if counts["const_insertions"]:
-        raise DomainError("operator insertions are not admissible graph data")
+        raise UsageError("operator insertions are not admissible graph data")
     n, l = counts["N"], counts["L"]
     sd = l * (d - 1)
     codim = (n - 1) * d
@@ -131,14 +130,14 @@ def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceRepor
             n_graphs += 1
             r = divergence_degree(g, d, order=k)
             if (r.vertices, r.edges) != (2 * k + 1, 3 * k + 1):
-                raise InternalConsistencyError(
+                raise InvariantError(
                     f"order {k} graph has (N,L)=({r.vertices},{r.edges})")
             if r.rho != want:
-                raise InternalConsistencyError(
+                raise InvariantError(
                     f"order {k} graph rho {r.rho} != closed form {want}")
             rep = r
         if rep is None:  # pragma: no cover
-            raise InternalConsistencyError(f"no maximal graphs at order {k}")
+            raise InvariantError(f"no maximal graphs at order {k}")
         reports.append(DivergenceReport(
             k, d, rep.vertices, rep.edges, rep.scaling_degree,
             rep.codimension, rep.rho, rep.verdict, n_graphs))

@@ -6,7 +6,9 @@ symbolic gamma-matrix elements and named counterterm constants, together
 with an exact rational coefficient.  Abstract spinor indices wire the tree:
 an index id occurring twice is contracted (once with upper, once with lower
 polarity), an id occurring once is free and determines the external rank.
-Vector indices only ever pair two gamma insertions.
+Vector indices only ever pair two gamma insertions.  A tree that breaks
+these wiring rules, or a rank mismatch at a propagator, is an
+`InvariantError`: the recursion never builds one.
 
 Smearing functions and field configurations are never materialized; the
 noise content is handled downstream by the deformation machinery, which
@@ -34,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import KeyedSum, StructuralError, tie_orders
+from .canonical import KeyedSum, tie_orders
+from .errors import InvariantError
 
 PHI = "phi"
 PHIBAR = "phibar"
@@ -175,22 +178,22 @@ def free_indices(node: Node) -> dict:
 def validate(node: Node) -> None:
     for idx, occ in index_census(node).items():
         if len(occ) > 2:
-            raise StructuralError(f"index {idx} occurs {len(occ)} times")
+            raise InvariantError(f"index {idx} occurs {len(occ)} times")
         kinds = {k for _, k in occ}
         if len(kinds) > 1:
-            raise StructuralError(f"index {idx} mixes vector and spinor slots")
+            raise InvariantError(f"index {idx} mixes vector and spinor slots")
         if len(occ) == 2 and "spinor" in kinds:
             if occ[0][0] + occ[1][0] != 0:
-                raise StructuralError(f"index {idx} contracted with equal polarity")
+                raise InvariantError(f"index {idx} contracted with equal polarity")
 
 
 def sole_free_index(node: Node, pol: int) -> int:
-    """The one free spinor index of polarity pol; StructuralError unless
+    """The one free spinor index of polarity pol; InvariantError unless
     there is exactly one."""
     slots = [idx for idx, (p, kind) in free_indices(node).items()
              if kind == "spinor" and p == pol]
     if len(slots) != 1:
-        raise StructuralError(
+        raise InvariantError(
             f"expected exactly one free {'upper' if pol == UP else 'lower'} "
             f"spinor index, found {len(slots)}")
     return slots[0]
@@ -305,7 +308,7 @@ def convolve(kind: str, t: Term) -> Term:
     rank (one free lower index); anything else is a rank mismatch.
     """
     if kind not in (GPSI, GPSIBAR):
-        raise StructuralError(f"unknown propagator kind {kind!r}")
+        raise InvariantError(f"unknown propagator kind {kind!r}")
     if is_zero(t):
         return ZERO
     slot = sole_free_index(t.node, UP if kind == GPSI else DOWN)
@@ -586,7 +589,7 @@ def node_from_json(d: dict) -> Node:
                     node_from_json(d["inner"]))
     if k == "prod":
         return Prod(tuple(node_from_json(c) for c in d["children"]))
-    raise StructuralError(f"unknown node kind {k!r}")
+    raise InvariantError(f"unknown node kind {k!r}")
 
 
 def term_to_json(t: Term) -> dict:

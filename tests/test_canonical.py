@@ -269,8 +269,8 @@ def test_deformed_sum_orders_and_merges_by_key():
 
 
 def test_budget_overflow_is_a_resource_error():
-    from sthirring import canonical, perturbation
-    assert perturbation.ResourceError is canonical.ResourceError
+    from sthirring import canonical
+    from sthirring.errors import UsageError
     assert canonical.within_budget(canonical._PERM_BUDGET) == canonical._PERM_BUDGET
-    with pytest.raises(canonical.ResourceError, match="permutation budget"):
+    with pytest.raises(UsageError, match="permutation budget"):
         canonical.within_budget(canonical._PERM_BUDGET + 1)

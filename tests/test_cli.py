@@ -333,3 +333,63 @@ def test_counterterms_build_each_defect_once(monkeypatch):
     rc, out = run_cli("counterterms", "--order", "3")
     assert rc == 0 and json.loads(out)["orders"]["3"]["residual_zero"]
     assert calls == [1, 2, 3]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_check_fails_closed_on_nan():
+    """At this mass the propagators overflow to NaN; no check may pass on
+    it, so the command exits 4 before it prints a report."""
+    rc, out = run_cli("kernel-check", "--dim", "1", "--mass", "1e300",
+                      "--trials", "2")
+    assert (rc, out) == (4, "")
+
+
+def test_kernel_check_d2_failure_reports_false(monkeypatch):
+    import numpy as np
+    from sthirring import cli
+    monkeypatch.setattr(cli, "greens_identity_residual",
+                        lambda params, f, x: np.float64(1.0))
+    rc, out = run_cli("kernel-check", "--dim", "2")
+    assert rc == 4
+    assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_non_finite_mass_is_a_usage_error(capsys, dim, mass):
+    rc, out = run_cli("kernel-check", "--dim", dim, f"--mass={mass}")
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == \
+        "usage error: mass must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--order", "1"),
+    ("expect", "--order", "1"),
+    ("correlate", "--order", "1"),
+    ("power-count", "--dim", "2", "--max-order", "1"),
+    ("counterterms", "--order", "1"),
+])
+def test_config_entry_reaches_only_subcommands_with_that_option(tmp_path,
+                                                                argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 5\n")
+    plain = run_cli(*argv)
+    assert plain[0] == 0
+    assert run_cli("--config", str(cfg), *argv) == plain
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "out.json"
+    rc, out = run_cli("expect", "--order", "1", "--output", str(path))
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "usage error: cannot write output file ")
+
+
+def test_non_utf8_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("order = 1  # résumé\n".encode("latin-1"))
+    rc, out = run_cli("--config", str(cfg), "expect")
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.startswith("usage error: config file ")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sthirring.clifford import (
-    CliffordError, build_gamma_rep, clifford_defect, contract_index,
+    build_gamma_rep, clifford_defect, contract_index,
     rep_to_json, spinor_dimension, verify_clifford,
 )
+from sthirring.errors import UsageError
 
 
 def test_d1_forced_generator():
@@ -62,9 +63,9 @@ def test_broken_rep_fails_verification():
 
 
 def test_dimension_domain_errors():
-    with pytest.raises(CliffordError):
+    with pytest.raises(UsageError):
         build_gamma_rep(0)
-    with pytest.raises(CliffordError):
+    with pytest.raises(UsageError):
         build_gamma_rep(13)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sthirring.deformation import (
-    CountertermOperator, DomainError, ExtractionError, _argport,
+    CountertermOperator, _argport,
     _pointwise_cubic, apply_operator, brute_force_contractions, bullet_cross,
     contraction_count, expectation, expectation_report, extract_counterterms,
     gamma_Q, gamma_Q_convolved, partial_matchings, term_census, two_point,
@@ -13,11 +13,12 @@ from sthirring.diagrams import (
     deformedsum_to_json, diagram_from_json, diagram_to_json, free_leaves,
     graph_counts, iter_children, to_dot, to_graph,
 )
-from sthirring.perturbation import COSPINOR, SPINOR, ResourceError, expand
+from sthirring.errors import InvariantError, UsageError
+from sthirring.perturbation import COSPINOR, SPINOR, expand
 from sthirring.properties import run_all
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR,
-    Conv, Gamma, Leaf, Prod, StructuralError, Term, TermSum,
+    Conv, Gamma, Leaf, Prod, Term, TermSum,
     canonical_key as term_key, canonicalize, convolve, phi, phibar, product,
 )
 
@@ -77,7 +78,7 @@ def test_cospinor_vertex_tags_C():
 
 def test_non_canonical_input_rejected():
     t = Term(1, Prod((Leaf(PHIBAR, 5), Leaf(PHI, 3))))  # non-canonical ids
-    with pytest.raises(StructuralError):
+    with pytest.raises(InvariantError):
         gamma_Q(t)
 
 
@@ -90,7 +91,7 @@ def test_contraction_count_formula_and_oracle():
     assert contraction_count(1, 1, 1) == 1
     assert contraction_count(2, 1, 1) == 2
     assert contraction_count(3, 3, 2) == 18
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError):
         contraction_count(2, 2, 3)
 
 
@@ -410,5 +411,5 @@ def test_deformed_coefficients_shared_within_a_series():
     assert deformed_coefficient(s, 2, COSPINOR) is a
     assert a == gamma_Q(s.coefficient(2, COSPINOR))
     assert deformed_coefficient(expand(2), 2, COSPINOR) is not a
-    with pytest.raises(ResourceError):
+    with pytest.raises(UsageError):
         deformed_coefficient(s, 3)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from sthirring import kernels
+from sthirring.errors import NumericalError, UsageError
 from sthirring.kernels import (
-    KernelError, KernelParams, NumericalError, ProbeResult, SingularPointError,
-    TestFunction, bessel_k01, clipped_integral, dirac_kernel_2d, green_2d,
-    greens_identity_residual, propagator_1d, q_kernel_1d, scaling_degree_probe,
-    theta,
+    KernelParams, ProbeResult, TestFunction, bessel_k01, clipped_integral,
+    dirac_kernel_2d, green_2d, greens_identity_residual, propagator_1d,
+    q_kernel_1d, scaling_degree_probe, theta,
 )
 
 
@@ -32,7 +32,7 @@ def test_propagator_unit_modulus_inside_support():
 
 def test_massless_1d_unsupported():
     p = KernelParams(1, 0.0)
-    with pytest.raises(KernelError):
+    with pytest.raises(UsageError):
         propagator_1d(p, 0.1)
 
 
@@ -186,7 +186,7 @@ def test_bump_laplacian_matches_finite_differences():
 
 def test_green_singular_point():
     p = KernelParams(2, 1.0)
-    with pytest.raises(SingularPointError):
+    with pytest.raises(UsageError):
         green_2d(p, (0.0, 0.0))
 
 
@@ -277,12 +277,14 @@ def test_probe_flags_logarithm_inconclusive():
 
 
 def test_params_validation():
-    with pytest.raises(KernelError):
+    with pytest.raises(UsageError):
         KernelParams(3, 1.0)
-    with pytest.raises(KernelError):
+    with pytest.raises(UsageError):
         KernelParams(1, -1.0)
-    with pytest.raises(KernelError):
+    with pytest.raises(UsageError):
         TestFunction((0.0,), -0.5)
+    with pytest.raises(UsageError):
+        TestFunction((0.0,), float("nan"))
 
 
 def test_dirac_kernel_builds_the_gamma_rep_once(monkeypatch):
@@ -307,3 +309,16 @@ def test_dirac_kernel_builds_the_gamma_rep_once(monkeypatch):
     kernels._gamma_rep_2d.cache_clear()
     assert np.array_equal(dirac_kernel_2d(p, 0.5 * x), vals[1])
     assert calls == [2, 2]
+
+
+
+@pytest.mark.parametrize("check, center", [
+    (q_kernel_1d, (0.2,)),
+    (clipped_integral, (0.2,)),
+    (lambda p, f: greens_identity_residual(p, f, (0.32, -0.18)), (0.3, -0.2)),
+], ids=["q_kernel_1d", "clipped_integral", "greens_identity_residual"])
+def test_two_resolution_checks_fail_closed_on_nan(check, center):
+    """A NaN bump gives NaN at both resolutions; NaN is no agreement."""
+    f = TestFunction(center, 0.4, float("nan"))
+    with pytest.raises(NumericalError):
+        check(KernelParams(len(center), 1.0), f)

@@ -1,12 +1,12 @@
 import pytest
 
+from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import (
-    COSPINOR, SPINOR, InternalConsistencyError, ResourceError,
-    expand, field_counts, graph_statistics, mirror_branch, monomial_count,
+    COSPINOR, SPINOR, expand, field_counts, graph_statistics, mirror_branch, monomial_count,
     vertex_term,
 )
 from sthirring.terms import (
-    GPSI, GPSIBAR, Conv, Gamma, Leaf, PHI, PHIBAR, Prod, StructuralError, Term,
+    GPSI, GPSIBAR, Conv, Gamma, Leaf, PHI, PHIBAR, Prod, Term,
     TermSum, canonical_key, canonicalize, grading, mirror, phi, phibar,
 )
 
@@ -119,21 +119,21 @@ def test_recursion_closure_via_fixed_point_iteration():
 
 
 def test_order_ceiling():
-    with pytest.raises(ResourceError):
+    with pytest.raises(UsageError):
         expand(7)
-    with pytest.raises(ResourceError):
+    with pytest.raises(UsageError):
         expand(-1)
 
 
 def test_out_of_range_order(series):
-    with pytest.raises(ResourceError):
+    with pytest.raises(UsageError):
         series.coefficient(5)
 
 
 @pytest.mark.parametrize("branch", ["psi", "bogus", ""])
 def test_unknown_branch_rejected(series, branch):
     # only the two branch names select a coefficient; the CLI's "psi" is not one
-    with pytest.raises(StructuralError, match="unknown branch"):
+    with pytest.raises(InvariantError, match="unknown branch"):
         series.coefficient(1, branch)
 
 

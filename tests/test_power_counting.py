@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from sthirring.diagrams import Diagram, graph_counts
+from sthirring.errors import UsageError
 from sthirring.perturbation import expand
 from sthirring.power_counting import (
-    DIVERGENT, REGULAR, DomainError, classify, divergence_closed_form,
+    DIVERGENT, REGULAR, classify, divergence_closed_form,
     divergence_degree, distinct_maximal_graphs, maximal_contractions,
     sd_propagator, subcritical,
 )
@@ -21,7 +22,7 @@ def test_sd_propagator():
     assert sd_propagator(1) == 0
     assert sd_propagator(2) == 1
     assert sd_propagator(4) == 3
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError):
         sd_propagator(0)
 
 
@@ -95,10 +96,10 @@ def test_subcriticality_predicate():
 def test_non_admissible_graph_rejected():
     free2 = Diagram(((("free", PHI), ("free", PHI), ("free", PHIBAR)),),
                     Fraction(1))
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError):
         divergence_degree(free2, 2)
     op = Diagram(((("const", "Ctilde"), ("free", PHI)),), Fraction(1))
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError):
         divergence_degree(op, 2)
 
 

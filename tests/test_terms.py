@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from sthirring.errors import InvariantError
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR, ZERO,
-    Conv, Gamma, Leaf, Prod, StructuralError, Term, TermSum, Unit,
+    Conv, Gamma, Leaf, Prod, Term, TermSum, Unit,
     canonical_key, canonicalize, convolve, external_rank, grading,
     node_from_json, node_to_json, phi, phibar, product, term_from_json,
     term_to_json, to_tex,
@@ -56,9 +57,9 @@ def test_convolve_grading_and_rank():
 
 
 def test_convolve_rank_mismatch():
-    with pytest.raises(StructuralError):
+    with pytest.raises(InvariantError):
         convolve(GPSI, phibar(0))
-    with pytest.raises(StructuralError):
+    with pytest.raises(InvariantError):
         convolve(GPSI, product(phi(0), phi(0)))  # two free upper indices
 
 
