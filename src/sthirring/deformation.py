@@ -1,7 +1,10 @@
 """Noise-encoding deformation maps as contraction combinatorics.
 
 The local map acts on a canonical term by summing over all injective
-partial pairings of Phi leaves with PhiBar leaves.  A pairing between
+partial pairings of Phi leaves with PhiBar leaves.  `contractions` is the
+one enumerator of those pairings: the local map, expectation values, the
+maximal graphs of power counting and the DOT export all take their
+unmerged diagrams from it.  A pairing between
 leaves at distinct vertices inserts a covariance edge: Q when the Phi
 factor stands to the left of the PhiBar factor, Q_tilde (which carries the
 sign of its kernel) for the opposite orientation.  A pairing between two
@@ -23,7 +26,8 @@ factors: cross contractions between the tensor slots insert Q/Q_tilde with
 no diagonal marker, and same-slot leaves are never re-contracted.
 Expectation values are evaluations at the zero field configuration, i.e.
 only fully contracted diagrams survive; an odd leaf count makes every
-such sum empty.
+such sum empty.  So only full pairings are built, and the partial ones
+are counted from each monomial's grading.
 
 H_k is read off the order-k defect of the renormalized equation; that
 same sum, less H_k's insertion on F_0, is kept as H_k's residual.  So a
@@ -140,18 +144,6 @@ def partial_matchings(phis, phibars):
         yield from matchings_of_size(phis, phibars, k)
 
 
-def term_pairings(t: Term, size: int | None = None):
-    """(template, leaves, matchings) of a canonical term, where matchings
-    runs over every partial pairing of its Phi leaves with its PhiBar leaves,
-    or, given a size, over the pairings of exactly that many pairs."""
-    template, leaves = term_census(t)
-    phis = [l.pos for l in leaves if l.species == PHI]
-    bars = [l.pos for l in leaves if l.species == PHIBAR]
-    if size is None:
-        return template, leaves, partial_matchings(phis, bars)
-    return template, leaves, matchings_of_size(phis, bars, size)
-
-
 def contraction_count(r: int, r_bar: int, k: int) -> int:
     """Number of k-pair matchings of r Phi with r_bar PhiBar leaves."""
     if k < 0 or k > min(r, r_bar):
@@ -206,31 +198,32 @@ def _diagram_for_matching(t, template, leaves, matching):
     return Diagram((body,), t.coeff * weight)
 
 
-def _require_canonical(t: Term) -> Term:
-    if canonicalize(t).node != t.node:
+def contractions(t: Term, size: int | None = None):
+    """The unmerged Diagram of every pairing of a canonical term's Phi
+    leaves with its PhiBar leaves: every partial pairing, by size, or the
+    pairings of exactly `size` pairs."""
+    template, leaves = term_census(t)
+    phis = [l.pos for l in leaves if l.species == PHI]
+    bars = [l.pos for l in leaves if l.species == PHIBAR]
+    matchings = (partial_matchings(phis, bars) if size is None
+                 else matchings_of_size(phis, bars, size))
+    for matching in matchings:
+        yield _diagram_for_matching(t, template, leaves, matching)
+
+
+def _canonical_terms(x: Term | TermSum) -> list[Term]:
+    """The terms of a sum, or a single term that must already be canonical."""
+    if isinstance(x, TermSum):
+        return x.terms()
+    if canonicalize(x).node != x.node:
         raise InvariantError("gamma_Q requires canonicalized input")
-    return t
+    return [x]
 
 
 def gamma_Q(x: Term | TermSum) -> DeformedSum:
     """Local deformation: sum over all partial leaf pairings of each term."""
-    terms = x.terms() if isinstance(x, TermSum) else [_require_canonical(x)]
-    ds = DeformedSum(origin="gamma_Q")
-    for t in terms:
-        template, leaves, matchings = term_pairings(t)
-        for matching in matchings:
-            ds.add(_diagram_for_matching(t, template, leaves, matching))
-    return ds
-
-
-def deformed_coefficient(series: PerturbativeSeries, k: int,
-                         branch: str = SPINOR) -> DeformedSum:
-    """gamma_Q of one coefficient of the series, computed once per series
-    and shared by every consumer; callers must not modify it."""
-    ds = series._deformed.get((branch, k))
-    if ds is None:
-        ds = series._deformed[branch, k] = gamma_Q(series.coefficient(k, branch))
-    return ds
+    return DeformedSum((d for t in _canonical_terms(x) for d in contractions(t)),
+                       origin="gamma_Q")
 
 
 def gamma_Q_convolved(kind: str, x: Term | TermSum) -> DeformedSum:
@@ -305,14 +298,11 @@ def shifted_gamma_Q(x: Term | TermSum, shift: RenormalizationShift) -> DeformedS
     """Deformation by the shifted map: on terms where the shift does not
     vanish, every tagged loop named `shift.target` additionally contributes
     a diagram retagged with the shift label."""
-    terms = x.terms() if isinstance(x, TermSum) else [_require_canonical(x)]
     ds = DeformedSum(origin=f"gamma_Q+{shift.label}")
-    for t in terms:
+    for t in _canonical_terms(x):
         g = grading(t)
         shifted = not shift.vanishes_on(g.r, g.r_bar)
-        template, leaves, matchings = term_pairings(t)
-        for matching in matchings:
-            d = _diagram_for_matching(t, template, leaves, matching)
+        for d in contractions(t):
             ds.add(d)
             for ch, p in iter_children(d) if shifted else ():
                 if ch == ("ctloop", shift.target):
@@ -333,23 +323,26 @@ def expectation(series: PerturbativeSeries, k: int,
 
 def expectation_report(series: PerturbativeSeries, k: int,
                        branch: str = SPINOR) -> tuple[DeformedSum, int]:
-    """(surviving diagrams, number of contraction patterns examined)."""
+    """(surviving diagrams, number of contraction patterns examined); only
+    full pairings are built, the others are counted from the grading."""
     ds = DeformedSum(origin=f"expectation[{branch}]", order=k)
     examined = 0
     for t in series.coefficient(k, branch):
-        template, leaves, matchings = term_pairings(t)
-        for matching in matchings:
-            examined += 1
-            if 2 * len(matching) == len(leaves):
-                ds.add(_diagram_for_matching(t, template, leaves, matching))
+        g = grading(t)
+        examined += sum(contraction_count(g.r, g.r_bar, j)
+                        for j in range(min(g.r, g.r_bar) + 1))
+        if g.r == g.r_bar:
+            for d in contractions(t, g.r):
+                ds.add(d)
     return ds, examined
 
 
 def two_point(series: PerturbativeSeries, branch_a: str, branch_b: str,
               K: int) -> dict[int, DeformedSum]:
     """Order-by-order cross-deformed tensor product at zero configuration."""
-    ga = {k: deformed_coefficient(series, k, branch_a) for k in range(K + 1)}
-    gb = {k: deformed_coefficient(series, k, branch_b) for k in range(K + 1)}
+    ga = {k: gamma_Q(series.coefficient(k, branch_a)) for k in range(K + 1)}
+    gb = ga if branch_b == branch_a else {
+        k: gamma_Q(series.coefficient(k, branch_b)) for k in range(K + 1)}
     out = {}
     for k in range(K + 1):
         ds = DeformedSum(origin=f"two_point[{branch_a},{branch_b}]", order=k)
@@ -463,8 +456,8 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
     and the H_1..H_{k-1} insertions) that becomes its residual."""
     if K > series.max_order:
         raise UsageError("K above series order")
-    gf = {k: deformed_coefficient(series, k, SPINOR) for k in range(K + 1)}
-    gf_bar = {k: deformed_coefficient(series, k, COSPINOR) for k in range(K + 1)}
+    gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(K + 1)}
+    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(K + 1)}
     H: dict[int, CountertermOperator] = {}
     for k in range(1, K + 1):
         defect = DeformedSum(order=k)

@@ -68,17 +68,11 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
 @dataclass
 class PerturbativeSeries:
     """Coefficients of both branches up to max_order, canonically merged.
-
-    `_deformed` holds the local deformation of each coefficient, keyed by
-    (branch, k), for consumers that deform the same coefficients more than
-    once; it is filled by `deformation` and never mutated after an entry is
-    stored."""
+    The series holds terms only; each consumer deforms what it reads."""
 
     max_order: int
     spinor: dict[int, TermSum] = field(default_factory=dict)
     cospinor: dict[int, TermSum] = field(default_factory=dict)
-    _deformed: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
     def coefficient(self, k: int, branch: str = SPINOR) -> TermSum:
         if not 0 <= k <= self.max_order:

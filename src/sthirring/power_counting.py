@@ -18,15 +18,17 @@ rho = 0 graph with a locally integrable kernel).
 The linear coefficient (d-3)/2 is negative exactly for d < 3: there the
 divergent set is finite (subcritical), at d = 3 rho is constantly 2
 (critical), and above it grows with the order.
+
+The graphs are the unmerged maximal pairings of `deformation.contractions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .deformation import _diagram_for_matching, term_pairings
-from .diagrams import DeformedSum, Diagram, graph_counts
+from .deformation import contractions
+from .diagrams import DeformedSum, Diagram, free_leaves, graph_counts
 from .errors import InvariantError, UsageError
 from .perturbation import SPINOR, PerturbativeSeries
 from .terms import grading
@@ -104,43 +106,41 @@ def maximal_contractions(series: PerturbativeSeries, k: int,
 
     Yields one diagram per contraction pattern (no canonical merging);
     every diagram keeps exactly one free leaf by parity of 2k+1.  Only
-    matchings of the maximal size min(r, r_bar) are enumerated.
+    pairings of the maximal size min(r, r_bar) are enumerated.
     """
     for t in series.coefficient(k, branch):
         g = grading(t)
-        template, leaves, matchings = term_pairings(t, min(g.r, g.r_bar))
-        for matching in matchings:
-            yield _diagram_for_matching(t, template, leaves, matching)
+        yield from contractions(t, min(g.r, g.r_bar))
 
 
 def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceReport]:
     """Power-counting verdicts for all admissible graphs of `series`
     through order K.
 
-    Every generated graph is checked against the counting laws N = 2k+1 and
-    L = 3k+1 and against the closed-form degree of divergence; one report
-    per order is returned since all graphs of an order share the counts.
+    Every generated graph is checked against the counting laws N = 2k+1,
+    L = 3k+1, one free leaf and no constant insertion.  rho depends on
+    (N, L, d) only, so each order has one report: the direct count of its
+    first graph, checked against the closed-form degree of divergence.
     """
     reports = []
     for k in range(K + 1):
-        want = divergence_closed_form(k, d)
-        n_graphs = 0
-        rep = None
-        for g in maximal_contractions(series, k):
+        graphs = maximal_contractions(series, k)
+        first = next(graphs)
+        rep = divergence_degree(first, d, order=k)  # refuses a constant
+        seen = {(rep.vertices, rep.edges, len(free_leaves(first)), 0)}
+        n_graphs = 1
+        for g in graphs:
+            c = graph_counts(g)
+            seen.add((c["N"], c["L"], c["free_points"], c["const_insertions"]))
             n_graphs += 1
-            r = divergence_degree(g, d, order=k)
-            if (r.vertices, r.edges) != (2 * k + 1, 3 * k + 1):
-                raise InvariantError(
-                    f"order {k} graph has (N,L)=({r.vertices},{r.edges})")
-            if r.rho != want:
-                raise InvariantError(
-                    f"order {k} graph rho {r.rho} != closed form {want}")
-            rep = r
-        if rep is None:  # pragma: no cover
-            raise InvariantError(f"no maximal graphs at order {k}")
-        reports.append(DivergenceReport(
-            k, d, rep.vertices, rep.edges, rep.scaling_degree,
-            rep.codimension, rep.rho, rep.verdict, n_graphs))
+        if seen != {(2 * k + 1, 3 * k + 1, 1, 0)}:
+            raise InvariantError(f"order {k} graphs have (N, L, free leaves, "
+                                 f"constants) in {sorted(seen)}")
+        want = divergence_closed_form(k, d)
+        if rep.rho != want:
+            raise InvariantError(
+                f"order {k} graph rho {rep.rho} != closed form {want}")
+        reports.append(replace(rep, n_graphs=n_graphs))
     return reports
 
 

@@ -29,6 +29,12 @@ tree has its indices renamed 0, 1, 2, ... in order of first occurrence, so
 the walk that assigns those names spells its serialization, which is its
 key: `canonicalize` records it on the returned term and `TermSum.add`
 merges under it, with no second search and no second walk.
+
+Precondition: the form is canonical only when every product nested
+below the outermost one already has its children in canonical order: a
+child's shape and the tie-break serialize its subtree in input order.
+Terms that `product`, `convolve` and `vertex_term` build from canonical
+terms meet it.
 """
 
 from __future__ import annotations
@@ -476,7 +482,8 @@ def canonicalize(t: Term) -> Term:
     """Canonical representative: sorted products, indices renamed 0,1,2,...
     in order of first occurrence.  The returned term carries its
     serialization as `_key`: the tokens that name the indices by first
-    occurrence spell the renamed tree."""
+    occurrence spell the renamed tree.  Nested products must already be in
+    canonical child order (see the module docstring)."""
     if is_zero(t):
         return ZERO
     validate(t.node)

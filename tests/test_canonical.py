@@ -24,8 +24,7 @@ from networkx.algorithms.isomorphism import (
 
 from sthirring import diagrams
 from sthirring.deformation import (
-    _diagram_for_matching, bullet_cross, extract_counterterms, gamma_Q,
-    term_pairings,
+    bullet_cross, contractions, extract_counterterms, gamma_Q,
 )
 from sthirring.diagrams import DeformedSum, canonical_key, canonicalize
 from sthirring.perturbation import COSPINOR, SPINOR, expand
@@ -80,9 +79,7 @@ def _oracle_inputs():
     for branch in (SPINOR, COSPINOR):
         for k in range(4):
             for t in series.coefficient(k, branch):
-                template, leaves, matchings = term_pairings(t)
-                out += [_diagram_for_matching(t, template, leaves, m)
-                        for m in matchings]
+                out += contractions(t)
     ga = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(3)}
     gb = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(3)}
     for k in range(3):
@@ -218,13 +215,10 @@ def _random_term_inputs(seeds=range(8), draws=4, per_term=200):
     for seed in seeds:
         rng = random.Random(seed)
         for _ in range(draws):
-            t = random_term(rng)
-            template, leaves, matchings = term_pairings(t)
-            matchings = list(matchings)
-            if len(matchings) > per_term:
-                matchings = rng.sample(matchings, per_term)
-            out += [_diagram_for_matching(t, template, leaves, m)
-                    for m in matchings]
+            raw = list(contractions(random_term(rng)))
+            if len(raw) > per_term:
+                raw = rng.sample(raw, per_term)
+            out += raw
     return out
 
 

@@ -335,13 +335,26 @@ def test_counterterms_build_each_defect_once(monkeypatch):
     assert calls == [1, 2, 3]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_kernel_check_fails_closed_on_nan():
     """At this mass the propagators overflow to NaN; no check may pass on
-    it, so the command exits 4 before it prints a report."""
-    rc, out = run_cli("kernel-check", "--dim", "1", "--mass", "1e300",
-                      "--trials", "2")
-    assert (rc, out) == (4, "")
+    it, so the command exits 4 before it prints a report, and the error is
+    the one line on stderr (no numpy warnings ahead of it)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sthirring.cli", "kernel-check", "--dim", "1",
+         "--mass", "1e300", "--trials", "2"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("mass", ["30", "1000"])
+def test_kernel_check_d2_passes_at_large_mass(mass):
+    """The scaling probe samples r well inside 1/m, where the massive Dirac
+    kernel still goes like 1/r."""
+    rc, out = run_cli("kernel-check", "--dim", "2", "--mass", mass)
+    rep = json.loads(out)
+    assert rc == 0 and rep["pass"] is True
+    assert rep["dirac_scaling_degree"]["conclusive"]
 
 
 def test_kernel_check_d2_failure_reports_false(monkeypatch):

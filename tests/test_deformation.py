@@ -310,6 +310,49 @@ def test_expectation_vanishes_cospinor_branch(series):
         assert ds.is_zero() and examined > 0
 
 
+def test_expectation_census_count_matches_enumeration(series):
+    """`examined` is counted from each monomial's grading; the oracle walks
+    every partial pairing of the monomial's census leaves."""
+    for branch in (SPINOR, COSPINOR):
+        for k in range(5):
+            want = 0
+            for t in series.coefficient(k, branch):
+                _, leaves = term_census(t)
+                phis = [l.pos for l in leaves if l.species == PHI]
+                bars = [l.pos for l in leaves if l.species == PHIBAR]
+                want += sum(1 for _ in partial_matchings(phis, bars))
+            assert expectation_report(series, k, branch)[1] == want
+
+
+def test_expectation_enumerates_no_partial_pairing(series, monkeypatch):
+    """No F_k monomial has a full pairing (2k+1 leaves), so the expectation
+    builds no diagram and walks no matching."""
+    from sthirring import deformation
+    walked = []
+    monkeypatch.setattr(deformation, "partial_matchings",
+                        lambda *a: walked.append(a) or iter(()))
+    monkeypatch.setattr(deformation, "matchings_of_size",
+                        lambda *a: walked.append(a) or iter(()))
+    for branch in (SPINOR, COSPINOR):
+        assert expectation_report(series, 4, branch)[1] == 55 * 501
+    assert walked == []
+
+
+def test_same_branch_two_point_deforms_each_order_once(series, monkeypatch):
+    from sthirring import deformation
+    calls = []
+    real = deformation.gamma_Q
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(deformation, "gamma_Q", counting)
+    tp = two_point(series, SPINOR, SPINOR, 2)
+    assert len(calls) == 3
+    assert all(ds.is_zero() for ds in tp.values())
+
+
 def test_two_point_second_order_runs(series):
     tp = two_point(series, SPINOR, COSPINOR, 2)
     assert len(tp[2]) > 0
@@ -352,15 +395,15 @@ def test_non_isomorphic_edge_types_do_not_merge():
 
 
 def test_mass_checksum_per_contraction_order():
-    """For every monomial of F_0..F_3, the coefficients of gamma_Q(t) summed
+    """For every monomial of F_0..F_4, the coefficients of gamma_Q(t) summed
     per number of contracted pairs equal the census closed form: each
     matching weighs t.coeff, halved once per tagged coincident pair.  A
     canonicalizer that lost or double-counted a diagram would break a sum
     (all weights are positive, so nothing cancels)."""
-    series = expand(3)
+    series = expand(4)
     checked = 0
     for branch in (SPINOR, COSPINOR):
-        for k in range(4):
+        for k in range(5):
             for t in series.coefficient(k, branch):
                 _, leaves = term_census(t)
                 phis = [l.pos for l in leaves if l.species == PHI]
@@ -382,7 +425,7 @@ def test_mass_checksum_per_contraction_order():
                     got[n] = got.get(n, 0) + d.coeff
                 assert got == want
                 checked += 1
-    assert checked == 2 * (1 + 1 + 3 + 12)
+    assert checked == 2 * (1 + 1 + 3 + 12 + 55)
 
 
 def test_linearity_check_deforms_independently(monkeypatch):
@@ -402,14 +445,3 @@ def test_linearity_check_deforms_independently(monkeypatch):
     assert properties.check_linearity(random.Random(5), 2)["failures"] == 0
     assert len(calls) == 6
     assert len({id(x) for x in calls}) == 6
-
-
-def test_deformed_coefficients_shared_within_a_series():
-    from sthirring.deformation import deformed_coefficient
-    s = expand(2)
-    a = deformed_coefficient(s, 2, COSPINOR)
-    assert deformed_coefficient(s, 2, COSPINOR) is a
-    assert a == gamma_Q(s.coefficient(2, COSPINOR))
-    assert deformed_coefficient(expand(2), 2, COSPINOR) is not a
-    with pytest.raises(UsageError):
-        deformed_coefficient(s, 3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sthirring.diagrams import Diagram, graph_counts
-from sthirring.errors import UsageError
+from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import expand
 from sthirring.power_counting import (
     DIVERGENT, REGULAR, classify, divergence_closed_form,
@@ -80,6 +80,38 @@ def test_classify_verdict_patterns(series):
     d4 = classify(4, 3, series=series)
     rhos = [r.rho for r in d4]
     assert all(b > a for a, b in zip(rhos, rhos[1:]))
+
+
+def test_classify_reports_once_per_order(monkeypatch):
+    """Every graph is counted once; each order's report is one direct
+    power count (rho depends on N, L and d only)."""
+    from sthirring import power_counting
+    calls = {"divergence_degree": 0, "graph_counts": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(power_counting, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(power_counting, name, counting)
+    reports = classify(2, 4, series=expand(4))
+    assert [r.n_graphs for r in reports] == [1, 2, 18, 288, 6600]
+    assert calls == {"divergence_degree": 5, "graph_counts": 6909}
+
+
+def test_classify_rejects_a_graph_off_the_counting_laws(series, monkeypatch):
+    from sthirring import power_counting
+    real = power_counting.maximal_contractions
+    stray = Diagram(((("free", PHI), ("free", PHIBAR), ("free", PHI)),),
+                    Fraction(1))
+
+    def with_stray(s, k):
+        yield from real(s, k)
+        if k == 1:
+            yield stray
+
+    monkeypatch.setattr(power_counting, "maximal_contractions", with_stray)
+    with pytest.raises(InvariantError, match="order 1 graphs"):
+        classify(2, 1, series=series)
 
 
 def test_monotone_in_dimension(series):

@@ -158,7 +158,9 @@ def test_json_roundtrip():
 
 
 def test_canonical_soundness_thousand_trials():
-    # permuted factors and renamed indices over random terms of depth <= 5
+    # renamed indices, and permuted factors of the top-level product only
+    # (nested products keep their order), over random recursion
+    # monomials, bare monomials and products of the two
     from sthirring.properties import check_canonical_stability
     rep = check_canonical_stability(random.Random(99), 1000)
     assert rep["failures"] == 0
