@@ -82,14 +82,6 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def verify_clifford(rep: GammaRep, tolerance: float) -> bool:
-    """True iff max |{gamma_i,gamma_j} - 2 delta_ij I| <= tolerance over all pairs."""
-    if tolerance < 0:
-        raise UsageError("tolerance must be nonnegative")
-    worst = clifford_defect(rep)
-    return worst <= tolerance
-
-
 def clifford_defect(rep: GammaRep) -> float:
     """Max-norm of the anticommutation-relation residual, brute force over pairs."""
     worst = 0.0
@@ -98,14 +90,6 @@ def clifford_defect(rep: GammaRep) -> float:
             target = 2.0 * rep.identity if i == j else np.zeros_like(rep.identity)
             worst = max(worst, float(np.max(np.abs(anticommutator(gi, gj) - target))))
     return worst
-
-
-def contract_index(rep: GammaRep) -> np.ndarray:
-    """Sum_mu gamma^mu gamma_mu; equals d * I in the Euclidean signature."""
-    out = np.zeros_like(rep.identity)
-    for g in rep.gammas:
-        out = out + g @ g
-    return out
 
 
 def rep_to_json(rep: GammaRep) -> dict:

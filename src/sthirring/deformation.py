@@ -33,7 +33,9 @@ H_k is read off the order-k defect of the renormalized equation; that
 same sum, less H_k's insertion on F_0, is kept as H_k's residual.  So a
 zero residual mostly checks the strip-and-graft round trip.  The content
 is that every defect diagram has operator form (InvariantError
-otherwise), that H_k is even, and that H_1 = Ctilde.
+otherwise), that H_k is even, and that H_1 = Ctilde.  Each tag names one
+fixed extension of its coincident kernel; the renormalization freedom to
+shift that choice is not represented.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .perturbation import COSPINOR, SPINOR, PerturbativeSeries
 from .terms import (
     GPSI, PHI, PHIBAR,
     Conv, Const, Gamma, Leaf, Prod, Term, TermSum, Unit,
-    canonical_key, canonicalize, grading,
+    canonicalize, grading,
 )
 
 CTILDE = "Ctilde"
@@ -211,18 +213,16 @@ def contractions(t: Term, size: int | None = None):
         yield _diagram_for_matching(t, template, leaves, matching)
 
 
-def _canonical_terms(x: Term | TermSum) -> list[Term]:
-    """The terms of a sum, or a single term that must already be canonical."""
-    if isinstance(x, TermSum):
-        return x.terms()
-    if canonicalize(x).node != x.node:
-        raise InvariantError("gamma_Q requires canonicalized input")
-    return [x]
-
-
 def gamma_Q(x: Term | TermSum) -> DeformedSum:
-    """Local deformation: sum over all partial leaf pairings of each term."""
-    return DeformedSum((d for t in _canonical_terms(x) for d in contractions(t)),
+    """Local deformation: sum over all partial leaf pairings of each term
+    of a sum, or of a single term that must already be canonical."""
+    if isinstance(x, TermSum):
+        terms = x.terms()
+    elif canonicalize(x).node != x.node:
+        raise InvariantError("gamma_Q requires canonicalized input")
+    else:
+        terms = [x]
+    return DeformedSum((d for t in terms for d in contractions(t)),
                        origin="gamma_Q")
 
 
@@ -272,54 +272,8 @@ def bullet_cross(da: Diagram, db: Diagram) -> list[Diagram]:
 
 
 # --------------------------------------------------------------------------
-# renormalization freedom
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RenormalizationShift:
-    """Additive redefinition of one extension choice.
-
-    Two admissible deformation maps differ by grading-indexed linear maps;
-    the (j, j_bar) map annihilates every module of polynomial degree
-    (r, r_bar) with r <= j+1 or r_bar <= j_bar+1.  A shift is recorded as a
-    fresh named constant, never evaluated.
-    """
-
-    target: str      # counterterm id being shifted (e.g. Ctilde)
-    j: int
-    j_bar: int
-    label: str       # fresh symbol for the shifted extension
-
-    def vanishes_on(self, r: int, r_bar: int) -> bool:
-        return r <= self.j + 1 or r_bar <= self.j_bar + 1
-
-
-def shifted_gamma_Q(x: Term | TermSum, shift: RenormalizationShift) -> DeformedSum:
-    """Deformation by the shifted map: on terms where the shift does not
-    vanish, every tagged loop named `shift.target` additionally contributes
-    a diagram retagged with the shift label."""
-    ds = DeformedSum(origin=f"gamma_Q+{shift.label}")
-    for t in _canonical_terms(x):
-        g = grading(t)
-        shifted = not shift.vanishes_on(g.r, g.r_bar)
-        for d in contractions(t):
-            ds.add(d)
-            for ch, p in iter_children(d) if shifted else ():
-                if ch == ("ctloop", shift.target):
-                    ds.add(replace_at(d, p, ("ctloop", shift.label)))
-    return ds
-
-
-# --------------------------------------------------------------------------
 # expectation values and two-point functions
 # --------------------------------------------------------------------------
-
-def expectation(series: PerturbativeSeries, k: int,
-                branch: str = SPINOR) -> DeformedSum:
-    """Deformed coefficient at the zero configuration; empty by leaf parity."""
-    ds, _ = expectation_report(series, k, branch)
-    return ds
-
 
 def expectation_report(series: PerturbativeSeries, k: int,
                        branch: str = SPINOR) -> tuple[DeformedSum, int]:
@@ -372,29 +326,6 @@ class CountertermOperator:
     def is_even(self) -> bool:
         """Even polynomial field degree: all odd derivatives vanish at zero."""
         return all(len(free_leaves(d)) % 2 == 0 for d in self.ops)
-
-    def as_term(self) -> Term:
-        """Multiplication-operator form, available when no propagator or
-        free leaf remains (e.g. H_1 = Ctilde)."""
-        total = None
-        for d in self.ops:
-            kinds = sorted(ch[0] for ch, _ in iter_children(d))
-            names = [ch[1] for ch, _ in iter_children(d) if ch[0] in ("ctloop", "const")]
-            if any(k in ("free", "pair", "qloop", "conv") for k in kinds):
-                raise InvariantError("operator is not a pointwise multiplication")
-            if len(names) != 1:
-                raise InvariantError("composite multiplication operator")
-            t = Term(d.coeff, Const(names[0], self.order, 0, 1))
-            total = t if total is None else _term_add(total, t)
-        if total is None:
-            raise InvariantError("empty operator")
-        return total
-
-
-def _term_add(a: Term, b: Term) -> Term:
-    if canonical_key(a) != canonical_key(b):
-        raise InvariantError("operator is a sum of distinct terms")
-    return Term(a.coeff + b.coeff, a.node)
 
 
 def _argport(op_diag: Diagram) -> tuple[str, tuple]:

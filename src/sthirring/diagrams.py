@@ -82,11 +82,6 @@ def free_leaves(diag: Diagram) -> list:
     return frees
 
 
-def counterterm_tags(diag: Diagram) -> list:
-    return sorted(ch[1] for ch, _ in iter_children(diag)
-                  if ch[0] in ("ctloop", "const"))
-
-
 def replace_at(diag: Diagram, path: tuple, repl) -> Diagram:
     """Replace the child at path; repl is a child tuple, a list of children
     to splice in, or None to delete."""
@@ -299,10 +294,6 @@ def canonicalize(diag: Diagram) -> Diagram:
                    diag.coeff)
 
 
-def canonical_key(diag: Diagram) -> str:
-    return _serialize(canonicalize(diag).slots, {})
-
-
 # --------------------------------------------------------------------------
 # sums of diagrams
 # --------------------------------------------------------------------------
@@ -456,34 +447,9 @@ def _skeleton_json(slots):
     return [enc(body) for body in slots]
 
 
-def _skeleton_from_json(data):
-    def dec(children):
-        out = []
-        for ch in children:
-            if ch[0] == "conv":
-                out.append(("conv", ch[1], dec(ch[2])))
-            elif ch[0] == "pair":
-                out.append(("pair", int(ch[1]), ch[2], ch[3]))
-            else:
-                out.append(tuple(ch))
-        return tuple(out)
-
-    return tuple(dec(body) for body in data)
-
-
-def diagram_from_json(d: dict) -> Diagram:
-    num, den = d["coefficient"]
-    return Diagram(_skeleton_from_json(d["skeleton"]), Fraction(num, den))
-
-
 def deformedsum_to_json(ds: DeformedSum) -> dict:
     return {
         "origin": ds.origin,
         "order": ds.order,
         "diagrams": [diagram_to_json(d) for d in ds.diagrams()],
     }
-
-
-def deformedsum_from_json(d: dict) -> DeformedSum:
-    return DeformedSum((diagram_from_json(x) for x in d["diagrams"]),
-                       origin=d.get("origin", ""), order=d.get("order"))

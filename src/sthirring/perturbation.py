@@ -24,7 +24,7 @@ from .errors import InvariantError, UsageError
 from .terms import (
     GPSI, GPSIBAR, UP, DOWN,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
-    grading, max_index, mirror, phi, phibar, rename_indices,
+    grading, max_index, phi, phibar, rename_indices,
     sole_free_index,
 )
 
@@ -110,10 +110,6 @@ def expand(K: int) -> PerturbativeSeries:
     return s
 
 
-def monomial_count(series: PerturbativeSeries, k: int, branch: str = SPINOR) -> int:
-    return len(series.coefficient(k, branch))
-
-
 def field_counts(series: PerturbativeSeries, k: int, branch: str = SPINOR) -> tuple[int, int]:
     """Leaf counts (spinors, cospinors), verified on every monomial."""
     want = (k + 1, k) if branch == SPINOR else (k, k + 1)
@@ -153,8 +149,3 @@ def graph_statistics(series: PerturbativeSeries, k: int, branch: str = SPINOR) -
             raise InvariantError(
                 f"order {k} monomial has graph statistics {got}, expected {want}")
     return want
-
-
-def mirror_branch(series: PerturbativeSeries, k: int) -> TermSum:
-    """The spinor coefficient under the Phi<->PhiBar, G<->G* swap."""
-    return series.coefficient(k, SPINOR).map(mirror)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .deformation import contractions
-from .diagrams import DeformedSum, Diagram, free_leaves, graph_counts
+from .diagrams import Diagram, free_leaves, graph_counts
 from .errors import InvariantError, UsageError
 from .perturbation import SPINOR, PerturbativeSeries
 from .terms import grading
@@ -70,10 +70,10 @@ def verdict_for(rho: Fraction) -> str:
     return REGULAR if rho < 0 else DIVERGENT
 
 
-def divergence_degree(graph: Diagram, d: int, order: int | None = None) -> DivergenceReport:
-    """Direct power counting of one maximally contracted admissible graph."""
-    if d < 1:
-        raise UsageError("dimension must be >= 1")
+def divergence_degree(graph: Diagram, d: int) -> DivergenceReport:
+    """Direct power counting of one maximally contracted admissible graph;
+    its order k is read off N = 2k+1."""
+    sd_edge = sd_propagator(d)
     if len(graph.slots) != 1:
         raise UsageError("admissible graphs are single-slot")
     counts = graph_counts(graph)
@@ -82,22 +82,17 @@ def divergence_degree(graph: Diagram, d: int, order: int | None = None) -> Diver
     if counts["const_insertions"]:
         raise UsageError("operator insertions are not admissible graph data")
     n, l = counts["N"], counts["L"]
-    sd = l * (d - 1)
+    sd = l * sd_edge
     codim = (n - 1) * d
     rho = Fraction(sd - codim)
-    k = order if order is not None else (n - 1) // 2
-    return DivergenceReport(k, d, n, l, sd, codim, rho, verdict_for(rho))
+    return DivergenceReport((n - 1) // 2, d, n, l, sd, codim, rho,
+                            verdict_for(rho))
 
 
 def divergence_closed_form(k: int, d: int) -> Fraction:
     """rho(k, d) from N = 2k+1, L = 3k+1."""
     n = 2 * k + 1
     return Fraction((d - 3) * n, 2) + Fraction(d + 1, 2)
-
-
-def subcritical(d: int) -> bool:
-    """Finitely many divergent graphs: the N-coefficient of rho is negative."""
-    return Fraction(d - 3, 2) < 0
 
 
 def maximal_contractions(series: PerturbativeSeries, k: int,
@@ -126,7 +121,7 @@ def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceRepor
     for k in range(K + 1):
         graphs = maximal_contractions(series, k)
         first = next(graphs)
-        rep = divergence_degree(first, d, order=k)  # refuses a constant
+        rep = divergence_degree(first, d)  # refuses a constant
         seen = {(rep.vertices, rep.edges, len(free_leaves(first)), 0)}
         n_graphs = 1
         for g in graphs:
@@ -142,12 +137,3 @@ def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceRepor
                 f"order {k} graph rho {rep.rho} != closed form {want}")
         reports.append(replace(rep, n_graphs=n_graphs))
     return reports
-
-
-def distinct_maximal_graphs(series: PerturbativeSeries, k: int,
-                            branch: str = SPINOR) -> DeformedSum:
-    """Canonically merged maximal diagrams (slower; for inspection/export)."""
-    ds = DeformedSum(origin=f"maximal[{branch}]", order=k)
-    for g in maximal_contractions(series, k, branch):
-        ds.add(g)
-    return ds

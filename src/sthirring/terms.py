@@ -205,19 +205,6 @@ def sole_free_index(node: Node, pol: int) -> int:
     return slots[0]
 
 
-def external_rank(node: Node) -> tuple[int, int]:
-    """(free upper spinor indices, free lower spinor indices)."""
-    up = down = 0
-    for pol, kind in free_indices(node).values():
-        if kind != "spinor":
-            continue
-        if pol == UP:
-            up += 1
-        else:
-            down += 1
-    return up, down
-
-
 def max_index(node: Node) -> int:
     return max((idx for idx, _, _ in index_occurrences(node)), default=-1)
 
@@ -320,26 +307,6 @@ def convolve(kind: str, t: Term) -> Term:
     slot = sole_free_index(t.node, UP if kind == GPSI else DOWN)
     out = max_index(t.node) + 1
     return Term(t.coeff, Conv(kind, out, slot, t.node))
-
-
-def mirror(t: Term) -> Term:
-    """Phi <-> PhiBar, G_psi <-> G_psibar; relates the two solution branches."""
-
-    def go(node):
-        if isinstance(node, Leaf):
-            return Leaf(PHI if node.species == PHIBAR else PHIBAR, node.index)
-        if isinstance(node, Gamma):
-            return Gamma(node.mu, node.col, node.row)
-        if isinstance(node, Const):
-            return Const(node.name, node.order, node.col, node.row)
-        if isinstance(node, Conv):
-            return Conv(GPSI if node.kind == GPSIBAR else GPSIBAR,
-                        node.out_index, node.in_index, go(node.inner))
-        if isinstance(node, Prod):
-            return Prod(tuple(go(c) for c in node.children))
-        return node
-
-    return Term(t.coeff, go(t.node))
 
 
 # --------------------------------------------------------------------------
@@ -517,9 +484,6 @@ class TermSum(KeyedSum):
 
     terms = KeyedSum.entries
 
-    def map(self, fn) -> "TermSum":
-        return TermSum(fn(t) for t in self.terms())
-
 
 # --------------------------------------------------------------------------
 # TeX and JSON
@@ -581,32 +545,9 @@ def node_to_json(node: Node) -> dict:
     raise TypeError(node)  # pragma: no cover
 
 
-def node_from_json(d: dict) -> Node:
-    k = d["kind"]
-    if k == "unit":
-        return Unit()
-    if k == "leaf":
-        return Leaf(d["species"], int(d["index"]))
-    if k == "gamma":
-        return Gamma(int(d["mu"]), int(d["row"]), int(d["col"]))
-    if k == "const":
-        return Const(d["name"], d["order"], int(d["row"]), int(d["col"]))
-    if k == "conv":
-        return Conv(d["propagator"], int(d["out"]), int(d["in"]),
-                    node_from_json(d["inner"]))
-    if k == "prod":
-        return Prod(tuple(node_from_json(c) for c in d["children"]))
-    raise InvariantError(f"unknown node kind {k!r}")
-
-
 def term_to_json(t: Term) -> dict:
     return {"coefficient": [t.coeff.numerator, t.coeff.denominator],
             "node": node_to_json(t.node)}
-
-
-def term_from_json(d: dict) -> Term:
-    num, den = d["coefficient"]
-    return Term(Fraction(num, den), node_from_json(d["node"]))
 
 
 def termsum_to_json(s: TermSum) -> list:

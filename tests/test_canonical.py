@@ -26,9 +26,11 @@ from sthirring import diagrams
 from sthirring.deformation import (
     bullet_cross, contractions, extract_counterterms, gamma_Q,
 )
-from sthirring.diagrams import DeformedSum, canonical_key, canonicalize
+from sthirring.diagrams import DeformedSum, canonicalize
 from sthirring.perturbation import COSPINOR, SPINOR, expand
 from sthirring.properties import random_term
+
+from helpers import canonical_key
 
 NODE_MATCH = categorical_node_match("label", None)
 EDGE_MATCH = categorical_multiedge_match("label", None)

@@ -6,6 +6,9 @@ import sys
 import pytest
 
 from sthirring.cli import main
+from sthirring.perturbation import expand
+
+from helpers import term_from_json
 
 
 def run_cli(*argv):
@@ -26,13 +29,13 @@ def test_expand_tex_lists_f2_monomials():
 
 
 def test_expand_json_roundtrips():
-    from sthirring.terms import term_from_json
-    rc, out = run_cli("expand", "--order", "2", "--format", "json")
+    rc, out = run_cli("expand", "--order", "4", "--format", "json")
     assert rc == 0
     data = json.loads(out)
-    assert len(data["monomials"]) == 3
-    for td in data["monomials"]:
-        term_from_json(td)  # lossless decode
+    assert len(data["monomials"]) == 55
+    # lossless: the decoded terms are the coefficient's, node for node, in order
+    assert [term_from_json(td) for td in data["monomials"]] == \
+        expand(4).coefficient(4).terms()
 
 
 def test_expect_prints_zero():

@@ -5,13 +5,12 @@ import pytest
 from sthirring.deformation import (
     CountertermOperator, _argport,
     _pointwise_cubic, apply_operator, brute_force_contractions, bullet_cross,
-    contraction_count, expectation, expectation_report, extract_counterterms,
+    contraction_count, expectation_report, extract_counterterms,
     gamma_Q, gamma_Q_convolved, partial_matchings, term_census, two_point,
 )
 from sthirring.diagrams import (
-    DeformedSum, Diagram, canonical_key, convolved, deformedsum_from_json,
-    deformedsum_to_json, diagram_from_json, diagram_to_json, free_leaves,
-    graph_counts, iter_children, to_dot, to_graph,
+    DeformedSum, Diagram, convolved, deformedsum_to_json, diagram_to_json,
+    free_leaves, graph_counts, iter_children, to_dot, to_graph,
 )
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import COSPINOR, SPINOR, expand
@@ -19,8 +18,10 @@ from sthirring.properties import run_all
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
-    canonical_key as term_key, canonicalize, convolve, phi, phibar, product,
+    canonicalize, convolve, phi, phibar, product,
 )
+
+from helpers import canonical_key, deformedsum_from_json, diagram_from_json
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +148,6 @@ def test_expectation_vanishes(series):
         ds, examined = expectation_report(series, k)
         assert ds.is_zero()
         assert examined > 0
-        assert expectation(series, k).is_zero()
 
 
 def test_two_point_order_zero(series):
@@ -200,12 +200,7 @@ def test_bullet_cross_has_no_diagonal_markers(series):
 
 def test_h1_is_ctilde(series):
     H = extract_counterterms(series, 1)
-    h1 = H[1]
-    assert len(h1.ops) == 1
-    term = h1.as_term()
-    assert term.coeff == 1
-    from sthirring.terms import Const
-    assert term_key(term) == term_key(Term(1, Const("Ctilde", 1, 0, 1)))
+    assert H[1].ops == DeformedSum([D((("argport", PHI), ("ctloop", "Ctilde")))])
 
 
 def test_counterterm_operators_even_through_order_2(series):
@@ -284,24 +279,6 @@ def test_dot_export_mentions_edge_types(series):
 def test_randomized_property_suite():
     rep = run_all(seed=123, trials=12)
     assert rep["failures"] == 0
-
-
-def test_renormalization_shift_grading_constraint(series):
-    from sthirring.deformation import RenormalizationShift, shifted_gamma_Q
-    shift = RenormalizationShift("Ctilde", 1, 0, "Ctilde_prime")
-    # F_1 lies in degree (2, 1): r <= j+1 = 2, so the shift vanishes there
-    assert shift.vanishes_on(2, 1)
-    same = shifted_gamma_Q(series.coefficient(1, SPINOR), shift)
-    assert same == gamma_Q(series.coefficient(1, SPINOR))
-    # degree (3, 2) coefficients are shifted: retagged variants appear
-    low = RenormalizationShift("Ctilde", 0, 0, "Ctilde_prime")
-    assert not low.vanishes_on(3, 2)
-    shifted = shifted_gamma_Q(series.coefficient(2, SPINOR), low)
-    base = gamma_Q(series.coefficient(2, SPINOR))
-    assert len(shifted) > len(base)
-    labels = {ch[1] for d in shifted for ch, _ in iter_children(d)
-              if ch[0] == "ctloop"}
-    assert "Ctilde_prime" in labels
 
 
 def test_expectation_vanishes_cospinor_branch(series):

@@ -1,6 +1,9 @@
-"""Module boundaries of the package: what one module may take from another."""
+"""Module boundaries of the package: what one module may take from another,
+and that no public name is kept for the tests alone."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import sthirring
@@ -17,3 +20,44 @@ def test_no_module_imports_a_private_name_from_another():
                           for a in node.names if a.name.startswith("_")]
     assert found == []
     assert len(list(package.glob("*.py"))) > 5  # the scan saw the package
+
+
+def _public_definitions(tree):
+    """(name, node) of each public module-level function, class and
+    constant, and of each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((m.name, m) for m in node.body
+                            if isinstance(m, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def _name_counts(node):
+    """How often each name is read as an ast.Name or ast.Attribute in node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public name in a module must be used somewhere else in the package
+    (outside its own definition) or named by the benchmark harness; code
+    that only tests reach belongs in the tests."""
+    package = Path(sthirring.__file__).parent
+    harness = "\n".join(p.read_text() for p in
+                        sorted((package.parents[1] / "perfbench").glob("*.py")))
+    trees = {p: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    everywhere = sum(map(_name_counts, trees.values()), Counter())
+    unused = [f"{path.stem}.{name}"
+              for path, tree in trees.items() if path.name != "__init__.py"
+              for name, node in _public_definitions(tree)
+              if not name.startswith("_")
+              and everywhere[name] == _name_counts(node)[name]
+              and not re.search(rf"\b{name}\b", harness)]
+    assert unused == []
+    assert len(trees) > 5 and harness  # the scan saw the package and harness

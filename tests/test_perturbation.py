@@ -2,13 +2,14 @@ import pytest
 
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import (
-    COSPINOR, SPINOR, expand, field_counts, graph_statistics, mirror_branch, monomial_count,
-    vertex_term,
+    COSPINOR, SPINOR, expand, field_counts, graph_statistics, vertex_term,
 )
 from sthirring.terms import (
     GPSI, GPSIBAR, Conv, Gamma, Leaf, PHI, PHIBAR, Prod, Term,
-    TermSum, canonical_key, canonicalize, grading, mirror, phi, phibar,
+    TermSum, canonical_key, canonicalize, grading, phi, phibar,
 )
+
+from helpers import mirror
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def test_f2_matches_the_three_hand_encoded_summands(series):
 
 
 def test_monomial_counts(series):
-    assert [monomial_count(series, k) for k in range(5)] == [1, 1, 3, 12, 55]
+    assert [len(series.coefficient(k)) for k in range(5)] == [1, 1, 3, 12, 55]
 
 
 def test_field_counts(series):
@@ -75,9 +76,23 @@ def test_parity_odd_total_degree(series):
             assert (g.r + g.r_bar) % 2 == 1
 
 
+def _mirrored_spinor_branch(series, k):
+    return TermSum(mirror(t) for t in series.coefficient(k, SPINOR))
+
+
 def test_mirror_symmetry(series):
     for k in range(5):
-        assert mirror_branch(series, k) == series.coefficient(k, COSPINOR)
+        assert _mirrored_spinor_branch(series, k) == \
+            series.coefficient(k, COSPINOR)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5: mirror leaves nested products out of canonical order, "
+    "which terms.canonicalize requires; 4 of the 273 order-5 monomials get "
+    "another representative than the cospinor recursion's"))
+def test_mirror_symmetry_at_order_5():
+    s = expand(5)
+    assert _mirrored_spinor_branch(s, 5) == s.coefficient(5, COSPINOR)
 
 
 def test_outermost_node_is_convolution(series):

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from sthirring.diagrams import Diagram, graph_counts
+from sthirring.diagrams import DeformedSum, Diagram, graph_counts
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import expand
 from sthirring.power_counting import (
     DIVERGENT, REGULAR, classify, divergence_closed_form,
-    divergence_degree, distinct_maximal_graphs, maximal_contractions,
-    sd_propagator, subcritical,
+    divergence_degree, maximal_contractions, sd_propagator,
 )
 from sthirring.terms import PHI, PHIBAR
 
@@ -57,8 +56,8 @@ def test_direct_equals_closed_form_all_graphs(series):
     for k in range(4):
         for g in maximal_contractions(series, k):
             for d in (1, 2, 3, 4):
-                assert divergence_degree(g, d, order=k).rho == \
-                    divergence_closed_form(k, d)
+                r = divergence_degree(g, d)
+                assert (r.order, r.rho) == (k, divergence_closed_form(k, d))
 
 
 def test_counting_lemmas_on_generated_graphs(series):
@@ -120,23 +119,21 @@ def test_monotone_in_dimension(series):
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_subcriticality_predicate():
-    assert subcritical(1) and subcritical(2)
-    assert not subcritical(3) and not subcritical(4)
-
-
 def test_non_admissible_graph_rejected():
     free2 = Diagram(((("free", PHI), ("free", PHI), ("free", PHIBAR)),),
                     Fraction(1))
     with pytest.raises(UsageError):
         divergence_degree(free2, 2)
+    # the dimension is checked first, with sd_propagator's message
+    with pytest.raises(UsageError, match="dimension must be >= 1"):
+        divergence_degree(free2, 0)
     op = Diagram(((("const", "Ctilde"), ("free", PHI)),), Fraction(1))
     with pytest.raises(UsageError):
         divergence_degree(op, 2)
 
 
 def test_distinct_graph_merging(series):
-    ds = distinct_maximal_graphs(series, 1)
+    ds = DeformedSum(maximal_contractions(series, 1))
     # the two maximal contractions of the order-1 vertex are isomorphic
     assert len(ds) == 1
     assert ds.diagrams()[0].coeff == 1  # two tagged pairings at weight 1/2

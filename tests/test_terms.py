@@ -6,12 +6,13 @@ import pytest
 
 from sthirring.errors import InvariantError
 from sthirring.terms import (
-    GPSI, GPSIBAR, PHI, PHIBAR, ZERO,
+    DOWN, GPSI, GPSIBAR, PHI, PHIBAR, ZERO,
     Conv, Gamma, Leaf, Prod, Term, TermSum, Unit,
-    canonical_key, canonicalize, convolve, external_rank, grading,
-    node_from_json, node_to_json, phi, phibar, product, term_from_json,
-    term_to_json, to_tex,
+    canonical_key, canonicalize, convolve, free_indices, grading,
+    node_to_json, phi, phibar, product, term_to_json, to_tex,
 )
+
+from helpers import node_from_json, term_from_json
 
 
 def bilinear(i0=0, mu=1, i1=2):
@@ -53,7 +54,8 @@ def test_convolve_grading_and_rank():
     t = convolve(GPSIBAR, phibar(0))
     g = grading(t)
     assert (g.r, g.r_bar, g.l, g.l_bar) == (0, 1, 0, 1)
-    assert external_rank(t.node) == (0, 1)
+    # cospinor rank: one free lower spinor index, the propagator's output
+    assert free_indices(t.node) == {t.node.out_index: (DOWN, "spinor")}
 
 
 def test_convolve_rank_mismatch():
