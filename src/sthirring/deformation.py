@@ -1,10 +1,7 @@
 """Noise-encoding deformation maps as contraction combinatorics.
 
 The local map acts on a canonical term by summing over all injective
-partial pairings of Phi leaves with PhiBar leaves.  `contractions` is the
-one enumerator of those pairings: the local map, expectation values, the
-maximal graphs of power counting and the DOT export all take their
-unmerged diagrams from it.  A pairing between
+partial pairings of Phi leaves with PhiBar leaves.  A pairing between
 leaves at distinct vertices inserts a covariance edge: Q when the Phi
 factor stands to the left of the PhiBar factor, Q_tilde (which carries the
 sign of its kernel) for the opposite orientation.  A pairing between two
@@ -12,6 +9,20 @@ leaves of the same pointwise vertex is a coincident-point product: if the
 pair is wired through the vertex's gamma insertions the ill-defined kernel
 is replaced by a named counterterm tag, otherwise the diagonal kernel is
 kept as an explicit Q/Q_tilde loop with a DeltaDiag marker.
+
+`contractions` enumerates every pairing as an unmerged diagram;
+expectation values, the maximal graphs of power counting and the DOT
+export take theirs from it.  The local map `gamma_Q` deforms one pairing
+per orbit of the leaf permutations that stay inside a run (leaves of one
+species at one vertex, adjacent in the canonical tree), scaled by the
+orbit size (`orbit_matchings`).  In a canonical term the Phi leaves of a
+vertex are adjacent siblings, and so are its PhiBar leaves, since the
+children of a product are sorted by shape.  Such a permutation therefore
+keeps which end of every pair comes first, and with it the Q/Q_tilde
+label, the vertex, the tag and the 1/2 weight.  The diagrams of one orbit
+differ only in sibling order, which canonicalization forgets.  Swapping
+identical convolved subtrees would flip Q and Q_tilde, so those stay
+apart.
 
 Counterterm naming follows the branch structure of the cubic vertex: a
 vertex whose factors carry a majority of spinor lines tags as Ctilde, a
@@ -159,6 +170,72 @@ def brute_force_contractions(r: int, r_bar: int, k: int) -> int:
                if len(m) == k)
 
 
+def leaf_runs(leaves, species):
+    """The positions of a census's `species` leaves, in maximal runs of
+    leaves adjacent in `pos` order that share that species and a vertex."""
+    runs: list = []
+    prev = None
+    for l in leaves:
+        here = (l.species, l.vertex)
+        if l.species == species:
+            if here == prev:
+                runs[-1].append(l.pos)
+            else:
+                runs.append([l.pos])
+        prev = here
+    return runs
+
+
+def orbit_matchings(phi_runs, bar_runs):
+    """(matching, orbit size): one partial matching per orbit of the leaf
+    permutations that stay inside a run.
+
+    An orbit is fixed by its table n[u][w], the number of pairs between
+    Phi run u and PhiBar run w.  The representative pairs the leaves of
+    each run in `pos` order, and the orbit has
+    prod_u r_u!/((r_u - row_u)! prod_w n_uw!) * prod_w rb_w!/(rb_w - col_w)!
+    members (which leaves of run u pair into each column, times the
+    injections of each column's Phi leaves into run w)."""
+    cells = [(u, w) for u in range(len(phi_runs)) for w in range(len(bar_runs))]
+    row_left = [len(r) for r in phi_runs]
+    col_left = [len(r) for r in bar_runs]
+    table = [0] * len(cells)
+    full = 1
+    for r in phi_runs + bar_runs:
+        full *= factorial(len(r))
+
+    def build():
+        matching = []
+        taken_u = [0] * len(phi_runs)
+        taken_w = [0] * len(bar_runs)
+        drop = 1
+        for (u, w), n in zip(cells, table):
+            if n:
+                pu, pw = taken_u[u], taken_w[w]
+                matching += zip(phi_runs[u][pu:pu + n], bar_runs[w][pw:pw + n])
+                taken_u[u], taken_w[w] = pu + n, pw + n
+                drop *= factorial(n)
+        for left in row_left + col_left:
+            drop *= factorial(left)
+        return tuple(matching), full // drop
+
+    def fill(i):
+        if i == len(cells):
+            yield build()
+            return
+        u, w = cells[i]
+        for n in range(min(row_left[u], col_left[w]) + 1):
+            table[i] = n
+            row_left[u] -= n
+            col_left[w] -= n
+            yield from fill(i + 1)
+            row_left[u] += n
+            col_left[w] += n
+        table[i] = 0
+
+    yield from fill(0)
+
+
 # --------------------------------------------------------------------------
 # the local deformation map
 # --------------------------------------------------------------------------
@@ -203,7 +280,9 @@ def _diagram_for_matching(t, template, leaves, matching):
 def contractions(t: Term, size: int | None = None):
     """The unmerged Diagram of every pairing of a canonical term's Phi
     leaves with its PhiBar leaves: every partial pairing, by size, or the
-    pairings of exactly `size` pairs."""
+    pairings of exactly `size` pairs.  Power counting, the DOT export and
+    the oracles of `gamma_Q` need each pairing; `gamma_Q` takes one per
+    orbit instead."""
     template, leaves = term_census(t)
     phis = [l.pos for l in leaves if l.species == PHI]
     bars = [l.pos for l in leaves if l.species == PHIBAR]
@@ -211,6 +290,15 @@ def contractions(t: Term, size: int | None = None):
                  else matchings_of_size(phis, bars, size))
     for matching in matchings:
         yield _diagram_for_matching(t, template, leaves, matching)
+
+
+def _orbit_contractions(t: Term):
+    """One Diagram per orbit of a canonical term's partial pairings under
+    the leaf permutations inside each run, scaled by the orbit size."""
+    template, leaves = term_census(t)
+    runs = leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
+    for matching, size in orbit_matchings(*runs):
+        yield _diagram_for_matching(t, template, leaves, matching).scaled(size)
 
 
 def gamma_Q(x: Term | TermSum) -> DeformedSum:
@@ -222,7 +310,7 @@ def gamma_Q(x: Term | TermSum) -> DeformedSum:
         raise InvariantError("gamma_Q requires canonicalized input")
     else:
         terms = [x]
-    return DeformedSum((d for t in terms for d in contractions(t)),
+    return DeformedSum((d for t in terms for d in _orbit_contractions(t)),
                        origin="gamma_Q")
 
 

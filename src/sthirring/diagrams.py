@@ -318,8 +318,12 @@ class DeformedSum(KeyedSum):
         return _serialize(slots, {})
 
     def extend(self, other: "DeformedSum", scale=1) -> None:
-        for d in other.diagrams():
-            self.add(d.scaled(scale))
+        """Add scale * other.  Every entry of other is already canonical
+        under its key, so none is canonicalized again."""
+        if scale == 0:
+            return
+        for key, d in list(other._data.items()):
+            self._merge(key, d.scaled(scale))
 
     diagrams = KeyedSum.entries
 

@@ -204,9 +204,14 @@ def _recorded_adds(monkeypatch, fn):
 
 
 def _residual_and_operator_inputs(monkeypatch):
-    """The raw diagrams of H_1..H_3 and of their residuals."""
+    """The raw diagrams of H_1..H_3 and of their residuals, and every raw
+    contraction of the F_0..F_3 monomials they are built from (gamma_Q
+    hands only one pairing per orbit to DeformedSum.add)."""
     series = expand(3)
-    return _recorded_adds(monkeypatch, lambda: extract_counterterms(series, 3))
+    out = [d for branch in (SPINOR, COSPINOR) for k in range(4)
+           for t in series.coefficient(k, branch) for d in contractions(t)]
+    return out + _recorded_adds(monkeypatch,
+                                lambda: extract_counterterms(series, 3))
 
 
 def _random_term_inputs(seeds=range(8), draws=4, per_term=200):

@@ -264,6 +264,8 @@ GOLDEN = {
         "527846394fd6bddcf9c4f0893c7e8a70f9b660a2edbcdd144946eb7c9dcbec24",
     "gamma-check --seed 3 --trials 2 --export-rep 2":
         "20d8c6113bfb16ef670ef1e3a9daf38e8699ee3f872d72ad8a17b94a6ec4a296",
+    "gamma-check --seed 3 --trials 5":
+        "8b1f810d87fad45f2ee183278e986089a59edd458e9de03939e846ab7acee2e6",
     "power-count --dim 2 --max-order 3":
         "481857edf786fb208c84848d69691e3f8c1183e4849e0ef5ee25553d0b9f062b",
     "expand --order 3 --format dot":

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,20 +7,22 @@ import pytest
 from sthirring.deformation import (
     CountertermOperator, _argport,
     _pointwise_cubic, apply_operator, brute_force_contractions, bullet_cross,
-    contraction_count, expectation_report, extract_counterterms,
-    gamma_Q, gamma_Q_convolved, partial_matchings, term_census, two_point,
+    contraction_count, contractions, expectation_report, extract_counterterms,
+    gamma_Q, gamma_Q_convolved, leaf_runs, orbit_matchings, partial_matchings,
+    term_census, two_point,
 )
 from sthirring.diagrams import (
-    DeformedSum, Diagram, convolved, deformedsum_to_json, diagram_to_json,
-    free_leaves, graph_counts, iter_children, to_dot, to_graph,
+    DeformedSum, Diagram, canonicalize as canonicalize_diagram, convolved,
+    deformedsum_to_json, diagram_to_json, free_leaves, graph_counts,
+    iter_children, to_dot, to_graph,
 )
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import COSPINOR, SPINOR, expand
-from sthirring.properties import run_all
+from sthirring.properties import random_term, run_all
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
-    canonicalize, convolve, phi, phibar, product,
+    canonicalize, convolve, grading, phi, phibar, product,
 )
 
 from helpers import canonical_key, deformedsum_from_json, diagram_from_json
@@ -422,3 +426,119 @@ def test_linearity_check_deforms_independently(monkeypatch):
     assert properties.check_linearity(random.Random(5), 2)["failures"] == 0
     assert len(calls) == 6
     assert len({id(x) for x in calls}) == 6
+
+
+# --------------------------------------------------------------------------
+# one deformation per orbit
+# --------------------------------------------------------------------------
+
+def _bare(r, rb):
+    kids = tuple([Leaf(PHI, i) for i in range(r)] +
+                 [Leaf(PHIBAR, r + i) for i in range(rb)])
+    return canonicalize(Term(1, kids[0] if len(kids) == 1 else Prod(kids)))
+
+
+def _orbit_oracle_terms(series):
+    """Every monomial of F_0..F_4 on both branches, random_term draws over
+    60 seeds, and the bare monomials Phi^r PhiBar^rb with r, rb <= 6."""
+    out = [t for branch in (SPINOR, COSPINOR) for k in range(5)
+           for t in series.coefficient(k, branch)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        out += [random_term(rng) for _ in range(2)]
+    out += [_bare(r, rb) for r in range(7) for rb in range(7) if r + rb]
+    return out
+
+
+def _runs(t):
+    _, leaves = term_census(t)
+    return leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
+
+
+def _table(matching, phi_runs, bar_runs):
+    """n[u][w] of a matching, as a sorted tuple of ((u, w), n)."""
+    run_of = {p: u for u, run in enumerate(phi_runs) for p in run}
+    run_of.update({p: w for w, run in enumerate(bar_runs) for p in run})
+    return tuple(sorted(Counter((run_of[a], run_of[b])
+                                for a, b in matching).items()))
+
+
+def test_orbit_deformation_matches_full_enumeration(series):
+    """gamma_Q deforms one pairing per orbit; the oracle canonicalizes and
+    merges every pairing that `contractions` enumerates."""
+    terms = _orbit_oracle_terms(series)
+    assert len(terms) == 2 * (1 + 1 + 3 + 12 + 55) + 120 + 48
+    for t in terms:
+        got = gamma_Q(t)
+        want = DeformedSum(contractions(t))
+        assert got == want
+        assert [d.slots for d in got] == [d.slots for d in want]
+
+
+def test_orbit_sizes_count_every_pairing(series):
+    """The orbit sizes of a term sum to its number of partial pairings, and
+    each orbit's size is the number of pairings with its run table."""
+    for t in _orbit_oracle_terms(series):
+        phi_runs, bar_runs = _runs(t)
+        g = grading(t)
+        orbits = {}
+        for matching, size in orbit_matchings(phi_runs, bar_runs):
+            table = _table(matching, phi_runs, bar_runs)
+            assert table not in orbits
+            orbits[table] = size
+        assert sum(orbits.values()) == sum(
+            contraction_count(g.r, g.r_bar, j)
+            for j in range(min(g.r, g.r_bar) + 1))
+        if sum(orbits.values()) <= 5000:
+            _, leaves = term_census(t)
+            phis = [l.pos for l in leaves if l.species == PHI]
+            bars = [l.pos for l in leaves if l.species == PHIBAR]
+            brute = Counter(_table(m, phi_runs, bar_runs)
+                            for m in partial_matchings(phis, bars))
+            assert brute == orbits
+
+
+def test_leaf_runs_group_each_vertex_in_canonical_terms(series):
+    """In a canonical term the Phi leaves of a vertex are adjacent siblings,
+    and so are its PhiBar leaves: one run per species and vertex."""
+    for branch in (SPINOR, COSPINOR):
+        for k in range(5):
+            for t in series.coefficient(k, branch):
+                _, leaves = term_census(t)
+                for species in (PHI, PHIBAR):
+                    runs = leaf_runs(leaves, species)
+                    vertices = [leaves[run[0]].vertex for run in runs]
+                    assert len(set(vertices)) == len(vertices)
+                    assert sum(map(len, runs)) == \
+                        sum(1 for l in leaves if l.species == species)
+    assert _runs(_bare(3, 2)) == ([[0, 1, 2]], [[3, 4]])
+
+
+def test_deformed_entries_are_canonical_under_their_key(series):
+    """DeformedSum.extend merges entries without canonicalizing them again;
+    that needs every entry to be its own canonical form."""
+    gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(4)}
+    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(4)}
+    sums = list(gf.values()) + list(gf_bar.values()) + \
+        [_pointwise_cubic(gf_bar, gf, k) for k in range(1, 4)]
+    checked = 0
+    for ds in sums:
+        for d in ds:
+            assert canonicalize_diagram(d).slots == d.slots
+            checked += 1
+    assert checked == 378
+
+
+def test_extend_equals_adding_each_entry(series):
+    a = gamma_Q(series.coefficient(2, SPINOR))
+    b = gamma_Q(series.coefficient(3, SPINOR))
+    for scale in (1, -1, Fraction(-2, 3), 0):
+        got = DeformedSum(a.diagrams())
+        got.extend(b, scale=scale)
+        want = DeformedSum(a.diagrams())
+        for d in b:
+            want.add(d.scaled(scale))
+        assert got == want
+    cancelled = DeformedSum(b.diagrams())
+    cancelled.extend(b, scale=-1)
+    assert cancelled.is_zero()
