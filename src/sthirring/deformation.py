@@ -10,19 +10,19 @@ pair is wired through the vertex's gamma insertions the ill-defined kernel
 is replaced by a named counterterm tag, otherwise the diagonal kernel is
 kept as an explicit Q/Q_tilde loop with a DeltaDiag marker.
 
-`contractions` enumerates every pairing as an unmerged diagram;
-expectation values, the maximal graphs of power counting and the DOT
-export take theirs from it.  The local map `gamma_Q` deforms one pairing
-per orbit of the leaf permutations that stay inside a run (leaves of one
-species at one vertex, adjacent in the canonical tree), scaled by the
-orbit size (`orbit_matchings`).  In a canonical term the Phi leaves of a
-vertex are adjacent siblings, and so are its PhiBar leaves, since the
-children of a product are sorted by shape.  Such a permutation therefore
-keeps which end of every pair comes first, and with it the Q/Q_tilde
-label, the vertex, the tag and the 1/2 weight.  The diagrams of one orbit
-differ only in sibling order, which canonicalization forgets.  Swapping
-identical convolved subtrees would flip Q and Q_tilde, so those stay
-apart.
+`contractions` enumerates every pairing as an unmerged diagram; the
+maximal graphs of power counting and the DOT export take theirs from it.
+The sums (the local map `gamma_Q`, expectation values and two-point
+functions) deform one pairing per orbit of the leaf permutations that
+stay inside a run (leaves of one species at one vertex, adjacent in the
+canonical tree), scaled by the orbit size (`orbit_matchings`).  In a
+canonical term the Phi leaves of a vertex are adjacent siblings, and so
+are its PhiBar leaves, since the children of a product are sorted by
+shape.  Such a permutation therefore keeps which end of every pair comes
+first, and with it the Q/Q_tilde label, the vertex, the tag and the 1/2
+weight.  The diagrams of one orbit differ only in sibling order, which
+canonicalization forgets.  Swapping identical convolved subtrees would
+flip Q and Q_tilde, so those stay apart.
 
 Counterterm naming follows the branch structure of the cubic vertex: a
 vertex whose factors carry a majority of spinor lines tags as Ctilde, a
@@ -32,13 +32,16 @@ cubic vertex; this normalization is what makes the first renormalized
 coefficient equal exactly Ctilde and the renormalized equation close at
 higher orders.
 
-The multilocal product deforms tensor products of already-deformed
-factors: cross contractions between the tensor slots insert Q/Q_tilde with
-no diagonal marker, and same-slot leaves are never re-contracted.
-Expectation values are evaluations at the zero field configuration, i.e.
-only fully contracted diagrams survive; an odd leaf count makes every
-such sum empty.  So only full pairings are built, and the partial ones
-are counted from each monomial's grading.
+Expectation values and two-point functions are evaluations at the zero
+field configuration, so only complete pairings survive.  They are the
+complete pairings of one census: of one monomial for an expectation, of
+a monomial pair t_a (x) t_b, one term per tensor slot, for a two-point
+function.  The slots never share a vertex, so a pair across them is
+never coincident: it carries no diagonal marker, and it is Q when its
+slot-0 end is Phi.  A census with unequal Phi and PhiBar counts (every
+F_k monomial, and every same-branch pair) has no complete pairing, and
+no orbit of it is walked; an expectation counts its partial pairings
+from each monomial's grading.
 
 H_k is read off the order-k defect of the renormalized equation; that
 same sum, less H_k's insertion on F_0, is kept as H_k's residual.  So a
@@ -54,11 +57,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .diagrams import (
     DeformedSum, Diagram, convolved, free_leaves, iter_children, max_pair_id,
-    rename_pair_ids, replace_at, tensor, vertex_join,
+    rename_pair_ids, replace_at, vertex_join,
 )
 from .errors import InvariantError, UsageError
 from .perturbation import COSPINOR, SPINOR, PerturbativeSeries
@@ -127,17 +130,19 @@ def _collect(node, path, vertex, taggable, tag, template, leaves):
         raise TypeError(node)
 
 
-def term_census(t: Term):
-    """(template, leaves) of a canonical term."""
-    template: list = []
+def term_census(*slots: Term):
+    """(templates, leaves) of canonical terms, one per tensor slot: a
+    template per slot, and one census whose vertex paths start with the
+    slot index and whose `pos` runs on across the slots."""
+    templates = []
     leaves: list = []
-    node = t.node
-    if isinstance(node, Prod):
-        has_gamma, name = _vertex_profile(node.children)
-        _collect(node, (), (), has_gamma, name, template, leaves)
-    else:
-        _collect(node, (), (), False, CTILDE, template, leaves)
-    return tuple(template), leaves
+    for s, t in enumerate(slots):
+        template: list = []
+        has_gamma, name = (_vertex_profile(t.node.children)
+                           if isinstance(t.node, Prod) else (False, CTILDE))
+        _collect(t.node, (s,), (s,), has_gamma, name, template, leaves)
+        templates.append(tuple(template))
+    return tuple(templates), leaves
 
 
 # --------------------------------------------------------------------------
@@ -186,16 +191,20 @@ def leaf_runs(leaves, species):
     return runs
 
 
-def orbit_matchings(phi_runs, bar_runs):
+def orbit_matchings(phi_runs, bar_runs, complete=False):
     """(matching, orbit size): one partial matching per orbit of the leaf
-    permutations that stay inside a run.
+    permutations that stay inside a run; with `complete`, only the
+    matchings that pair every Phi leaf.
 
     An orbit is fixed by its table n[u][w], the number of pairs between
     Phi run u and PhiBar run w.  The representative pairs the leaves of
     each run in `pos` order, and the orbit has
     prod_u r_u!/((r_u - row_u)! prod_w n_uw!) * prod_w rb_w!/(rb_w - col_w)!
     members (which leaves of run u pair into each column, times the
-    injections of each column's Phi leaves into run w)."""
+    injections of each column's Phi leaves into run w).  Tables come in
+    lexicographic order; a cell whose row or column is full holds 0 and
+    is passed over, and a complete table fills each row by its last
+    column."""
     cells = [(u, w) for u in range(len(phi_runs)) for w in range(len(bar_runs))]
     row_left = [len(r) for r in phi_runs]
     col_left = [len(r) for r in bar_runs]
@@ -220,11 +229,17 @@ def orbit_matchings(phi_runs, bar_runs):
         return tuple(matching), full // drop
 
     def fill(i):
+        while i < len(cells) and not (row_left[cells[i][0]] and
+                                      col_left[cells[i][1]]):
+            i += 1
         if i == len(cells):
-            yield build()
+            if not (complete and any(row_left)):
+                yield build()
             return
         u, w = cells[i]
-        for n in range(min(row_left[u], col_left[w]) + 1):
+        last = complete and w == len(bar_runs) - 1
+        for n in range(row_left[u] if last else 0,
+                       min(row_left[u], col_left[w]) + 1):
             table[i] = n
             row_left[u] -= n
             col_left[w] -= n
@@ -254,7 +269,7 @@ def _instantiate(template, roles):
     return tuple(out)
 
 
-def _diagram_for_matching(t, template, leaves, matching):
+def _diagram_for_matching(coeff, templates, leaves, matching):
     roles: dict = {i: ("free", leaves[i].species) for i in range(len(leaves))}
     weight = Fraction(1)
     pid = 0
@@ -273,32 +288,39 @@ def _diagram_for_matching(t, template, leaves, matching):
             roles[a.pos] = ("pair", pid, a.species, qt)
             roles[b.pos] = ("pair", pid, b.species, qt)
             pid += 1
-    body = _instantiate(template, roles)
-    return Diagram((body,), t.coeff * weight)
+    return Diagram(tuple(_instantiate(tpl, roles) for tpl in templates),
+                   coeff * weight)
 
 
 def contractions(t: Term, size: int | None = None):
     """The unmerged Diagram of every pairing of a canonical term's Phi
     leaves with its PhiBar leaves: every partial pairing, by size, or the
     pairings of exactly `size` pairs.  Power counting, the DOT export and
-    the oracles of `gamma_Q` need each pairing; `gamma_Q` takes one per
+    the oracles of `gamma_Q` need each pairing; the sums take one per
     orbit instead."""
-    template, leaves = term_census(t)
+    templates, leaves = term_census(t)
     phis = [l.pos for l in leaves if l.species == PHI]
     bars = [l.pos for l in leaves if l.species == PHIBAR]
     matchings = (partial_matchings(phis, bars) if size is None
                  else matchings_of_size(phis, bars, size))
     for matching in matchings:
-        yield _diagram_for_matching(t, template, leaves, matching)
+        yield _diagram_for_matching(t.coeff, templates, leaves, matching)
 
 
-def _orbit_contractions(t: Term):
-    """One Diagram per orbit of a canonical term's partial pairings under
-    the leaf permutations inside each run, scaled by the orbit size."""
-    template, leaves = term_census(t)
+def _orbit_contractions(*slots: Term, complete=False):
+    """One Diagram per orbit of the pairings of the census of `slots` (one
+    canonical term per tensor slot) under the leaf permutations inside
+    each run, scaled by the orbit size.  With `complete`, only the
+    pairings of every leaf: none, and no orbit walked, unless the census
+    has as many Phi leaves as PhiBar leaves."""
+    templates, leaves = term_census(*slots)
     runs = leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
-    for matching, size in orbit_matchings(*runs):
-        yield _diagram_for_matching(t, template, leaves, matching).scaled(size)
+    if complete and sum(map(len, runs[0])) != sum(map(len, runs[1])):
+        return
+    coeff = prod(t.coeff for t in slots)
+    for matching, size in orbit_matchings(*runs, complete):
+        yield _diagram_for_matching(coeff, templates, leaves,
+                                    matching).scaled(size)
 
 
 def gamma_Q(x: Term | TermSum) -> DeformedSum:
@@ -324,76 +346,36 @@ def gamma_Q_convolved(kind: str, x: Term | TermSum) -> DeformedSum:
 
 
 # --------------------------------------------------------------------------
-# multilocal cross contractions
-# --------------------------------------------------------------------------
-
-def bullet_cross(da: Diagram, db: Diagram) -> list[Diagram]:
-    """All cross-contraction completions of the tensor product da (x) db.
-
-    Factors are already deformed, so only pairs straddling the two factors
-    are formed; the left factor's species fixes Q versus Q_tilde and no
-    diagonal marker appears.
-    """
-    base = tensor(da, db)
-    n_a = len(da.slots)
-    frees = free_leaves(base)
-    a_phi = [p for sp, p in frees if sp == PHI and p[0] < n_a]
-    a_bar = [p for sp, p in frees if sp == PHIBAR and p[0] < n_a]
-    b_phi = [p for sp, p in frees if sp == PHI and p[0] >= n_a]
-    b_bar = [p for sp, p in frees if sp == PHIBAR and p[0] >= n_a]
-    out = []
-    pid0 = max_pair_id(base) + 1
-    for m1 in partial_matchings(a_phi, b_bar):
-        for m2 in partial_matchings(a_bar, b_phi):
-            d = base
-            pid = pid0
-            for pa, pb in m1:  # Phi on the left: Q
-                d = replace_at(d, pa, ("pair", pid, PHI, "Q"))
-                d = replace_at(d, pb, ("pair", pid, PHIBAR, "Q"))
-                pid += 1
-            for pa, pb in m2:  # PhiBar on the left: Q_tilde
-                d = replace_at(d, pa, ("pair", pid, PHIBAR, "Qt"))
-                d = replace_at(d, pb, ("pair", pid, PHI, "Qt"))
-                pid += 1
-            out.append(d)
-    return out
-
-
-# --------------------------------------------------------------------------
 # expectation values and two-point functions
 # --------------------------------------------------------------------------
 
 def expectation_report(series: PerturbativeSeries, k: int,
                        branch: str = SPINOR) -> tuple[DeformedSum, int]:
     """(surviving diagrams, number of contraction patterns examined); only
-    full pairings are built, the others are counted from the grading."""
+    complete pairings are built, the others are counted from the grading."""
     ds = DeformedSum(origin=f"expectation[{branch}]", order=k)
     examined = 0
     for t in series.coefficient(k, branch):
         g = grading(t)
         examined += sum(contraction_count(g.r, g.r_bar, j)
                         for j in range(min(g.r, g.r_bar) + 1))
-        if g.r == g.r_bar:
-            for d in contractions(t, g.r):
-                ds.add(d)
+        for d in _orbit_contractions(t, complete=True):
+            ds.add(d)
     return ds, examined
 
 
 def two_point(series: PerturbativeSeries, branch_a: str, branch_b: str,
               K: int) -> dict[int, DeformedSum]:
-    """Order-by-order cross-deformed tensor product at zero configuration."""
-    ga = {k: gamma_Q(series.coefficient(k, branch_a)) for k in range(K + 1)}
-    gb = ga if branch_b == branch_a else {
-        k: gamma_Q(series.coefficient(k, branch_b)) for k in range(K + 1)}
+    """Order by order, the complete pairings of the two-slot census of
+    every monomial pair t_a (x) t_b, t_a in F^a_k1 and t_b in F^b_(k-k1)."""
     out = {}
     for k in range(K + 1):
         ds = DeformedSum(origin=f"two_point[{branch_a},{branch_b}]", order=k)
         for k1 in range(k + 1):
-            for da in ga[k1]:
-                for db in gb[k - k1]:
-                    for d in bullet_cross(da, db):
-                        if not free_leaves(d):
-                            ds.add(d)
+            for ta in series.coefficient(k1, branch_a):
+                for tb in series.coefficient(k - k1, branch_b):
+                    for d in _orbit_contractions(ta, tb, complete=True):
+                        ds.add(d)
         out[k] = ds
     return out
 
@@ -476,7 +458,7 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
     if K > series.max_order:
         raise UsageError("K above series order")
     gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(K + 1)}
-    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(K + 1)}
+    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(K)}
     H: dict[int, CountertermOperator] = {}
     for k in range(1, K + 1):
         defect = DeformedSum(order=k)

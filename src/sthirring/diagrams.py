@@ -133,13 +133,6 @@ def max_pair_id(diag: Diagram) -> int:
     return max((p for body in diag.slots for p in _pair_ids(body)), default=-1)
 
 
-def tensor(a: Diagram, b: Diagram) -> Diagram:
-    off = max_pair_id(a) + 1
-    return Diagram(a.slots + tuple(rename_pair_ids(s, lambda p: p + off)
-                                   for s in b.slots),
-                   a.coeff * b.coeff)
-
-
 def convolved(kind: str, diag: Diagram) -> Diagram:
     if len(diag.slots) != 1:
         raise InvariantError("convolution applies to single-slot diagrams")

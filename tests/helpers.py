@@ -3,13 +3,19 @@
 No command needs these, so they live with the tests: `mirror` maps a term
 of one solution branch onto the other, the JSON readers invert the
 writers of `terms` and `diagrams` (so a test can show an export is
-lossless), and `canonical_key` spells a diagram's canonical form.
+lossless), `canonical_key` spells a diagram's canonical form, and
+`bullet_cross` is the reference two-point construction: it pairs the free
+leaves of two already-deformed diagrams across their tensor slots.
 """
 
 from fractions import Fraction
 
 from sthirring import diagrams
-from sthirring.diagrams import DeformedSum, Diagram
+from sthirring.deformation import partial_matchings
+from sthirring.diagrams import (
+    DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
+    replace_at,
+)
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR, Const, Conv, Gamma, Leaf, Node, Prod, Term,
     Unit,
@@ -88,3 +94,42 @@ def canonical_key(diag: Diagram) -> str:
     """The serialization of the canonical form; equal exactly for
     isomorphic diagrams."""
     return diagrams._serialize(diagrams.canonicalize(diag).slots, {})
+
+
+def tensor(a: Diagram, b: Diagram) -> Diagram:
+    off = max_pair_id(a) + 1
+    return Diagram(a.slots + tuple(rename_pair_ids(s, lambda p: p + off)
+                                   for s in b.slots),
+                   a.coeff * b.coeff)
+
+
+def bullet_cross(da: Diagram, db: Diagram) -> list[Diagram]:
+    """All cross-contraction completions of the tensor product da (x) db.
+
+    Factors are already deformed, so only pairs straddling the two factors
+    are formed; the left factor's species fixes Q versus Q_tilde and no
+    diagonal marker appears.
+    """
+    base = tensor(da, db)
+    n_a = len(da.slots)
+    frees = free_leaves(base)
+    a_phi = [p for sp, p in frees if sp == PHI and p[0] < n_a]
+    a_bar = [p for sp, p in frees if sp == PHIBAR and p[0] < n_a]
+    b_phi = [p for sp, p in frees if sp == PHI and p[0] >= n_a]
+    b_bar = [p for sp, p in frees if sp == PHIBAR and p[0] >= n_a]
+    out = []
+    pid0 = max_pair_id(base) + 1
+    for m1 in partial_matchings(a_phi, b_bar):
+        for m2 in partial_matchings(a_bar, b_phi):
+            d = base
+            pid = pid0
+            for pa, pb in m1:  # Phi on the left: Q
+                d = replace_at(d, pa, ("pair", pid, PHI, "Q"))
+                d = replace_at(d, pb, ("pair", pid, PHIBAR, "Q"))
+                pid += 1
+            for pa, pb in m2:  # PhiBar on the left: Q_tilde
+                d = replace_at(d, pa, ("pair", pid, PHIBAR, "Qt"))
+                d = replace_at(d, pb, ("pair", pid, PHI, "Qt"))
+                pid += 1
+            out.append(d)
+    return out

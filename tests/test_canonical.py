@@ -23,14 +23,12 @@ from networkx.algorithms.isomorphism import (
 )
 
 from sthirring import diagrams
-from sthirring.deformation import (
-    bullet_cross, contractions, extract_counterterms, gamma_Q,
-)
+from sthirring.deformation import contractions, extract_counterterms, gamma_Q
 from sthirring.diagrams import DeformedSum, canonicalize
 from sthirring.perturbation import COSPINOR, SPINOR, expand
 from sthirring.properties import random_term
 
-from helpers import canonical_key
+from helpers import bullet_cross, canonical_key
 
 NODE_MATCH = categorical_node_match("label", None)
 EDGE_MATCH = categorical_multiedge_match("label", None)

@@ -280,6 +280,22 @@ GOLDEN = {
         "b9b7a8b966c36351bccf27cc8d2313ba817e013c821035eb6bf6b56f09f9140f",
     "correlate --order 2 --branches psibar-psi":
         "b7533ac6fc52de2631dac74652a26edb760c418a9ad27d5a12f6bd6383f00d05",
+    "correlate --order 3 --branches psi-psibar --format json":
+        "c3c79d06f466abfd5b20bc39408fa8f9a14093c348622866f1ae1d262910e6b6",
+    "correlate --order 3 --branches psi-psibar --format dot":
+        "8b58c5b589892f4cae5c1279cd73543ff6a2a99d942e48a07aaaecd4d65a568a",
+    "correlate --order 3 --branches psibar-psi --format json":
+        "e9284a83bacf470481f12db2fbc6f345c7ea47603c9e05194fdde865bb951438",
+    "correlate --order 3 --branches psibar-psi --format dot":
+        "2696cd9b9b726754b543ac020409bc14436e173019dae82213733efe2dc2486b",
+    "correlate --order 3 --branches psi-psi --format json":
+        "b13d77e7d096e3c37c62f87afb6738f87477edb7d72e27313d70027048e19339",
+    "correlate --order 3 --branches psi-psi --format dot":
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "correlate --order 3 --branches psibar-psibar --format json":
+        "a1047e77a5533cbd5f961953d7c363e58f4fe0112db468129c3afbea6ac66c01",
+    "correlate --order 3 --branches psibar-psibar --format dot":
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
 }
 
 
@@ -308,7 +324,9 @@ def test_permutation_budget_overflow_is_a_usage_error(monkeypatch, capsys):
 
 def test_counterterms_deform_each_coefficient_once(monkeypatch):
     """Extraction and the residuals share one gamma_Q of each of F_0..F_3
-    on both branches."""
+    on the spinor branch and of F_0..F_2 on the cospinor branch (the
+    pointwise cubic reads the cospinor coefficients below the top order
+    only)."""
     from sthirring import deformation
     calls = []
     real = deformation.gamma_Q
@@ -320,7 +338,7 @@ def test_counterterms_deform_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(deformation, "gamma_Q", counting)
     rc, out = run_cli("counterterms", "--order", "3")
     assert rc == 0 and json.loads(out)["orders"]["3"]["residual_zero"]
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 def test_counterterms_build_each_defect_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from sthirring.deformation import (
     CountertermOperator, _argport,
-    _pointwise_cubic, apply_operator, brute_force_contractions, bullet_cross,
+    _pointwise_cubic, apply_operator, brute_force_contractions,
     contraction_count, contractions, expectation_report, extract_counterterms,
     gamma_Q, gamma_Q_convolved, leaf_runs, orbit_matchings, partial_matchings,
     term_census, two_point,
@@ -25,7 +25,9 @@ from sthirring.terms import (
     canonicalize, convolve, grading, phi, phibar, product,
 )
 
-from helpers import canonical_key, deformedsum_from_json, diagram_from_json
+from helpers import (
+    bullet_cross, canonical_key, deformedsum_from_json, diagram_from_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -305,33 +307,72 @@ def test_expectation_census_count_matches_enumeration(series):
             assert expectation_report(series, k, branch)[1] == want
 
 
-def test_expectation_enumerates_no_partial_pairing(series, monkeypatch):
-    """No F_k monomial has a full pairing (2k+1 leaves), so the expectation
-    builds no diagram and walks no matching."""
+def _stub_enumerators(monkeypatch):
+    """Replace every pairing enumerator of `deformation` by one that
+    records its call and yields nothing; returns the record."""
     from sthirring import deformation
     walked = []
-    monkeypatch.setattr(deformation, "partial_matchings",
-                        lambda *a: walked.append(a) or iter(()))
-    monkeypatch.setattr(deformation, "matchings_of_size",
-                        lambda *a: walked.append(a) or iter(()))
+    for name in ("partial_matchings", "matchings_of_size", "orbit_matchings"):
+        monkeypatch.setattr(deformation, name,
+                            lambda *a: walked.append(a) or iter(()))
+    return walked
+
+
+def test_expectation_enumerates_no_partial_pairing(series, monkeypatch):
+    """No F_k monomial has a full pairing (2k+1 leaves), so the expectation
+    builds no diagram and walks no matching and no orbit."""
+    walked = _stub_enumerators(monkeypatch)
     for branch in (SPINOR, COSPINOR):
         assert expectation_report(series, 4, branch)[1] == 55 * 501
     assert walked == []
 
 
-def test_same_branch_two_point_deforms_each_order_once(series, monkeypatch):
-    from sthirring import deformation
-    calls = []
-    real = deformation.gamma_Q
+def test_same_branch_two_point_walks_no_orbit(series, monkeypatch):
+    """F^a_k1 (x) F^a_k2 has k1+k2+2 leaves of one species and k1+k2 of
+    the other, so it has no complete pairing: psi-psi and psibar-psibar
+    are empty through order 4 without a matching or an orbit walked."""
+    walked = _stub_enumerators(monkeypatch)
+    for branch in (SPINOR, COSPINOR):
+        tp = two_point(series, branch, branch, 4)
+        assert sorted(tp) == [0, 1, 2, 3, 4]
+        assert all(ds.is_zero() for ds in tp.values())
+    assert walked == []
 
-    def counting(x):
-        calls.append(x)
-        return real(x)
 
-    monkeypatch.setattr(deformation, "gamma_Q", counting)
-    tp = two_point(series, SPINOR, SPINOR, 2)
-    assert len(calls) == 3
-    assert all(ds.is_zero() for ds in tp.values())
+def _reference_two_point(series, branch_a, branch_b, K):
+    """Each branch deformed on its own, then paired across the tensor
+    slots by the reference `bullet_cross`, keeping the completions with no
+    free leaf."""
+    ga = {k: gamma_Q(series.coefficient(k, branch_a)) for k in range(K + 1)}
+    gb = {k: gamma_Q(series.coefficient(k, branch_b)) for k in range(K + 1)}
+    out = {}
+    for k in range(K + 1):
+        ds = DeformedSum()
+        for k1 in range(k + 1):
+            for da in ga[k1]:
+                for db in gb[k - k1]:
+                    for d in bullet_cross(da, db):
+                        if not free_leaves(d):
+                            ds.add(d)
+        out[k] = ds
+    return out
+
+
+def test_two_point_matches_cross_deformation_reference():
+    """The complete pairings of the two-slot census give, diagram for
+    diagram and in order, what cross-pairing the deformed branches gives."""
+    s = expand(3)
+    for a in (SPINOR, COSPINOR):
+        for b in (SPINOR, COSPINOR):
+            got = two_point(s, a, b, 3)
+            want = _reference_two_point(s, a, b, 3)
+            assert sorted(got) == sorted(want) == [0, 1, 2, 3]
+            for k in range(4):
+                assert got[k] == want[k]
+                assert [(d.slots, d.coeff) for d in got[k]] == \
+                    [(d.slots, d.coeff) for d in want[k]]
+            if a != b:
+                assert len(got[3]) == 106
 
 
 def test_two_point_second_order_runs(series):
@@ -496,6 +537,30 @@ def test_orbit_sizes_count_every_pairing(series):
             brute = Counter(_table(m, phi_runs, bar_runs)
                             for m in partial_matchings(phis, bars))
             assert brute == orbits
+
+
+def test_complete_orbits_are_the_full_size_orbits(series):
+    """orbit_matchings(complete=True) yields, in the same order, the orbits
+    of the full enumeration that pair every leaf; one-slot censuses and
+    two-slot censuses of the two-point monomial pairs through order 3."""
+    censuses = [term_census(t) for t in _orbit_oracle_terms(series)]
+    s = expand(3)
+    censuses += [term_census(ta, tb)
+                 for a, b in ((SPINOR, COSPINOR), (COSPINOR, SPINOR))
+                 for k in range(4) for k1 in range(k + 1)
+                 for ta in s.coefficient(k1, a)
+                 for tb in s.coefficient(k - k1, b)]
+    nonempty = 0
+    for _, leaves in censuses:
+        phi_runs, bar_runs = leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
+        r = sum(map(len, phi_runs))
+        if r != sum(map(len, bar_runs)):
+            continue
+        full = [o for o in orbit_matchings(phi_runs, bar_runs)
+                if len(o[0]) == r]
+        assert list(orbit_matchings(phi_runs, bar_runs, complete=True)) == full
+        nonempty += bool(full)
+    assert nonempty == 98  # 80 monomial pairs, 12 random terms, 6 bare
 
 
 def test_leaf_runs_group_each_vertex_in_canonical_terms(series):

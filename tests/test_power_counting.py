@@ -159,11 +159,11 @@ def test_maximal_contractions_count_and_order():
     for k in range(4):
         ref = []
         for t in s4.coefficient(k, "spinor"):
-            template, leaves = term_census(t)
+            templates, leaves = term_census(t)
             phis = [l.pos for l in leaves if l.species == PHI]
             bars = [l.pos for l in leaves if l.species == PHIBAR]
             top = min(len(phis), len(bars))
-            ref += [_diagram_for_matching(t, template, leaves,
+            ref += [_diagram_for_matching(t.coeff, templates, leaves,
                                           tuple(zip(ps, qs)))
                     for ps in combinations(phis, top)
                     for qs in permutations(bars, top)]
