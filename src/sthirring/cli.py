@@ -7,16 +7,18 @@ them.  The same configuration and seed give the same output bytes.  Exit
 codes: 0 success, else that of the `errors` class raised: 2 usage error
 (an unreadable, non-UTF-8 or malformed config file, a config value its
 flag would refuse, an unwritable output file, a bad STHIRRING_THREADS, or
-a resource limit: an order above the ceiling or a canonical-form search
-past its budget), 3 invariant violation, 4 numerical failure.
+a resource limit: an order above the ceiling, a canonical-form search
+past its budget, or a kernel-check mass past what the polar rule
+resolves), 3 invariant violation, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .diagrams import DeformedSum, deformedsum_to_json, diagram_to_json, to_dot
 from .errors import Error, InvariantError, NumericalError, UsageError
 from .kernels import (
     KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
-    greens_identity_residual, q_kernel_1d, scaling_degree_probe,
+    greens_identity_residual, polar_mass_limit, q_kernel_1d,
+    scaling_degree_probe,
 )
 from .perturbation import (
     COSPINOR, SPINOR, expand, field_counts, graph_statistics,
@@ -40,10 +43,99 @@ from .terms import termsum_to_json, to_tex
 THREADS_ENV = "STHIRRING_THREADS"
 
 _BRANCH = {"psi": SPINOR, "psibar": COSPINOR}
+_INF = float("inf")
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1)
+    """json.dumps(obj, sort_keys=True, indent=1), byte for byte.
+
+    With `indent` set, json never uses its C encoder; it runs a chain of
+    nested generators that passes every chunk through each level above it.
+    This writer appends the chunks to one list in one recursive pass and
+    joins them once."""
+    out: list[str] = []
+    _write_json(obj, 0, out)
+    return "".join(out)
+
+
+@cache
+def _pads(depth: int) -> tuple[str, str, str, str, str]:
+    """The bracket and separator chunks of a container at this depth:
+    built once, so the chunk list holds no copy of them per container."""
+    nl = "\n" + " " * depth
+    inner = nl + " "
+    return "[" + inner, "{" + inner, "," + inner, nl + "]", nl + "}"
+
+
+def _float_json(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _key_json(k) -> str:
+    """A dict key as json spells it: str keys as they are, float, bool,
+    None and int keys converted first; any other key is a TypeError."""
+    if isinstance(k, str):
+        pass
+    elif isinstance(k, float):
+        k = _float_json(k)
+    elif k is True:
+        k = "true"
+    elif k is False:
+        k = "false"
+    elif k is None:
+        k = "null"
+    elif isinstance(k, int):
+        k = int.__repr__(k)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return _encode_str(k)
+
+
+def _write_json(o, depth: int, out: list) -> None:
+    """Append the chunks of o, a value nested `depth` containers deep.
+    A module-level function, so no closure cycle keeps `out` alive."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_json(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        sep, _, comma, close, _ = _pads(depth)
+        for v in o:
+            out.append(sep)
+            _write_json(v, depth + 1, out)
+            sep = comma
+        out.append(close)
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        _, sep, comma, _, close = _pads(depth)
+        for k, v in sorted(o.items()):
+            out.append(sep + _key_json(k) + ": ")
+            _write_json(v, depth + 1, out)
+            sep = comma
+        out.append(close)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -199,7 +291,11 @@ def _cmd_kernel_check(args) -> None:
     else:
         params = KernelParams(2, args.mass)
         f = TestFunction((0.3, -0.2), 0.4, 1.0)
-        res = greens_identity_residual(params, f, (0.3, -0.2))
+        limit = polar_mass_limit(f, f.center)
+        if args.mass > limit:  # refused before any quadrature
+            raise UsageError(f"mass {args.mass:g} above {limit:.3g}, the "
+                             f"largest the 2d polar rule resolves")
+        res = greens_identity_residual(params, f, f.center)
         # probe at r << 1/m, where the massive kernel still goes like 1/r
         x0 = np.array([1.0, 0.7]) / max(1.0, args.mass)
         probe = scaling_degree_probe(lambda x: dirac_kernel_2d(params, x), x0)

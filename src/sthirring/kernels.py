@@ -296,6 +296,36 @@ def _gauss_legendre(n: int):
     return u, w
 
 
+def _polar_origin(f: TestFunction, x: np.ndarray):
+    """(origin o, o - centre, radius^2 - |o - centre|^2) of the polar rule:
+    o is x when x lies inside the bump's support disk, else the centre."""
+    centre = np.asarray(f.center)
+    d = x - centre
+    gap = f.radius ** 2 - float(d @ d)
+    if gap <= 0.0:  # x outside the support (or on its edge)
+        return centre, np.zeros(2), f.radius ** 2
+    return x, d, gap
+
+
+def polar_mass_limit(f: TestFunction, x) -> float:
+    """The largest mass m whose Green identity at x the polar rule of
+    `greens_identity_residual` can resolve within QUAD_TOL_2D.
+
+    The coarse rule's first radial node is r_1 = R u_1^2, with R the
+    longest ray from the rule's origin to the disk's edge and u_1 the first
+    of GREEN_2D_NODES[0] Gauss-Legendre nodes.  Below r_1 the rule does not
+    see the kernel K_0(m r), and the two rules' disagreement grows like
+    A (m r_1)^2, A the bump's amplitude (as m^2, as R^2 and as n_r^-8).
+    So the rules can agree only while A (m r_1)^2 <= QUAD_TOL_2D.  For the
+    bump of radius 0.4 at its centre, with A = 1, that is m <= 3.3e4; the
+    two rules begin to disagree past m = 5.9e4.
+    """
+    _, d, _ = _polar_origin(f, np.asarray(x, dtype=float))
+    reach = f.radius + float(np.hypot(d[0], d[1]))
+    u1 = _gauss_legendre(GREEN_2D_NODES[0])[0][0]
+    return float(np.sqrt(QUAD_TOL_2D / abs(f.amplitude)) / (reach * u1 * u1))
+
+
 def greens_identity_residual(params: KernelParams, f: TestFunction,
                              x) -> float:
     """| int G(x-y) (-Lap + m^2) f(y) dy  -  f(x) | for a 2d bump.
@@ -313,11 +343,7 @@ def greens_identity_residual(params: KernelParams, f: TestFunction,
     if params.d != 2 or f.dim != 2:
         raise UsageError("needs d = 2 data")
     x = np.asarray(x, dtype=float)
-    centre = np.asarray(f.center)
-    origin, d = x, x - centre
-    gap = f.radius ** 2 - float(d @ d)
-    if gap <= 0.0:  # x outside the support (or on its edge)
-        origin, d, gap = centre, np.zeros(2), f.radius ** 2
+    origin, d, gap = _polar_origin(f, x)
     offset = x - origin
     m = params.m
 

@@ -8,7 +8,10 @@ bare generator, and for k >= 1
 
 with the cubic vertex carrying the pair of index-contracted gamma insertions.
 The same generic rule is used for k = 1 and k = 2; agreement with the
-separately stated low-order expressions is covered by tests.
+separately stated low-order expressions is covered by tests.  `expand`
+builds nothing up front: each coefficient is built on its first read, so
+the top-order coefficient of a branch no command reads (273 monomials at
+K = 5) is never built.
 
 Every monomial of F_k has k+1 spinor and k cospinor leaves, k interaction
 vertices and, counting leaf stems and trunk propagators, 3k+1 graph edges.
@@ -68,46 +71,55 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
 @dataclass
 class PerturbativeSeries:
     """Coefficients of both branches up to max_order, canonically merged.
+
+    Each coefficient is built the first time it is read and kept: F_k of
+    one branch reads the lower orders of both, so a consumer that reads
+    one branch at the top order never builds the other's top coefficient.
     The series holds terms only; each consumer deforms what it reads."""
 
     max_order: int
-    spinor: dict[int, TermSum] = field(default_factory=dict)
-    cospinor: dict[int, TermSum] = field(default_factory=dict)
+    _built: dict[tuple[int, str], TermSum] = field(
+        default_factory=dict, init=False, repr=False)
 
     def coefficient(self, k: int, branch: str = SPINOR) -> TermSum:
         if not 0 <= k <= self.max_order:
             raise UsageError(f"order {k} outside 0..{self.max_order}")
-        if branch == SPINOR:
-            return self.spinor[k]
-        if branch == COSPINOR:
-            return self.cospinor[k]
-        raise InvariantError(f"unknown branch {branch!r}")
+        if branch not in (SPINOR, COSPINOR):
+            raise InvariantError(f"unknown branch {branch!r}")
+        got = self._built.get((k, branch))
+        if got is None:
+            got = self._built[k, branch] = self._build(k, branch)
+        return got
+
+    def _build(self, k: int, branch: str) -> TermSum:
+        """F_k (or Ft_k): the cubic recursion over every split k1+k2+k3 =
+        k-1, summed in the order k1, k2, then the cospinor, spinor and
+        branch factors."""
+        if k == 0:
+            return TermSum([phi(0) if branch == SPINOR else phibar(0)])
+        kind = GPSI if branch == SPINOR else GPSIBAR
+        out = TermSum()
+        for k1 in range(k):
+            fa = self.coefficient(k1, COSPINOR)
+            for k2 in range(k - k1):
+                fb = self.coefficient(k2, SPINOR)
+                fc = self.coefficient(k - 1 - k1 - k2, branch)
+                for ta in fa:
+                    for tb in fb:
+                        for tc in fc:
+                            out.add(vertex_term(ta, tb, tc, kind))
+        return out
 
 
 def expand(K: int) -> PerturbativeSeries:
-    """Build F_0..F_K and the mirrored branch via the cubic recursion;
-    K below 0 or above ORDER_CEILING is a UsageError."""
+    """The series F_0..F_K of both branches, each coefficient built by the
+    cubic recursion when first read; K below 0 or above ORDER_CEILING is a
+    UsageError."""
     if K < 0:
         raise UsageError("order must be nonnegative")
     if K > ORDER_CEILING:
         raise UsageError(f"order {K} above ceiling {ORDER_CEILING}")
-    s = PerturbativeSeries(K)
-    s.spinor[0] = TermSum([phi(0)])
-    s.cospinor[0] = TermSum([phibar(0)])
-    for k in range(1, K + 1):
-        fs, fc = TermSum(), TermSum()
-        for k1 in range(k):
-            for k2 in range(k - k1):
-                k3 = k - 1 - k1 - k2
-                for ta in s.cospinor[k1]:
-                    for tb in s.spinor[k2]:
-                        for tc in s.spinor[k3]:
-                            fs.add(vertex_term(ta, tb, tc, GPSI))
-                        for tc in s.cospinor[k3]:
-                            fc.add(vertex_term(ta, tb, tc, GPSIBAR))
-        s.spinor[k] = fs
-        s.cospinor[k] = fc
-    return s
+    return PerturbativeSeries(K)
 
 
 def field_counts(series: PerturbativeSeries, k: int, branch: str = SPINOR) -> tuple[int, int]:

@@ -3,9 +3,11 @@
 No command needs these, so they live with the tests: `mirror` maps a term
 of one solution branch onto the other, the JSON readers invert the
 writers of `terms` and `diagrams` (so a test can show an export is
-lossless), `canonical_key` spells a diagram's canonical form, and
-`bullet_cross` is the reference two-point construction: it pairs the free
-leaves of two already-deformed diagrams across their tensor slots.
+lossless), `canonical_key` spells a diagram's canonical form,
+`bullet_cross` is the reference two-point construction (it pairs the free
+leaves of two already-deformed diagrams across their tensor slots), and
+`expand_eager` builds both branches of the series order by order, the
+reference for the series that builds each coefficient on first read.
 """
 
 from fractions import Fraction
@@ -16,9 +18,10 @@ from sthirring.diagrams import (
     DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
     replace_at,
 )
+from sthirring.perturbation import vertex_term
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR, Const, Conv, Gamma, Leaf, Node, Prod, Term,
-    Unit,
+    TermSum, Unit, phi, phibar,
 )
 
 
@@ -133,3 +136,24 @@ def bullet_cross(da: Diagram, db: Diagram) -> list[Diagram]:
                 pid += 1
             out.append(d)
     return out
+
+
+def expand_eager(K: int) -> tuple[dict[int, TermSum], dict[int, TermSum]]:
+    """(spinor, cospinor) coefficients F_0..F_K, both branches built order
+    by order in one double loop."""
+    spinor = {0: TermSum([phi(0)])}
+    cospinor = {0: TermSum([phibar(0)])}
+    for k in range(1, K + 1):
+        fs, fc = TermSum(), TermSum()
+        for k1 in range(k):
+            for k2 in range(k - k1):
+                k3 = k - 1 - k1 - k2
+                for ta in cospinor[k1]:
+                    for tb in spinor[k2]:
+                        for tc in spinor[k3]:
+                            fs.add(vertex_term(ta, tb, tc, GPSI))
+                        for tc in cospinor[k3]:
+                            fc.add(vertex_term(ta, tb, tc, GPSIBAR))
+        spinor[k] = fs
+        cospinor[k] = fc
+    return spinor, cospinor

@@ -296,6 +296,16 @@ GOLDEN = {
         "a1047e77a5533cbd5f961953d7c363e58f4fe0112db468129c3afbea6ac66c01",
     "correlate --order 3 --branches psibar-psibar --format dot":
         "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "expand --order 5 --format json":
+        "3be9a6a781173b86333302bca07e86ad90983d1603aaec3a6e49ed88ddedb350",
+    "expand --order 5 --branch psibar --format json":
+        "ce83020e85c1f06993c2f49832f8d2684dd3242ce741730b9301e183016e4a78",
+    "expect --order 4 --branch psibar --format json":
+        "4ed760afcf2914f4dc5a28b97e13d3073b8513715aecbc79e31089fef809e185",
+    "power-count --dim 2 --max-order 4 --format json":
+        "78ce72c3750d166fb62e6e635c07f9c0c7391f5caca37464252f089179e20c46",
+    "gamma-check --seed 3 --trials 4 --export-rep 4":
+        "42cc2aa31e8fe15c8598e1566bde098bfa4f059262dc1564cff356ba6db229b5",
 }
 
 
@@ -378,6 +388,24 @@ def test_kernel_check_d2_passes_at_large_mass(mass):
     rep = json.loads(out)
     assert rc == 0 and rep["pass"] is True
     assert rep["dirac_scaling_degree"]["conclusive"]
+
+
+def test_kernel_check_d2_passes_at_mass_3e4():
+    rc, out = run_cli("kernel-check", "--dim", "2", "--mass", "3e4")
+    assert rc == 0 and json.loads(out)["pass"] is True
+
+
+def test_kernel_check_d2_refuses_unresolvable_mass_before_work(monkeypatch,
+                                                              capsys):
+    """Past the polar rule's resolution the command is a usage error, and
+    no quadrature runs first."""
+    from sthirring import cli
+    calls = []
+    monkeypatch.setattr(cli, "greens_identity_residual",
+                        lambda *a: calls.append(a))
+    rc, out = run_cli("kernel-check", "--dim", "2", "--mass", "1e5")
+    assert (rc, out, calls) == (2, "", [])
+    assert capsys.readouterr().err.startswith("usage error: mass 100000 ")
 
 
 def test_kernel_check_d2_failure_reports_false(monkeypatch):

@@ -7,8 +7,8 @@ from sthirring import kernels
 from sthirring.errors import NumericalError, UsageError
 from sthirring.kernels import (
     KernelParams, ProbeResult, TestFunction, bessel_k01, clipped_integral,
-    dirac_kernel_2d, green_2d, greens_identity_residual, propagator_1d,
-    q_kernel_1d, scaling_degree_probe, theta,
+    dirac_kernel_2d, green_2d, greens_identity_residual, polar_mass_limit,
+    propagator_1d, q_kernel_1d, scaling_degree_probe, theta,
 )
 
 
@@ -210,6 +210,24 @@ def test_green_convolution_identity(m):
 def test_green_identity_polar_rule(m, x):
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
     assert greens_identity_residual(KernelParams(2, m), f, x) <= 1e-6
+
+
+@pytest.mark.parametrize("x", [(0.3, -0.2), (0.45, -0.1), (0.75, 0.1)])
+def test_polar_rule_resolves_masses_up_to_its_limit(x):
+    f = TestFunction((0.3, -0.2), 0.4, 1.0)
+    m = polar_mass_limit(f, x)
+    assert greens_identity_residual(KernelParams(2, m), f, x) <= 1e-6
+
+
+def test_polar_mass_limit_is_near_where_the_rules_part():
+    """At the bump's centre the bound is within a factor 4 of the mass
+    where the two rules stop agreeing; it halves with twice the reach."""
+    f = TestFunction((0.3, -0.2), 0.4, 1.0)
+    m = polar_mass_limit(f, f.center)
+    with pytest.raises(NumericalError):
+        greens_identity_residual(KernelParams(2, 4 * m), f, f.center)
+    wide = TestFunction((0.3, -0.2), 0.8, 1.0)
+    assert polar_mass_limit(wide, f.center) == pytest.approx(m / 2)
 
 
 def test_green_identity_rules_disagreeing_raise(monkeypatch):

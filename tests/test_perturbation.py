@@ -1,5 +1,7 @@
 import pytest
 
+from sthirring import perturbation
+
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import (
     COSPINOR, SPINOR, expand, field_counts, graph_statistics, vertex_term,
@@ -9,7 +11,7 @@ from sthirring.terms import (
     TermSum, canonical_key, canonicalize, grading, phi, phibar,
 )
 
-from helpers import mirror
+from helpers import expand_eager, mirror
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +165,75 @@ def test_convolve_composes_to_f1(series):
     assert canonical_key(wrapped) == canonical_key(f1)
     g = grading(wrapped)
     assert (g.r, g.r_bar, g.l, g.l_bar) == (2, 1, 1, 0)
+
+
+@pytest.fixture(scope="module")
+def eager5():
+    return expand_eager(5)
+
+
+def _read_orders(K):
+    """Three orders to read a series in: spinor branch first, cospinor
+    branch first, and top order first (both branches, then downwards)."""
+    up = range(K + 1)
+    return {
+        "spinor first": [(k, SPINOR) for k in up] + [(k, COSPINOR) for k in up],
+        "cospinor first": [(k, COSPINOR) for k in up] + [(k, SPINOR) for k in up],
+        "top first": [(k, b) for k in reversed(up) for b in (SPINOR, COSPINOR)],
+    }
+
+
+@pytest.mark.parametrize("order", ["spinor first", "cospinor first",
+                                   "top first"])
+def test_lazy_series_matches_eager_reference(eager5, order):
+    """Whatever order the coefficients are read in, each equals the eager
+    double loop's term for term, key for key and in insertion order."""
+    spinor, cospinor = eager5
+    ref = {SPINOR: spinor, COSPINOR: cospinor}
+    for K in range(6):
+        s = expand(K)
+        for k, branch in _read_orders(K)[order]:
+            got = s.coefficient(k, branch)
+            assert list(got._data.items()) == list(ref[branch][k]._data.items())
+
+
+@pytest.fixture
+def vertex_calls(monkeypatch):
+    calls = []
+    real = perturbation.vertex_term
+
+    def counting(ta, tb, tc, kind=GPSI):
+        calls.append(kind)
+        return real(ta, tb, tc, kind)
+
+    monkeypatch.setattr(perturbation, "vertex_term", counting)
+    return calls
+
+
+def test_coefficients_are_built_on_first_read_only(vertex_calls):
+    s = expand(5)
+    assert vertex_calls == []
+    s.coefficient(5, SPINOR)
+    # F_1..F_4 of both branches, then F_5 alone
+    assert len(vertex_calls) == 2 * (1 + 3 + 12 + 55) + 273 == 415
+    s.coefficient(5, COSPINOR)
+    assert len(vertex_calls) == 688  # what building both branches costs
+    vertex_calls.clear()
+    for k in range(6):
+        s.coefficient(k, SPINOR)
+        s.coefficient(k, COSPINOR)
+    assert vertex_calls == []
+
+
+def test_counterterms_never_build_the_top_cospinor_coefficient(vertex_calls):
+    from sthirring.deformation import extract_counterterms
+    extract_counterterms(expand(3), 3)
+    # F_1..F_3 and Ft_1..Ft_2; Ft_3 would add 12 more
+    assert len(vertex_calls) == (1 + 3 + 12) + (1 + 3)
+
+
+def test_power_counting_reads_the_spinor_branch_only(vertex_calls):
+    from sthirring.power_counting import classify
+    classify(2, 4, series=expand(4))
+    assert vertex_calls.count(GPSI) == 1 + 3 + 12 + 55
+    assert vertex_calls.count(GPSIBAR) == 1 + 3 + 12
