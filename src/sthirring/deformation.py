@@ -67,7 +67,7 @@ from .errors import InvariantError, UsageError
 from .perturbation import COSPINOR, SPINOR, PerturbativeSeries
 from .terms import (
     GPSI, PHI, PHIBAR,
-    Conv, Const, Gamma, Leaf, Prod, Term, TermSum, Unit,
+    Conv, Gamma, Leaf, Prod, Term, TermSum,
     canonicalize, grading,
 )
 
@@ -102,16 +102,12 @@ def _vertex_profile(children):
 
 def _collect(node, path, vertex, taggable, tag, template, leaves):
     """Build the skeleton template and the leaf census in one pass."""
-    if isinstance(node, Unit):
-        return
     if isinstance(node, Leaf):
         ref = len(leaves)
         leaves.append(LeafInfo(ref, node.species, vertex, taggable, tag))
         template.append(("leafref", ref))
     elif isinstance(node, Gamma):
         pass
-    elif isinstance(node, Const):
-        template.append(("const", node.name))
     elif isinstance(node, Conv):
         sub: list = []
         inner_vertex = path + ("c",)
@@ -258,14 +254,10 @@ def orbit_matchings(phi_runs, bar_runs, complete=False):
 def _instantiate(template, roles):
     out = []
     for entry in template:
-        if entry[0] == "leafref":
-            role = roles[entry[1]]
-            if role is not None:
-                out.append(role)
-        elif entry[0] == "conv":
+        if entry[0] == "conv":
             out.append(("conv", entry[1], _instantiate(entry[2], roles)))
-        else:
-            out.append(entry)
+        elif (role := roles[entry[1]]) is not None:  # a leafref
+            out.append(role)
     return tuple(out)
 
 

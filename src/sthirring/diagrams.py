@@ -12,7 +12,6 @@ stored as nested tuples per tensor slot:
                                  (both stems here, plus a diagonal marker)
     ('ctloop', name)             coincident pair replaced by a counterterm tag;
                                  the collapse point and its two stems remain
-    ('const', name)              explicit counterterm matrix insertion
     ('argport', species)         argument slot of an operator diagram
     ('conv', kind, (child, ...)) trunk propagator to a nested vertex
 
@@ -83,8 +82,8 @@ def free_leaves(diag: Diagram) -> list:
 
 
 def replace_at(diag: Diagram, path: tuple, repl) -> Diagram:
-    """Replace the child at path; repl is a child tuple, a list of children
-    to splice in, or None to delete."""
+    """Replace the child at path; repl is a child tuple, or a list of
+    children to splice in."""
 
     def go(children, rest):
         i, rest = rest[0], rest[1:]
@@ -92,8 +91,6 @@ def replace_at(diag: Diagram, path: tuple, repl) -> Diagram:
         if rest:
             ch = out[i]
             out[i] = (ch[0], ch[1], go(ch[2], rest))
-        elif repl is None:
-            del out[i]
         elif isinstance(repl, list):
             out[i:i + 1] = repl
         else:
@@ -164,7 +161,7 @@ def graph_counts(diag: Diagram) -> dict:
     contracted pairs plus free-leaf endpoints; edges: trunk propagators
     plus two stems per contracted pair and one per free leaf.
     """
-    vertices = pairs = frees = loops = consts = 0
+    vertices = pairs = frees = loops = 0
     seen_pairs = set()
     for ch, _ in iter_children(diag):
         if ch[0] == "conv":
@@ -175,8 +172,6 @@ def graph_counts(diag: Diagram) -> dict:
             loops += 1
         elif ch[0] == "free":
             frees += 1
-        elif ch[0] == "const":
-            consts += 1
     pairs = len(seen_pairs) + loops
     return {
         "vertices": vertices,
@@ -184,7 +179,6 @@ def graph_counts(diag: Diagram) -> dict:
         "free_points": frees,
         "N": vertices + pairs + frees,
         "L": vertices + 2 * pairs + frees,
-        "const_insertions": consts,
     }
 
 
@@ -368,8 +362,6 @@ def to_graph(diag: Diagram) -> dict:
                 edges.append((GPSI, here, p))
                 edges.append((GPSIBAR, here, p))
                 tags.append((ch[1], p))
-            elif kind == "const":
-                tags.append((ch[1], here))
             elif kind == "pair":
                 pid = ch[1]
                 if pid not in pair_sites:

@@ -69,6 +69,8 @@ class KernelParams:
             raise UsageError("kernel backend covers d = 1 and d = 2")
         if not 0 <= self.m < np.inf:
             raise UsageError("mass must be finite and nonnegative")
+        if self.d == 1 and self.m == 0:
+            raise UsageError("the one-dimensional closed forms assume m > 0")
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,6 @@ def propagator_1d(params: KernelParams, x):
     """(G_psi(x), G_psibar(x)) for the massive one-dimensional operator."""
     if params.d != 1:
         raise UsageError("propagator_1d needs d = 1")
-    if params.m <= 0:
-        raise UsageError("the one-dimensional closed forms assume m > 0")
     x = np.asarray(x, dtype=float)
     m = params.m
     g = -1j * np.exp(-1j * m * x) * theta(-x + m)
@@ -153,8 +153,6 @@ def q_kernel_1d(params: KernelParams, f: TestFunction) -> complex:
     """
     if params.d != 1 or f.dim != 1:
         raise UsageError("q_kernel_1d needs d = 1 data")
-    if params.m <= 0:
-        raise UsageError("m > 0 required")
     (lo,), (hi,) = f.support()
     m = params.m
     cuts = np.array([lo, *sorted(p for p in (-m, m) if lo < p < hi), hi])
@@ -201,21 +199,10 @@ def clipped_integral(params: KernelParams, f: TestFunction) -> float:
     return val
 
 
-def green_2d(params: KernelParams, x) -> float:
-    """Fundamental solution of (-Laplace + m^2) on the plane at x != 0."""
-    if params.d != 2:
-        raise UsageError("green_2d needs d = 2")
-    x = np.asarray(x, dtype=float)
-    r = float(np.hypot(x[0], x[1])) if x.ndim == 1 else None
-    if r is None:
-        raise UsageError("green_2d evaluates one point at a time")
-    if r == 0.0:
-        raise UsageError("Green function evaluated on the diagonal")
-    return float(_radial_green(params.m, r))
-
-
 def _radial_green(m: float, r):
-    """The d=2 Green function at distance r > 0, elementwise on arrays."""
+    """The d=2 Green function, the fundamental solution of
+    (-Laplace + m^2) on the plane, at distance r > 0, elementwise on
+    arrays."""
     if m > 0:
         return bessel_k01(m * r)[0] / (2.0 * np.pi)
     return -np.log(r) / (2.0 * np.pi)

@@ -79,8 +79,6 @@ def divergence_degree(graph: Diagram, d: int) -> DivergenceReport:
     counts = graph_counts(graph)
     if counts["free_points"] > 1:
         raise UsageError("graph is not maximally contracted")
-    if counts["const_insertions"]:
-        raise UsageError("operator insertions are not admissible graph data")
     n, l = counts["N"], counts["L"]
     sd = l * sd_edge
     codim = (n - 1) * d
@@ -113,24 +111,24 @@ def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceRepor
     through order K.
 
     Every generated graph is checked against the counting laws N = 2k+1,
-    L = 3k+1, one free leaf and no constant insertion.  rho depends on
-    (N, L, d) only, so each order has one report: the direct count of its
-    first graph, checked against the closed-form degree of divergence.
+    L = 3k+1 and one free leaf.  rho depends on (N, L, d) only, so each
+    order has one report: the direct count of its first graph, checked
+    against the closed-form degree of divergence.
     """
     reports = []
     for k in range(K + 1):
         graphs = maximal_contractions(series, k)
         first = next(graphs)
-        rep = divergence_degree(first, d)  # refuses a constant
-        seen = {(rep.vertices, rep.edges, len(free_leaves(first)), 0)}
+        rep = divergence_degree(first, d)
+        seen = {(rep.vertices, rep.edges, len(free_leaves(first)))}
         n_graphs = 1
         for g in graphs:
             c = graph_counts(g)
-            seen.add((c["N"], c["L"], c["free_points"], c["const_insertions"]))
+            seen.add((c["N"], c["L"], c["free_points"]))
             n_graphs += 1
-        if seen != {(2 * k + 1, 3 * k + 1, 1, 0)}:
-            raise InvariantError(f"order {k} graphs have (N, L, free leaves, "
-                                 f"constants) in {sorted(seen)}")
+        if seen != {(2 * k + 1, 3 * k + 1, 1)}:
+            raise InvariantError(f"order {k} graphs have (N, L, free leaves) "
+                                 f"in {sorted(seen)}")
         want = divergence_closed_form(k, d)
         if rep.rho != want:
             raise InvariantError(

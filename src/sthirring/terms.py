@@ -1,9 +1,10 @@
 """Symbolic functional-valued vector distributions.
 
 A term is a tree built from the generators Phi (spinor) and PhiBar
-(cospinor), pointwise products, propagator convolutions G_psi / G_psibar,
-symbolic gamma-matrix elements and named counterterm constants, together
-with an exact rational coefficient.  Abstract spinor indices wire the tree:
+(cospinor), pointwise products, propagator convolutions G_psi / G_psibar and
+symbolic gamma-matrix elements, together with an exact rational
+coefficient; these are the only nodes the recursion builds (counterterms
+live on diagrams, as tags).  Abstract spinor indices wire the tree:
 an index id occurring twice is contracted (once with upper, once with lower
 polarity), an id occurring once is free and determines the external rank.
 Vector indices only ever pair two gamma insertions.  A tree that breaks
@@ -58,11 +59,6 @@ DOWN = -1
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Unit:
-    pass
-
-
-@dataclass(frozen=True)
 class Leaf:
     species: str  # PHI | PHIBAR
     index: int
@@ -73,16 +69,6 @@ class Gamma:
     """(gamma^mu)^row_col as a symbolic matrix element."""
 
     mu: int
-    row: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Const:
-    """Named counterterm matrix (C)^row_col; never numerically evaluated."""
-
-    name: str
-    order: int
     row: int
     col: int
 
@@ -102,7 +88,7 @@ class Prod:
     children: tuple
 
 
-Node = Unit | Leaf | Gamma | Const | Conv | Prod
+Node = Leaf | Gamma | Conv | Prod
 
 
 @dataclass(frozen=True)
@@ -117,19 +103,12 @@ class Term:
         return Term(self.coeff * Fraction(c), self.node)
 
 
-ZERO = Term(Fraction(0), Unit())
-
-
 def phi(index: int = 0) -> Term:
     return Term(Fraction(1), Leaf(PHI, index))
 
 
 def phibar(index: int = 0) -> Term:
     return Term(Fraction(1), Leaf(PHIBAR, index))
-
-
-def is_zero(t: Term) -> bool:
-    return t.coeff == 0
 
 
 # --------------------------------------------------------------------------
@@ -150,9 +129,6 @@ def index_occurrences(node: Node):
         yield node.index, (UP if node.species == PHI else DOWN), "spinor"
     elif isinstance(node, Gamma):
         yield node.mu, 0, "vector"
-        yield node.row, UP, "spinor"
-        yield node.col, DOWN, "spinor"
-    elif isinstance(node, Const):
         yield node.row, UP, "spinor"
         yield node.col, DOWN, "spinor"
     elif isinstance(node, Conv):
@@ -211,14 +187,10 @@ def max_index(node: Node) -> int:
 
 def rename_indices(node: Node, f) -> Node:
     """The same tree with every index id i replaced by f(i)."""
-    if isinstance(node, Unit):
-        return node
     if isinstance(node, Leaf):
         return Leaf(node.species, f(node.index))
     if isinstance(node, Gamma):
         return Gamma(f(node.mu), f(node.row), f(node.col))
-    if isinstance(node, Const):
-        return Const(node.name, node.order, f(node.row), f(node.col))
     if isinstance(node, Conv):
         return Conv(node.kind, f(node.out_index), f(node.in_index),
                     rename_indices(node.inner, f))
@@ -271,8 +243,6 @@ def grading(t: Term | Node) -> Grading:
 def _flatten(children):
     out = []
     for c in children:
-        if isinstance(c, Unit):
-            continue
         if isinstance(c, Prod):
             out.extend(c.children)
         else:
@@ -281,16 +251,10 @@ def _flatten(children):
 
 
 def product(a: Term, b: Term) -> Term:
-    """Pointwise product.  Unit is the identity, the zero term absorbs.
-    The indices of b are shifted into a fresh range above those of a."""
-    if is_zero(a) or is_zero(b):
-        return ZERO
+    """Pointwise product, with nested products flattened into one.  The
+    indices of b are shifted into a fresh range above those of a."""
     off = max_index(a.node) + 1
     node_b = rename_indices(b.node, lambda i: i + off)
-    if isinstance(a.node, Unit):
-        return Term(a.coeff * b.coeff, node_b)
-    if isinstance(node_b, Unit):
-        return Term(a.coeff * b.coeff, a.node)
     return Term(a.coeff * b.coeff, Prod(_flatten((a.node, node_b))))
 
 
@@ -302,8 +266,6 @@ def convolve(kind: str, t: Term) -> Term:
     """
     if kind not in (GPSI, GPSIBAR):
         raise InvariantError(f"unknown propagator kind {kind!r}")
-    if is_zero(t):
-        return ZERO
     slot = sole_free_index(t.node, UP if kind == GPSI else DOWN)
     out = max_index(t.node) + 1
     return Term(t.coeff, Conv(kind, out, slot, t.node))
@@ -315,14 +277,10 @@ def convolve(kind: str, t: Term) -> Term:
 
 def _emit(node: Node, name, tokens: list) -> None:
     """Append the serialization tokens of node; name(idx) spells an index."""
-    if isinstance(node, Unit):
-        tokens.append("1")
-    elif isinstance(node, Leaf):
+    if isinstance(node, Leaf):
         tokens.append(f"L[{node.species},{name(node.index)}]")
     elif isinstance(node, Gamma):
         tokens.append(f"g[{name(node.mu)},{name(node.row)},{name(node.col)}]")
-    elif isinstance(node, Const):
-        tokens.append(f"K[{node.name},{node.order},{name(node.row)},{name(node.col)}]")
     elif isinstance(node, Conv):
         tokens.append(f"C[{node.kind},{name(node.out_index)},{name(node.in_index)}](")
         _emit(node.inner, name, tokens)
@@ -426,7 +384,7 @@ def _order_prod(node: Prod, naming: dict, occ) -> tuple:
 
 def _canon_node(node: Node, naming: dict, occ) -> Node:
     name = _namer(naming)
-    if isinstance(node, (Unit, Leaf, Gamma, Const)):
+    if isinstance(node, (Leaf, Gamma)):
         for idx, _, _ in index_occurrences(node):
             name(idx)
         return node
@@ -437,8 +395,6 @@ def _canon_node(node: Node, naming: dict, occ) -> Node:
         return Conv(node.kind, node.out_index, node.in_index, inner)
     if isinstance(node, Prod):
         flat = Prod(_flatten(node.children))
-        if not flat.children:
-            return Unit()
         ordered = _order_prod(flat, naming, occ)
         out = tuple(_canon_node(c, naming, occ) for c in ordered)
         return Prod(out)
@@ -451,8 +407,6 @@ def canonicalize(t: Term) -> Term:
     serialization as `_key`: the tokens that name the indices by first
     occurrence spell the renamed tree.  Nested products must already be in
     canonical child order (see the module docstring)."""
-    if is_zero(t):
-        return ZERO
     validate(t.node)
     ordered = _canon_node(t.node, {}, _occurrences(t.node))
     first_seen: dict = {}
@@ -477,7 +431,7 @@ class TermSum(KeyedSum):
     """Formal sum of terms with exact coefficients, merged by canonical form."""
 
     def add(self, t: Term) -> None:
-        if is_zero(t):
+        if t.coeff == 0:
             return
         ct = canonicalize(t)
         self._merge(ct._key, ct)
@@ -506,16 +460,11 @@ def to_tex(t: Term | Node) -> str:
 
 
 def _node_tex(node: Node) -> str:
-    if isinstance(node, Unit):
-        return r"\mathbf{1}"
     if isinstance(node, Leaf):
         return _TEX_SPECIES[node.species] % _idx_tex(node.index)
     if isinstance(node, Gamma):
         return (rf"(\gamma^{{\mu_{{{node.mu}}}}})"
                 rf"^{{{_idx_tex(node.row)}}}_{{{_idx_tex(node.col)}}}")
-    if isinstance(node, Const):
-        sym = r"\widetilde{C}" if node.name == "Ctilde" else node.name
-        return rf"{sym}^{{{_idx_tex(node.row)}}}_{{{_idx_tex(node.col)}}}"
     if isinstance(node, Conv):
         g = r"G_{\psi}" if node.kind == GPSI else r"G_{\bar\psi}"
         return (rf"({g})^{{{_idx_tex(node.out_index)}}}_{{{_idx_tex(node.in_index)}}}"
@@ -526,15 +475,10 @@ def _node_tex(node: Node) -> str:
 
 
 def node_to_json(node: Node) -> dict:
-    if isinstance(node, Unit):
-        return {"kind": "unit"}
     if isinstance(node, Leaf):
         return {"kind": "leaf", "species": node.species, "index": str(node.index)}
     if isinstance(node, Gamma):
         return {"kind": "gamma", "mu": str(node.mu),
-                "row": str(node.row), "col": str(node.col)}
-    if isinstance(node, Const):
-        return {"kind": "const", "name": node.name, "order": node.order,
                 "row": str(node.row), "col": str(node.col)}
     if isinstance(node, Conv):
         return {"kind": "conv", "propagator": node.kind,

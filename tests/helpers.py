@@ -20,8 +20,8 @@ from sthirring.diagrams import (
 )
 from sthirring.perturbation import vertex_term
 from sthirring.terms import (
-    GPSI, GPSIBAR, PHI, PHIBAR, Const, Conv, Gamma, Leaf, Node, Prod, Term,
-    TermSum, Unit, phi, phibar,
+    GPSI, GPSIBAR, PHI, PHIBAR, Conv, Gamma, Leaf, Node, Prod, Term, TermSum,
+    phi, phibar,
 )
 
 
@@ -33,28 +33,20 @@ def mirror(t: Term) -> Term:
             return Leaf(PHI if node.species == PHIBAR else PHIBAR, node.index)
         if isinstance(node, Gamma):
             return Gamma(node.mu, node.col, node.row)
-        if isinstance(node, Const):
-            return Const(node.name, node.order, node.col, node.row)
         if isinstance(node, Conv):
             return Conv(GPSI if node.kind == GPSIBAR else GPSIBAR,
                         node.out_index, node.in_index, go(node.inner))
-        if isinstance(node, Prod):
-            return Prod(tuple(go(c) for c in node.children))
-        return node
+        return Prod(tuple(go(c) for c in node.children))
 
     return Term(t.coeff, go(t.node))
 
 
 def node_from_json(d: dict) -> Node:
     k = d["kind"]
-    if k == "unit":
-        return Unit()
     if k == "leaf":
         return Leaf(d["species"], int(d["index"]))
     if k == "gamma":
         return Gamma(int(d["mu"]), int(d["row"]), int(d["col"]))
-    if k == "const":
-        return Const(d["name"], d["order"], int(d["row"]), int(d["col"]))
     if k == "conv":
         return Conv(d["propagator"], int(d["out"]), int(d["in"]),
                     node_from_json(d["inner"]))

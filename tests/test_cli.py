@@ -190,6 +190,9 @@ def test_domain_errors_exit_usage():
     assert run_cli("power-count", "--dim", "0", "--max-order", "2")[0] == 2
     assert run_cli("expand", "--order", "9")[0] == 2
     assert run_cli("kernel-check", "--dim", "1", "--mass", "-1.0")[0] == 2
+    # the d = 1 closed forms need m > 0, whatever the number of trials
+    assert run_cli("kernel-check", "--dim", "1", "--mass", "0",
+                   "--trials", "0") == (2, "")
 
 
 def test_expand_dot_at_order_zero():

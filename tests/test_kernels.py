@@ -7,9 +7,14 @@ from sthirring import kernels
 from sthirring.errors import NumericalError, UsageError
 from sthirring.kernels import (
     KernelParams, ProbeResult, TestFunction, bessel_k01, clipped_integral,
-    dirac_kernel_2d, green_2d, greens_identity_residual, polar_mass_limit,
+    dirac_kernel_2d, greens_identity_residual, polar_mass_limit,
     propagator_1d, q_kernel_1d, scaling_degree_probe, theta,
 )
+
+
+def green_2d(p, x):
+    """The d=2 Green function at one point x != 0."""
+    return float(kernels._radial_green(p.m, np.hypot(*x)))
 
 
 def test_propagator_product_is_indicator():
@@ -31,9 +36,8 @@ def test_propagator_unit_modulus_inside_support():
 
 
 def test_massless_1d_unsupported():
-    p = KernelParams(1, 0.0)
-    with pytest.raises(UsageError):
-        propagator_1d(p, 0.1)
+    with pytest.raises(UsageError, match="assume m > 0"):
+        KernelParams(1, 0.0)
 
 
 def test_gauss_legendre_rules_are_built_once():
@@ -182,12 +186,6 @@ def test_bump_laplacian_matches_finite_differences():
         num = (f((x + h, y)) + f((x - h, y)) + f((x, y + h)) + f((x, y - h))
                - 4 * f((x, y))) / h ** 2
         assert abs(num - f.laplacian(pt)) < 1e-4
-
-
-def test_green_singular_point():
-    p = KernelParams(2, 1.0)
-    with pytest.raises(UsageError):
-        green_2d(p, (0.0, 0.0))
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0])

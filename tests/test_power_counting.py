@@ -127,9 +127,6 @@ def test_non_admissible_graph_rejected():
     # the dimension is checked first, with sd_propagator's message
     with pytest.raises(UsageError, match="dimension must be >= 1"):
         divergence_degree(free2, 0)
-    op = Diagram(((("const", "Ctilde"), ("free", PHI)),), Fraction(1))
-    with pytest.raises(UsageError):
-        divergence_degree(op, 2)
 
 
 def test_distinct_graph_merging(series):
