@@ -36,7 +36,7 @@ from .kernels import (
 from .perturbation import (
     COSPINOR, SPINOR, expand, field_counts, graph_statistics,
 )
-from .power_counting import classify
+from .power_counting import classify, sd_propagator
 from .properties import run_all
 from .terms import termsum_to_json, to_tex
 
@@ -304,7 +304,7 @@ def _cmd_kernel_check(args) -> None:
             "estimate": probe.sd, "ci": [probe.ci_low, probe.ci_high],
             "conclusive": probe.conclusive,
         }
-        ok = bool(res <= 1e-6 and abs(probe.sd - 1.0) <= 0.1)
+        ok = bool(res <= 1e-6 and abs(probe.sd - sd_propagator(2)) <= 0.1)
     report["pass"] = ok
     _emit(_dumps(report), args.output)
     if not ok:

@@ -55,7 +55,6 @@ shift that choice is not represented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 
@@ -105,7 +104,7 @@ def _collect(node, path, vertex, taggable, tag, template, leaves):
     if isinstance(node, Leaf):
         ref = len(leaves)
         leaves.append(LeafInfo(ref, node.species, vertex, taggable, tag))
-        template.append(("leafref", ref))
+        template.append(("leafref", ref, ("free", node.species)))
     elif isinstance(node, Gamma):
         pass
     elif isinstance(node, Conv):
@@ -252,18 +251,21 @@ def orbit_matchings(phi_runs, bar_runs, complete=False):
 # --------------------------------------------------------------------------
 
 def _instantiate(template, roles):
+    """The slot of a template; a leaf without a role in roles stays free."""
     out = []
     for entry in template:
         if entry[0] == "conv":
             out.append(("conv", entry[1], _instantiate(entry[2], roles)))
-        elif (role := roles[entry[1]]) is not None:  # a leafref
+        elif (role := roles.get(entry[1], entry[2])) is not None:  # a leafref
             out.append(role)
     return tuple(out)
 
 
 def _diagram_for_matching(coeff, templates, leaves, matching):
-    roles: dict = {i: ("free", leaves[i].species) for i in range(len(leaves))}
-    weight = Fraction(1)
+    """The diagram of one matching of census positions; each tagged
+    coincident pair halves the coefficient, in one division."""
+    roles: dict = {}
+    halvings = 0
     pid = 0
     for li, lj in matching:
         a, b = leaves[li], leaves[lj]
@@ -272,7 +274,7 @@ def _diagram_for_matching(coeff, templates, leaves, matching):
         if a.vertex == b.vertex:
             if a.taggable:
                 roles[first.pos] = ("ctloop", a.tag)
-                weight /= 2
+                halvings += 1
             else:
                 roles[first.pos] = ("qloop", qt)
             roles[second.pos] = None
@@ -281,7 +283,7 @@ def _diagram_for_matching(coeff, templates, leaves, matching):
             roles[b.pos] = ("pair", pid, b.species, qt)
             pid += 1
     return Diagram(tuple(_instantiate(tpl, roles) for tpl in templates),
-                   coeff * weight)
+                   coeff / (1 << halvings) if halvings else coeff)
 
 
 def contractions(t: Term, size: int | None = None):

@@ -161,17 +161,21 @@ def graph_counts(diag: Diagram) -> dict:
     contracted pairs plus free-leaf endpoints; edges: trunk propagators
     plus two stems per contracted pair and one per free leaf.
     """
-    vertices = pairs = frees = loops = 0
+    vertices = frees = loops = 0
     seen_pairs = set()
-    for ch, _ in iter_children(diag):
-        if ch[0] == "conv":
-            vertices += 1
-        elif ch[0] == "pair":
-            seen_pairs.add(ch[1])
-        elif ch[0] in ("qloop", "ctloop"):
-            loops += 1
-        elif ch[0] == "free":
-            frees += 1
+    stack = list(diag.slots)
+    while stack:
+        for ch in stack.pop():
+            tag = ch[0]
+            if tag == "conv":
+                vertices += 1
+                stack.append(ch[2])
+            elif tag == "pair":
+                seen_pairs.add(ch[1])
+            elif tag == "qloop" or tag == "ctloop":
+                loops += 1
+            elif tag == "free":
+                frees += 1
     pairs = len(seen_pairs) + loops
     return {
         "vertices": vertices,

@@ -27,8 +27,7 @@ from .errors import InvariantError, UsageError
 from .terms import (
     GPSI, GPSIBAR, UP, DOWN,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
-    grading, max_index, phi, phibar, rename_indices,
-    sole_free_index,
+    grading, index_census, phi, phibar, rename_indices, sole_free_index,
 )
 
 ORDER_CEILING = 6
@@ -43,23 +42,29 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
     ta is a cospinor-branch term, tb a spinor-branch term; tc is spinor for
     the G_psi branch and cospinor for the G_psibar branch.  Index ranges are
     shifted apart, the gamma pair is wired in and the whole product is
-    wrapped in the branch propagator.
+    wrapped in the branch propagator.  Each factor's index census is read
+    once: its top index and its sole free index, shifted by the factor's
+    offset, are those of the renamed factor.
     """
     na = ta.node
-    off_b = max_index(na) + 1
+    ca, cb, cc = (index_census(t.node) for t in (ta, tb, tc))
+    top_a = max(ca, default=-1)
+    off_b = top_a + 1
+    top_b = max(cb) + off_b if cb else -1
+    off_c = max(top_a, top_b) + 1
+    top_c = max(cc) + off_c if cc else -1
     nb = rename_indices(tb.node, lambda i: i + off_b)
-    off_c = max(max_index(na), max_index(nb)) + 1
     nc = rename_indices(tc.node, lambda i: i + off_c)
 
-    a = sole_free_index(na, DOWN)
-    b = sole_free_index(nb, UP)
-    top = max(max_index(na), max_index(nb), max_index(nc)) + 1
+    a = sole_free_index(ca, DOWN)
+    b = sole_free_index(cb, UP) + off_b
+    top = max(top_a, top_b, top_c) + 1
     mu, rho1, out = top, top + 1, top + 2
     if kind == GPSI:
-        c = sole_free_index(nc, UP)
+        c = sole_free_index(cc, UP) + off_c
         g2 = Gamma(mu, rho1, c)        # (g^mu)^{rho'}_{c}
     elif kind == GPSIBAR:
-        c = sole_free_index(nc, DOWN)
+        c = sole_free_index(cc, DOWN) + off_c
         g2 = Gamma(mu, c, rho1)        # (g^mu)^{c}_{rho'}
     else:
         raise InvariantError(f"unknown branch propagator {kind!r}")

@@ -23,13 +23,18 @@ canonicalize to the identical tree.  Product children are sorted by a
 shape key; groups of children that remain tied *and* are coupled through
 shared indices are resolved by brute-force permutation, taking the
 lexicographically smallest serialization.  Tied groups in this model are
-tiny (at most a few identical branches), so the search is cheap.  A
-child's shape counts each index's occurrences inside the child from one
-table of occurrence positions built per canonicalization.  The canonical
-tree has its indices renamed 0, 1, 2, ... in order of first occurrence, so
-the walk that assigns those names spells its serialization, which is its
-key: `canonicalize` records it on the returned term and `TermSum.add`
-merges under it, with no second search and no second walk.
+tiny (at most a few identical branches), so the search is cheap.  One walk
+of the input tree spells its serialization as pieces, with each index left
+unnamed, and records each subtree's span of pieces, each index's positions
+and the index census that `validate` checks.  A child's shape and a
+candidate order's serialization render slices of those pieces under their
+own namings, so no subtree is walked again, though a subtree nested in d
+products is still rendered for the shapes of each of them.  The canonical
+tree has its indices renamed 0, 1, 2, ... in order of first occurrence,
+so the pass that orders the products also assigns those names, builds the
+renamed tree and spells its serialization, which is its key:
+`canonicalize` records it on the returned term and `TermSum.add` merges
+under it, with no second search and no second walk.
 
 Precondition: the form is canonical only when every product nested
 below the outermost one already has its children in canonical order: a
@@ -124,41 +129,40 @@ def _children(node: Node):
 
 
 def index_occurrences(node: Node):
-    """Yields (index, polarity, kind) with kind 'spinor' or 'vector'."""
-    if isinstance(node, Leaf):
-        yield node.index, (UP if node.species == PHI else DOWN), "spinor"
-    elif isinstance(node, Gamma):
-        yield node.mu, 0, "vector"
-        yield node.row, UP, "spinor"
-        yield node.col, DOWN, "spinor"
-    elif isinstance(node, Conv):
-        up_out = node.kind == GPSI
-        yield node.out_index, (UP if up_out else DOWN), "spinor"
-        yield node.in_index, (DOWN if up_out else UP), "spinor"
-        yield from index_occurrences(node.inner)
-    elif isinstance(node, Prod):
-        for c in node.children:
-            yield from index_occurrences(c)
+    """Yields (index, polarity, kind) with kind 'spinor' or 'vector', in
+    pre-order: a node's own indices, then its children's, left to right."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Leaf):
+            yield n.index, (UP if n.species == PHI else DOWN), "spinor"
+        elif isinstance(n, Gamma):
+            yield n.mu, 0, "vector"
+            yield n.row, UP, "spinor"
+            yield n.col, DOWN, "spinor"
+        elif isinstance(n, Conv):
+            up_out = n.kind == GPSI
+            yield n.out_index, (UP if up_out else DOWN), "spinor"
+            yield n.in_index, (DOWN if up_out else UP), "spinor"
+            stack.append(n.inner)
+        elif isinstance(n, Prod):
+            stack.extend(reversed(n.children))
 
 
 def index_census(node: Node) -> dict:
+    """Map index -> [(polarity, kind), ...], one entry per occurrence;
+    indices in order of first occurrence."""
     census = {}
     for idx, pol, kind in index_occurrences(node):
         census.setdefault(idx, []).append((pol, kind))
     return census
 
 
-def free_indices(node: Node) -> dict:
-    """Map free index -> (polarity, kind)."""
-    return {
-        idx: occ[0]
-        for idx, occ in index_census(node).items()
-        if len(occ) == 1
-    }
-
-
-def validate(node: Node) -> None:
-    for idx, occ in index_census(node).items():
+def validate(census: dict) -> None:
+    """InvariantError unless every index of an `index_census` occurs at
+    most twice, in slots of one kind, and a contracted spinor index once
+    upper and once lower."""
+    for idx, occ in census.items():
         if len(occ) > 2:
             raise InvariantError(f"index {idx} occurs {len(occ)} times")
         kinds = {k for _, k in occ}
@@ -169,11 +173,10 @@ def validate(node: Node) -> None:
                 raise InvariantError(f"index {idx} contracted with equal polarity")
 
 
-def sole_free_index(node: Node, pol: int) -> int:
-    """The one free spinor index of polarity pol; InvariantError unless
-    there is exactly one."""
-    slots = [idx for idx, (p, kind) in free_indices(node).items()
-             if kind == "spinor" and p == pol]
+def sole_free_index(census: dict, pol: int) -> int:
+    """The one free spinor index of polarity pol in an `index_census`;
+    InvariantError unless there is exactly one."""
+    slots = [idx for idx, occ in census.items() if occ == [(pol, "spinor")]]
     if len(slots) != 1:
         raise InvariantError(
             f"expected exactly one free {'upper' if pol == UP else 'lower'} "
@@ -266,8 +269,9 @@ def convolve(kind: str, t: Term) -> Term:
     """
     if kind not in (GPSI, GPSIBAR):
         raise InvariantError(f"unknown propagator kind {kind!r}")
-    slot = sole_free_index(t.node, UP if kind == GPSI else DOWN)
-    out = max_index(t.node) + 1
+    census = index_census(t.node)
+    slot = sole_free_index(census, UP if kind == GPSI else DOWN)
+    out = max(census, default=-1) + 1
     return Term(t.coeff, Conv(kind, out, slot, t.node))
 
 
@@ -275,146 +279,171 @@ def convolve(kind: str, t: Term) -> Term:
 # canonical form
 # --------------------------------------------------------------------------
 
-def _emit(node: Node, name, tokens: list) -> None:
-    """Append the serialization tokens of node; name(idx) spells an index."""
-    if isinstance(node, Leaf):
-        tokens.append(f"L[{node.species},{name(node.index)}]")
-    elif isinstance(node, Gamma):
-        tokens.append(f"g[{name(node.mu)},{name(node.row)},{name(node.col)}]")
-    elif isinstance(node, Conv):
-        tokens.append(f"C[{node.kind},{name(node.out_index)},{name(node.in_index)}](")
-        _emit(node.inner, name, tokens)
-        tokens.append(")")
-    elif isinstance(node, Prod):
-        tokens.append("P(")
-        for c in node.children:
-            _emit(c, name, tokens)
-            tokens.append(",")
-        tokens.append(")")
-    else:  # pragma: no cover
-        raise TypeError(node)
+def _walk(node: Node):
+    """(pieces, span, where, census) from one pre-order walk of node.
 
-
-def _namer(naming: dict):
-    """Index namer that assigns i0, i1, ... on first encounter into naming."""
-
-    def name(idx):
-        if idx not in naming:
-            naming[idx] = f"i{len(naming)}"
-        return naming[idx]
-
-    return name
-
-
-def _occurrences(node: Node):
-    """(where, span) from one walk in `index_occurrences` order: where[i]
-    lists the positions of index i, span[id(n)] is the half-open range of
-    positions inside subtree n."""
-    where: dict = {}
+    pieces spell node's serialization with each index left as the index
+    itself (every other piece is a str); span[id(n)] is the half-open
+    range of the pieces of subtree n, where[i] lists the pieces that hold
+    index i, and census is node's `index_census`."""
+    pieces: list = []
     span: dict = {}
-    count = 0
+    where: dict = {}
+    census: dict = {}
+
+    def index(i, pol, kind):
+        where.setdefault(i, []).append(len(pieces))
+        census.setdefault(i, []).append((pol, kind))
+        pieces.append(i)
 
     def visit(n):
-        nonlocal count
-        lo = count
-        if isinstance(n, Conv):
-            own = (n.out_index, n.in_index)
+        lo = len(pieces)
+        if isinstance(n, Leaf):
+            pieces.append(f"L[{n.species},")
+            index(n.index, UP if n.species == PHI else DOWN, "spinor")
+            pieces.append("]")
+        elif isinstance(n, Gamma):
+            pieces.append("g[")
+            index(n.mu, 0, "vector")
+            pieces.append(",")
+            index(n.row, UP, "spinor")
+            pieces.append(",")
+            index(n.col, DOWN, "spinor")
+            pieces.append("]")
+        elif isinstance(n, Conv):
+            up_out = n.kind == GPSI
+            pieces.append(f"C[{n.kind},")
+            index(n.out_index, UP if up_out else DOWN, "spinor")
+            pieces.append(",")
+            index(n.in_index, DOWN if up_out else UP, "spinor")
+            pieces.append("](")
+            visit(n.inner)
+            pieces.append(")")
         elif isinstance(n, Prod):
-            own = ()
+            pieces.append("P(")
+            for c in n.children:
+                visit(c)
+                pieces.append(",")
+            pieces.append(")")
         else:
-            own = [i for i, _, _ in index_occurrences(n)]
-        for i in own:
-            where.setdefault(i, []).append(count)
-            count += 1
-        for c in _children(n):
-            visit(c)
-        span[id(n)] = (lo, count)
+            raise TypeError(n)
+        span[id(n)] = (lo, len(pieces))
 
     visit(node)
-    return where, span
+    return pieces, span, where, census
 
 
-def _child_shape(child: Node, occ, prenamed: dict) -> str:
+def _render(table, node: Node, name) -> str:
+    """The serialization of a subtree of the walked term, in its input
+    order, with each index spelled name(index)."""
+    pieces, span, _ = table
+    lo, hi = span[id(node)]
+    return "".join([p if p.__class__ is str else name(p)
+                    for p in pieces[lo:hi]])
+
+
+def _child_shape(child: Node, table, naming: dict) -> str:
     """Order key for a product child.
 
     Indices already named in the enclosing context keep their names; indices
     local to the child get positional names; indices linking to siblings
     (or free elsewhere) are reduced to link/free markers so that the key is
-    independent of sibling identity.  occ is the `_occurrences` table of
-    the whole term, so counting an index inside the child walks nothing.
+    independent of sibling identity.  Whether an index is local is read
+    off the positions of its pieces, so naming the child walks nothing.
     """
-    where, span = occ
-    lo, hi = span[id(child)]
+    where = table[2]
+    lo, hi = table[1][id(child)]
     local = {}
 
     def name(idx):
-        if idx in prenamed:
-            return "@" + prenamed[idx]
+        r = naming.get(idx)
+        if r is not None:
+            return f"@i{r}"
         at = where[idx]
-        inside = sum(lo <= p < hi for p in at)
-        if inside == 2:
-            if idx not in local:
-                local[idx] = f"l{len(local)}"
-            return local[idx]
-        return "*LINK*" if len(at) > inside else "*FREE*"
+        if len(at) == 1:
+            return "*FREE*"
+        p, q = at  # `validate` allows no third occurrence
+        if not (lo <= p < hi and lo <= q < hi):
+            return "*LINK*"
+        if idx not in local:
+            local[idx] = f"l{len(local)}"
+        return local[idx]
 
-    tokens: list = []
-    _emit(child, name, tokens)
-    return "".join(tokens)
+    return _render(table, child, name)
 
 
-def _order_prod(node: Prod, naming: dict, occ) -> tuple:
-    """Canonical child order for a product under the current naming."""
-    kids = node.children
-    orders = tie_orders(kids, [_child_shape(c, occ, naming) for c in kids],
+def _order_prod(kids: tuple, naming: dict, table) -> tuple:
+    """Canonical order of a product's children under the current naming."""
+    orders = tie_orders(kids, [_child_shape(c, table, naming) for c in kids],
                         "*LINK*")
     if len(orders) == 1:
         return orders[0]
 
     def serialization(cand):
-        name = _namer(dict(naming))
-        tokens: list = []
-        for c in cand:
-            _emit(c, name, tokens)
-            tokens.append(",")
-        return "".join(tokens)
+        names = dict(naming)
+
+        def name(idx):
+            return f"i{_rank(names, idx)}"
+
+        return "".join([_render(table, c, name) + "," for c in cand])
 
     return min(orders, key=serialization)
 
 
-def _canon_node(node: Node, naming: dict, occ) -> Node:
-    name = _namer(naming)
-    if isinstance(node, (Leaf, Gamma)):
-        for idx, _, _ in index_occurrences(node):
-            name(idx)
-        return node
+def _rank(naming: dict, idx) -> int:
+    """idx's canonical name, the next free one on first encounter."""
+    r = naming.get(idx)
+    if r is None:
+        r = naming[idx] = len(naming)
+    return r
+
+
+def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
+    """node with its products ordered and its indices renamed by first
+    occurrence into naming; appends the serialization of the result to
+    key."""
+    if isinstance(node, Leaf):
+        i = _rank(naming, node.index)
+        key.append(f"L[{node.species},i{i}]")
+        return Leaf(node.species, i)
+    if isinstance(node, Gamma):
+        mu = _rank(naming, node.mu)
+        row = _rank(naming, node.row)
+        col = _rank(naming, node.col)
+        key.append(f"g[i{mu},i{row},i{col}]")
+        return Gamma(mu, row, col)
     if isinstance(node, Conv):
-        name(node.out_index)
-        name(node.in_index)
-        inner = _canon_node(node.inner, naming, occ)
-        return Conv(node.kind, node.out_index, node.in_index, inner)
+        out = _rank(naming, node.out_index)
+        inn = _rank(naming, node.in_index)
+        key.append(f"C[{node.kind},i{out},i{inn}](")
+        inner = _canon_node(node.inner, naming, key, table)
+        key.append(")")
+        return Conv(node.kind, out, inn, inner)
     if isinstance(node, Prod):
-        flat = Prod(_flatten(node.children))
-        ordered = _order_prod(flat, naming, occ)
-        out = tuple(_canon_node(c, naming, occ) for c in ordered)
-        return Prod(out)
+        key.append("P(")
+        kids = []
+        for c in _order_prod(_flatten(node.children), naming, table):
+            kids.append(_canon_node(c, naming, key, table))
+            key.append(",")
+        key.append(")")
+        return Prod(tuple(kids))
     raise TypeError(node)  # pragma: no cover
 
 
 def canonicalize(t: Term) -> Term:
     """Canonical representative: sorted products, indices renamed 0,1,2,...
-    in order of first occurrence.  The returned term carries its
-    serialization as `_key`: the tokens that name the indices by first
-    occurrence spell the renamed tree.  Nested products must already be in
-    canonical child order (see the module docstring)."""
-    validate(t.node)
-    ordered = _canon_node(t.node, {}, _occurrences(t.node))
-    first_seen: dict = {}
-    tokens: list = []
-    _emit(ordered, _namer(first_seen), tokens)
-    rank = {old: r for r, old in enumerate(first_seen)}
-    out = Term(t.coeff, rename_indices(ordered, rank.__getitem__))
-    object.__setattr__(out, "_key", "".join(tokens))
+    in order of first occurrence.  One walk of the input tree spells it
+    as pieces and checks its index census; each product's child shapes
+    and tie-break serializations render slices of those pieces, and one
+    pass over the ordered tree names the indices, builds the renamed tree
+    and records its serialization as `_key`.  Nested products must
+    already be in canonical child order (see the module docstring)."""
+    pieces, span, where, census = _walk(t.node)
+    validate(census)
+    key: list = []
+    node = _canon_node(t.node, {}, key, (pieces, span, where))
+    out = Term(t.coeff, node)
+    object.__setattr__(out, "_key", "".join(key))
     return out
 
 

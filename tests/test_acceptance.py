@@ -5,6 +5,7 @@ budget) once every assertion of the criterion has held; run with `pytest -s
 tests/test_acceptance.py` to see the lines.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -27,13 +28,13 @@ from sthirring.perturbation import (
 )
 from sthirring.power_counting import (
     DIVERGENT, REGULAR, classify, divergence_closed_form, divergence_degree,
-    maximal_contractions,
+    maximal_contractions, sd_propagator,
 )
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR, Conv, Gamma, Leaf, Prod, Term, TermSum,
 )
 
-from helpers import mirror
+from helpers import mirror, run_argv
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,16 @@ def test_criterion_9_scaling_degree_probe():
                                      (1.0, 0.7))
         assert probe.conclusive
         assert abs(probe.sd - 1.0) <= 0.1  # sd = d - 1 at d = 2
+
+
+def test_kernel_check_probe_reads_the_power_counting_degree():
+    """The numerical layer's d = 2 Dirac probe measures the propagator
+    scaling degree that power counting assumes, sd(G) = d - 1."""
+    rc, out, _ = run_argv("kernel-check --dim 2")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["pass"] and report["dirac_scaling_degree"]["conclusive"]
+    assert round(report["dirac_scaling_degree"]["estimate"]) == sd_propagator(2)
 
 
 def test_criterion_10_d2_green_identity():

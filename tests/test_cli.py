@@ -2,13 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sthirring.cli import main
 from sthirring.perturbation import expand
 
-from helpers import term_from_json
+from helpers import run_argv, term_from_json
 
 
 def run_cli(*argv):
@@ -244,79 +245,43 @@ def test_negative_trials_is_a_usage_error():
     assert run_cli("kernel-check", "--dim", "1", "--trials", "-1")[0] == 2
 
 
-# sha256 of stdout of cheap runs of every symbolic command.  A change of
-# canonical representative, of merge order or of formatting fails here, not
-# only in the benchmark digests (perfbench/digests.json), which must be
-# re-pinned together with these.
-GOLDEN = {
-    "expand --order 3 --format tex":
-        "e2cb6790853043515b62a6df1d23c5982e5148a3e3721dc06c2cdcf9058ab724",
-    "expand --order 3 --format json":
-        "06e0b99dc125018a516e125232217b04e2e7149f56b8447d8ef93b4a0e23ec70",
-    "expand --order 4 --format tex":
-        "356d4f8c08d5de8e06fe655f361db1644ec0583dc693f9764145f20a8958730b",
-    "expand --order 4 --format json":
-        "47f98cf9bc85846b04334259056b645f18133d1afa14412fa246933433abfe10",
-    "correlate --order 2 --format json":
-        "c4a1fe2004d61bdaafb14a85329227871067376994e6ef0abbac7bc3ec60aed9",
-    "correlate --order 2 --format dot":
-        "7ad2f10af7cb24c52afc29f6249ba06d781f7f82388d501ed59c15b71aa10fd8",
-    "counterterms --order 2":
-        "4a9cb47c51ee2b3ebdf29f6e5fdc42b898e90a7e8ef31f30bb911dbbd1528248",
-    "counterterms --order 3":
-        "527846394fd6bddcf9c4f0893c7e8a70f9b660a2edbcdd144946eb7c9dcbec24",
-    "gamma-check --seed 3 --trials 2 --export-rep 2":
-        "20d8c6113bfb16ef670ef1e3a9daf38e8699ee3f872d72ad8a17b94a6ec4a296",
-    "gamma-check --seed 3 --trials 5":
-        "8b1f810d87fad45f2ee183278e986089a59edd458e9de03939e846ab7acee2e6",
-    "power-count --dim 2 --max-order 3":
-        "481857edf786fb208c84848d69691e3f8c1183e4849e0ef5ee25553d0b9f062b",
-    "expand --order 3 --format dot":
-        "25b15a6ea24755c908b6ab52ac7f19f96deed1ca808054eb2237ee30d4a8bbb3",
-    "expand --order 3 --branch psibar --format dot":
-        "9878d3c2951c66b91b4923c4d5824c09c743879d5f14438e0e7fca717d8340d3",
-    "expect --order 3":
-        "5b3ea2bb5146c8786f77afd0c2a0feaddd0244031c632d23da7f9843e1fcd586",
-    "expect --order 3 --format json":
-        "8e87b52f982ceebeb9f735456ed25fd8ef7fbb85d99fbfae99514546fa04c1ac",
-    "power-count --dim 2 --max-order 3 --format json":
-        "b9b7a8b966c36351bccf27cc8d2313ba817e013c821035eb6bf6b56f09f9140f",
-    "correlate --order 2 --branches psibar-psi":
-        "b7533ac6fc52de2631dac74652a26edb760c418a9ad27d5a12f6bd6383f00d05",
-    "correlate --order 3 --branches psi-psibar --format json":
-        "c3c79d06f466abfd5b20bc39408fa8f9a14093c348622866f1ae1d262910e6b6",
-    "correlate --order 3 --branches psi-psibar --format dot":
-        "8b58c5b589892f4cae5c1279cd73543ff6a2a99d942e48a07aaaecd4d65a568a",
-    "correlate --order 3 --branches psibar-psi --format json":
-        "e9284a83bacf470481f12db2fbc6f345c7ea47603c9e05194fdde865bb951438",
-    "correlate --order 3 --branches psibar-psi --format dot":
-        "2696cd9b9b726754b543ac020409bc14436e173019dae82213733efe2dc2486b",
-    "correlate --order 3 --branches psi-psi --format json":
-        "b13d77e7d096e3c37c62f87afb6738f87477edb7d72e27313d70027048e19339",
-    "correlate --order 3 --branches psi-psi --format dot":
-        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
-    "correlate --order 3 --branches psibar-psibar --format json":
-        "a1047e77a5533cbd5f961953d7c363e58f4fe0112db468129c3afbea6ac66c01",
-    "correlate --order 3 --branches psibar-psibar --format dot":
-        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
-    "expand --order 5 --format json":
-        "3be9a6a781173b86333302bca07e86ad90983d1603aaec3a6e49ed88ddedb350",
-    "expand --order 5 --branch psibar --format json":
-        "ce83020e85c1f06993c2f49832f8d2684dd3242ce741730b9301e183016e4a78",
-    "expect --order 4 --branch psibar --format json":
-        "4ed760afcf2914f4dc5a28b97e13d3073b8513715aecbc79e31089fef809e185",
-    "power-count --dim 2 --max-order 4 --format json":
-        "78ce72c3750d166fb62e6e635c07f9c0c7391f5caca37464252f089179e20c46",
-    "gamma-check --seed 3 --trials 4 --export-rep 4":
-        "42cc2aa31e8fe15c8598e1566bde098bfa4f059262dc1564cff356ba6db229b5",
-}
+# The digest manifest: for each command line, the sha256 of its stdout,
+# its stderr and its exit code.  A change of canonical representative, of
+# merge order or of formatting fails here; re-record the manifest with
+# tests/record_cli_manifest.py only for a change that is meant, and
+# re-pin the benchmark digests (perfbench/digests.json) with it.
+MANIFEST = json.loads((Path(__file__).parent / "cli_manifest.json").read_text())
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN))
+@pytest.mark.parametrize("argv", sorted(MANIFEST))
 def test_golden_output_bytes(argv):
-    rc, out = run_cli(*argv.split())
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+    rc, out, err = run_argv(argv)
+    assert (rc, err) == (MANIFEST[argv]["rc"], MANIFEST[argv]["stderr"])
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        MANIFEST[argv]["stdout_sha256"]
+
+
+def test_manifest_covers_the_recorded_command_lines():
+    from record_cli_manifest import ARGVS
+    assert sorted(MANIFEST) == ARGVS
+    # every symbolic command, and the usage errors (exit 2, stdout empty)
+    commands = {argv.split()[0] for argv in ARGVS}
+    assert commands == {"expand", "expect", "correlate", "counterterms",
+                        "power-count", "gamma-check", "kernel-check"}
+    empty = hashlib.sha256(b"").hexdigest()
+    errors = [e for e in MANIFEST.values() if e["rc"] != 0]
+    assert len(errors) == 10
+    assert all(e["rc"] == 2 and e["stdout_sha256"] == empty
+               and e["stderr"].startswith("usage error: ") for e in errors)
+
+
+def test_benchmark_digests_agree_with_the_manifest():
+    pinned = json.loads((Path(__file__).parent.parent / "perfbench" /
+                         "digests.json").read_text())
+    assert pinned
+    for argv, digest in pinned.items():
+        assert MANIFEST[argv] == {"rc": 0, "stderr": "",
+                                  "stdout_sha256": digest}
 
 
 def test_permutation_budget_overflow_is_a_usage_error(monkeypatch, capsys):

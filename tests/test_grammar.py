@@ -16,11 +16,9 @@ from sthirring import properties, terms
 from sthirring.deformation import extract_counterterms, gamma_Q, two_point
 from sthirring.diagrams import diagram_to_json, iter_children
 from sthirring.perturbation import COSPINOR, SPINOR, expand
-from sthirring.terms import (
-    DOWN, GPSI, GPSIBAR, UP, Conv, Prod, canonicalize, convolve, free_indices,
-)
+from sthirring.terms import Conv, Prod, canonicalize
 
-from helpers import diagram_from_json
+from helpers import diagram_from_json, wrapped
 
 CHILD_KINDS = {"free", "pair", "qloop", "ctloop", "argport", "conv"}
 BRANCHES = (SPINOR, COSPINOR)
@@ -34,14 +32,6 @@ def _node_classes(node) -> set:
     return {type(node)}
 
 
-def _wrapped(t):
-    """t inside the propagator that fits its rank, or None if none does."""
-    spinor = [pol for pol, kind in free_indices(t.node).values()
-              if kind == "spinor"]
-    kind = {(UP,): GPSI, (DOWN,): GPSIBAR}.get(tuple(spinor))
-    return None if kind is None else canonicalize(convolve(kind, t))
-
-
 @pytest.fixture(scope="module")
 def built_terms():
     series = expand(4)
@@ -49,9 +39,10 @@ def built_terms():
            for t in series.coefficient(k, b)]
     rng = random.Random(2024)
     draws = [properties.random_term(rng) for _ in range(40)]
-    wrapped = [w for w in map(_wrapped, draws) if w is not None]
-    assert len(wrapped) > 10
-    return out + draws + wrapped
+    convolved = [canonicalize(w) for w in map(wrapped, draws)
+                 if w is not None]
+    assert len(convolved) > 10
+    return out + draws + convolved
 
 
 @pytest.fixture(scope="module")
