@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -33,9 +33,7 @@ from .kernels import (
     greens_identity_residual, polar_mass_limit, q_kernel_1d,
     scaling_degree_probe,
 )
-from .perturbation import (
-    COSPINOR, SPINOR, expand, field_counts, graph_statistics,
-)
+from .perturbation import COSPINOR, SPINOR, check_structure, expand
 from .power_counting import classify, sd_propagator
 from .properties import run_all
 from .terms import termsum_to_json, to_tex
@@ -190,8 +188,7 @@ def _cmd_expand(args) -> None:
     series = expand(args.order)
     branch = _BRANCH[args.branch]
     terms = series.coefficient(args.order, branch).terms()
-    field_counts(series, args.order, branch)
-    graph_statistics(series, args.order, branch)
+    check_structure(series, args.order, branch)
     if args.format == "tex":
         lines = [f"% order {args.order}, {len(terms)} monomials"]
         lines += [to_tex(t) for t in terms]
@@ -228,17 +225,18 @@ def _cmd_expect(args) -> None:
 
 def _cmd_correlate(args) -> None:
     series = expand(args.order)
-    a, b = args.branches.split("-")
-    tp = two_point(series, _BRANCH[a], _BRANCH[b], args.order)
+    a, b = (_BRANCH[x] for x in args.branches.split("-"))
+    tp = two_point(series, a, b, args.order)
     if args.format == "dot":
         chunks = []
         for k in range(args.order + 1):
             chunks += [to_dot(d, f"o{k}_{i}") for i, d in enumerate(tp[k])]
         _emit("\n".join(chunks), args.output)
     else:
+        origin = f"two_point[{a},{b}]"
         payload = {
             "branches": args.branches,
-            "orders": {str(k): deformedsum_to_json(tp[k])
+            "orders": {str(k): deformedsum_to_json(tp[k], origin, k)
                        for k in range(args.order + 1)},
         }
         _emit(_dumps(payload), args.output)
@@ -344,12 +342,16 @@ def _cmd_counterterms(args) -> None:
 # --------------------------------------------------------------------------
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    # usage wrapped at 78 columns (argparse's width when stdout is not a
+    # terminal) whatever COLUMNS says, so a usage error has fixed bytes
+    parser = partial(argparse.ArgumentParser, formatter_class=partial(
+        argparse.HelpFormatter, width=78))
+    p = parser(
         prog="sthirring",
         description="Symbolic perturbation and power counting for the "
                     "stochastic Thirring model.")
     p.add_argument("--config", help="key = value defaults file")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=parser)
 
     def common(sp):
         sp.add_argument("--output", help="write to file instead of stdout")

@@ -10,17 +10,18 @@ pair is wired through the vertex's gamma insertions the ill-defined kernel
 is replaced by a named counterterm tag, otherwise the diagonal kernel is
 kept as an explicit Q/Q_tilde loop with a DeltaDiag marker.
 
-`contractions` enumerates every pairing as an unmerged diagram; the
-maximal graphs of power counting and the DOT export take theirs from it.
-The sums (the local map `gamma_Q`, expectation values and two-point
-functions) deform one pairing per orbit of the leaf permutations that
-stay inside a run (leaves of one species at one vertex, adjacent in the
-canonical tree), scaled by the orbit size (`orbit_matchings`).  In a
-canonical term the Phi leaves of a vertex are adjacent siblings, and so
-are its PhiBar leaves, since the children of a product are sorted by
-shape.  Such a permutation therefore keeps which end of every pair comes
-first, and with it the Q/Q_tilde label, the vertex, the tag and the 1/2
-weight.  The diagrams of one orbit differ only in sibling order, which
+`contractions(t, size)` enumerates every pairing of `size` pairs as an
+unmerged diagram; the maximal graphs of power counting and the DOT export
+(size 0) take theirs from it.  The sums (the local map `gamma_Q` of a
+`TermSum`, expectation values and two-point functions) deform one pairing
+per orbit of the leaf permutations that stay inside a run (leaves of one
+species at one vertex, adjacent in the canonical tree), scaled by the
+orbit size (`orbit_matchings`).  A `TermSum` holds each term in canonical
+form, where the Phi leaves of a vertex are adjacent siblings, and so are
+its PhiBar leaves, since the children of a product are sorted by shape.
+Such a permutation therefore keeps which end of every pair comes first,
+and with it the Q/Q_tilde label, the vertex, the tag and the 1/2 weight.
+The diagrams of one orbit differ only in sibling order, which
 canonicalization forgets.  Swapping identical convolved subtrees would
 flip Q and Q_tilde, so those stay apart.
 
@@ -59,15 +60,14 @@ from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 from .diagrams import (
-    DeformedSum, Diagram, convolved, free_leaves, iter_children, max_pair_id,
-    rename_pair_ids, replace_at, vertex_join,
+    DeformedSum, Diagram, convolved, free_leaves, max_pair_id, rename_pair_ids,
+    replace_at, vertex_join,
 )
 from .errors import InvariantError, UsageError
 from .perturbation import COSPINOR, SPINOR, PerturbativeSeries
 from .terms import (
     GPSI, PHI, PHIBAR,
-    Conv, Gamma, Leaf, Prod, Term, TermSum,
-    canonicalize, grading,
+    Conv, Gamma, Leaf, Prod, Term, TermSum, grading,
 )
 
 CTILDE = "Ctilde"
@@ -144,19 +144,6 @@ def term_census(*slots: Term):
 # pairings
 # --------------------------------------------------------------------------
 
-def matchings_of_size(phis, phibars, k):
-    """The injective matchings of exactly k Phi leaves with k PhiBar leaves."""
-    for ps in combinations(phis, k):
-        for qs in permutations(phibars, k):
-            yield tuple(zip(ps, qs))
-
-
-def partial_matchings(phis, phibars):
-    """All injective partial matchings of the two leaf lists, by size."""
-    for k in range(min(len(phis), len(phibars)) + 1):
-        yield from matchings_of_size(phis, phibars, k)
-
-
 def contraction_count(r: int, r_bar: int, k: int) -> int:
     """Number of k-pair matchings of r Phi with r_bar PhiBar leaves."""
     if k < 0 or k > min(r, r_bar):
@@ -165,9 +152,10 @@ def contraction_count(r: int, r_bar: int, k: int) -> int:
 
 
 def brute_force_contractions(r: int, r_bar: int, k: int) -> int:
-    """Independent oracle: enumerate the matchings and count them."""
-    return sum(1 for m in partial_matchings(range(r), range(r_bar))
-               if len(m) == k)
+    """Independent oracle: enumerate the k-pair matchings, a choice of k
+    Phi leaves times an arrangement of k PhiBar leaves, and count them."""
+    return sum(1 for _ in combinations(range(r), k)
+               for _ in permutations(range(r_bar), k))
 
 
 def leaf_runs(leaves, species):
@@ -286,19 +274,19 @@ def _diagram_for_matching(coeff, templates, leaves, matching):
                    coeff / (1 << halvings) if halvings else coeff)
 
 
-def contractions(t: Term, size: int | None = None):
-    """The unmerged Diagram of every pairing of a canonical term's Phi
-    leaves with its PhiBar leaves: every partial pairing, by size, or the
-    pairings of exactly `size` pairs.  Power counting, the DOT export and
-    the oracles of `gamma_Q` need each pairing; the sums take one per
-    orbit instead."""
+def contractions(t: Term, size: int):
+    """The unmerged Diagram of every pairing of `size` of a canonical
+    term's Phi leaves with as many of its PhiBar leaves: each choice of
+    Phi leaves, in order, times each arrangement of PhiBar leaves.  Power
+    counting takes the maximal pairings and the DOT export the empty one;
+    the sums take one pairing per orbit instead."""
     templates, leaves = term_census(t)
     phis = [l.pos for l in leaves if l.species == PHI]
     bars = [l.pos for l in leaves if l.species == PHIBAR]
-    matchings = (partial_matchings(phis, bars) if size is None
-                 else matchings_of_size(phis, bars, size))
-    for matching in matchings:
-        yield _diagram_for_matching(t.coeff, templates, leaves, matching)
+    for ps in combinations(phis, size):
+        for qs in permutations(bars, size):
+            yield _diagram_for_matching(t.coeff, templates, leaves,
+                                        tuple(zip(ps, qs)))
 
 
 def _orbit_contractions(*slots: Term, complete=False):
@@ -317,26 +305,15 @@ def _orbit_contractions(*slots: Term, complete=False):
                                     matching).scaled(size)
 
 
-def gamma_Q(x: Term | TermSum) -> DeformedSum:
-    """Local deformation: sum over all partial leaf pairings of each term
-    of a sum, or of a single term that must already be canonical."""
-    if isinstance(x, TermSum):
-        terms = x.terms()
-    elif canonicalize(x).node != x.node:
-        raise InvariantError("gamma_Q requires canonicalized input")
-    else:
-        terms = [x]
-    return DeformedSum((d for t in terms for d in _orbit_contractions(t)),
-                       origin="gamma_Q")
+def gamma_Q(s: TermSum) -> DeformedSum:
+    """Local deformation: the sum over all partial leaf pairings of each
+    term of s, in the canonical form the sum holds it in."""
+    return DeformedSum(d for t in s for d in _orbit_contractions(t))
 
 
-def gamma_Q_convolved(kind: str, x: Term | TermSum) -> DeformedSum:
+def gamma_Q_convolved(kind: str, s: TermSum) -> DeformedSum:
     """convolve(G, .) pushed through the deformation, diagram by diagram."""
-    inner = gamma_Q(x)
-    ds = DeformedSum(origin=inner.origin)
-    for d in inner:
-        ds.add(convolved(kind, d))
-    return ds
+    return DeformedSum(convolved(kind, d) for d in gamma_Q(s))
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +324,7 @@ def expectation_report(series: PerturbativeSeries, k: int,
                        branch: str = SPINOR) -> tuple[DeformedSum, int]:
     """(surviving diagrams, number of contraction patterns examined); only
     complete pairings are built, the others are counted from the grading."""
-    ds = DeformedSum(origin=f"expectation[{branch}]", order=k)
+    ds = DeformedSum()
     examined = 0
     for t in series.coefficient(k, branch):
         g = grading(t)
@@ -364,7 +341,7 @@ def two_point(series: PerturbativeSeries, branch_a: str, branch_b: str,
     every monomial pair t_a (x) t_b, t_a in F^a_k1 and t_b in F^b_(k-k1)."""
     out = {}
     for k in range(K + 1):
-        ds = DeformedSum(origin=f"two_point[{branch_a},{branch_b}]", order=k)
+        ds = DeformedSum()
         for k1 in range(k + 1):
             for ta in series.coefficient(k1, branch_a):
                 for tb in series.coefficient(k - k1, branch_b):
@@ -383,7 +360,6 @@ class CountertermOperator:
     """H_k: operator diagrams with one marked argument slot each, and the
     order-k defect of the renormalized equation with H_1..H_k inserted."""
 
-    order: int
     ops: DeformedSum
     residual: DeformedSum
 
@@ -392,22 +368,33 @@ class CountertermOperator:
         return all(len(free_leaves(d)) % 2 == 0 for d in self.ops)
 
 
-def _argport(op_diag: Diagram) -> tuple[str, tuple]:
-    """(species, path) of the operator's one argument port."""
-    for ch, p in iter_children(op_diag):
-        if ch[0] == "argport":
-            return ch[1], p
-    raise InvariantError("operator diagram has no argument slot")
-
-
 def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
-    """Graft u into the operator's argument slot (operator composition)."""
+    """Graft u into the operator's argument slot (operator composition):
+    one pass over the operator splices u's children, their pair ids moved
+    past the operator's, in place of the argument port."""
     if len(u.slots) != 1:
         raise InvariantError("operator argument must be single-slot")
     off = max_pair_id(op_diag) + 1
     shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
-    grafted = replace_at(op_diag, _argport(op_diag)[1], list(shifted))
-    return Diagram(grafted.slots, grafted.coeff * u.coeff)
+    grafted = False
+
+    def graft(children):
+        nonlocal grafted
+        out = []
+        for ch in children:
+            if ch[0] == "argport":
+                out += shifted
+                grafted = True
+            elif ch[0] == "conv":
+                out.append(("conv", ch[1], graft(ch[2])))
+            else:
+                out.append(ch)
+        return tuple(out)
+
+    slots = tuple(graft(body) for body in op_diag.slots)
+    if not grafted:
+        raise InvariantError("operator diagram has no argument slot")
+    return Diagram(slots, op_diag.coeff * u.coeff)
 
 
 def _designate(d: Diagram) -> Diagram:
@@ -419,9 +406,9 @@ def _designate(d: Diagram) -> Diagram:
     return replace_at(d, phis[0], ("argport", PHI))
 
 
-def _strip_and_mark(defect: DeformedSum, order: int) -> DeformedSum:
+def _strip_and_mark(defect: DeformedSum) -> DeformedSum:
     """Unwrap each defect diagram and mark a free leaf as the argument."""
-    ops = DeformedSum(origin=f"H_{order}", order=order)
+    ops = DeformedSum()
     for d in defect:
         if len(d.slots) != 1 or len(d.slots[0]) != 1 or \
                 d.slots[0][0][0] != "conv" or d.slots[0][0][1] != GPSI:
@@ -434,7 +421,7 @@ def _strip_and_mark(defect: DeformedSum, order: int) -> DeformedSum:
 def _pointwise_cubic(gf_bar, gf, k: int) -> DeformedSum:
     """Order-k part of G_psi * [(PsiBar g Psi) g Psi] with pointwise products
     of the already-deformed coefficients (no cross contractions)."""
-    ds = DeformedSum(order=k)
+    ds = DeformedSum()
     for k1 in range(k):
         for k2 in range(k - k1):
             k3 = k - 1 - k1 - k2
@@ -455,12 +442,12 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
     gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(K)}
     H: dict[int, CountertermOperator] = {}
     for k in range(1, K + 1):
-        defect = DeformedSum(order=k)
+        defect = DeformedSum()
         defect.extend(gf[k])
         defect.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
         for j in range(1, k):
             _subtract_insertions(defect, H[j].ops, gf[k - j])
-        H[k] = CountertermOperator(k, _strip_and_mark(defect, k), defect)
+        H[k] = CountertermOperator(_strip_and_mark(defect), defect)
         if not H[k].is_even():
             raise InvariantError(f"H_{k} has odd field degree")
         # in place: the defect becomes H[k].residual

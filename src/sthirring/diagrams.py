@@ -59,42 +59,30 @@ class Diagram:
         return Diagram(self.slots, self.coeff * Fraction(c))
 
 
-def _walk(children, fn, path):
-    for i, ch in enumerate(children):
-        fn(ch, path + (i,))
-        if ch[0] == "conv":
-            _walk(ch[2], fn, path + (i,))
-
-
-def iter_children(diag: Diagram):
-    """Yields (child, path); path = (slot, i0, i1, ...) descending into convs."""
-    out = []
-    for s, body in enumerate(diag.slots):
-        _walk(body, lambda ch, p: out.append((ch, p)), (s,))
-    return out
-
-
 def free_leaves(diag: Diagram) -> list:
-    """[(species, path)] in breadth-first order, shallow children first."""
-    frees = [(ch[1], p) for ch, p in iter_children(diag) if ch[0] == "free"]
+    """[(species, path)] in breadth-first order, shallow children first;
+    path = (slot, i0, i1, ...) descends into convs."""
+    frees = []
+    stack = [(body, (s,)) for s, body in enumerate(diag.slots)]
+    while stack:
+        children, path = stack.pop()
+        for i, ch in enumerate(children):
+            if ch[0] == "free":
+                frees.append((ch[1], path + (i,)))
+            elif ch[0] == "conv":
+                stack.append((ch[2], path + (i,)))
     frees.sort(key=lambda sp: (len(sp[1]), sp[1]))
     return frees
 
 
 def replace_at(diag: Diagram, path: tuple, repl) -> Diagram:
-    """Replace the child at path; repl is a child tuple, or a list of
-    children to splice in."""
+    """The diagram with the child at path replaced by the child repl."""
 
     def go(children, rest):
         i, rest = rest[0], rest[1:]
         out = list(children)
-        if rest:
-            ch = out[i]
-            out[i] = (ch[0], ch[1], go(ch[2], rest))
-        elif isinstance(repl, list):
-            out[i:i + 1] = repl
-        else:
-            out[i] = repl
+        ch = out[i]
+        out[i] = (ch[0], ch[1], go(ch[2], rest)) if rest else repl
         return tuple(out)
 
     slot, rest = path[0], path[1:]
@@ -293,11 +281,6 @@ class DeformedSum(KeyedSum):
     """Diagrams with exact coefficients, merged under their canonical slots
     (equal exactly when the canonical keys are) and listed in key order."""
 
-    def __init__(self, diagrams=(), origin: str = "", order: int | None = None):
-        self.origin = origin
-        self.order = order
-        super().__init__(diagrams)
-
     def add(self, d: Diagram) -> None:
         if d.coeff == 0:
             return
@@ -440,9 +423,9 @@ def _skeleton_json(slots):
     return [enc(body) for body in slots]
 
 
-def deformedsum_to_json(ds: DeformedSum) -> dict:
+def deformedsum_to_json(ds: DeformedSum, origin: str, order: int) -> dict:
     return {
-        "origin": ds.origin,
-        "order": ds.order,
+        "origin": origin,
+        "order": order,
         "diagrams": [diagram_to_json(d) for d in ds.diagrams()],
     }

@@ -13,10 +13,11 @@ builds nothing up front: each coefficient is built on its first read, so
 the top-order coefficient of a branch no command reads (273 monomials at
 K = 5) is never built.
 
-Every monomial of F_k has k+1 spinor and k cospinor leaves, k interaction
-vertices and, counting leaf stems and trunk propagators, 3k+1 graph edges.
-These structural statistics are recomputed from the actual trees on demand
-and any deviation raises an InvariantError.
+Every monomial of F_k has k+1 spinor and k cospinor leaves (the cospinor
+branch swaps the two), k interaction vertices, each with its trunk
+propagator, and, counting leaf stems and trunks, 3k+1 graph edges.
+`check_structure` recomputes these counts from the actual trees, in one
+walk per monomial, and any deviation raises an InvariantError.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantError, UsageError
 from .terms import (
-    GPSI, GPSIBAR, UP, DOWN,
+    GPSI, GPSIBAR, PHI, UP, DOWN,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
-    grading, index_census, phi, phibar, rename_indices, sole_free_index,
+    index_census, phi, phibar, rename_indices, sole_free_index,
 )
 
 ORDER_CEILING = 6
@@ -127,42 +128,33 @@ def expand(K: int) -> PerturbativeSeries:
     return PerturbativeSeries(K)
 
 
-def field_counts(series: PerturbativeSeries, k: int, branch: str = SPINOR) -> tuple[int, int]:
-    """Leaf counts (spinors, cospinors), verified on every monomial."""
-    want = (k + 1, k) if branch == SPINOR else (k, k + 1)
+def check_structure(series: PerturbativeSeries, k: int,
+                    branch: str) -> tuple[int, int, int, int]:
+    """(spinor leaves, cospinor leaves, vertices, edges incl. leaf stems
+    and trunks) = (k+1, k, k, 3k+1), the leaf counts swapped on the
+    cospinor branch, verified on every monomial with one walk each; every
+    vertex must have its trunk."""
+    want = ((k + 1, k) if branch == SPINOR else (k, k + 1)) + (k, 3 * k + 1)
     for t in series.coefficient(k, branch):
-        g = grading(t)
-        if (g.r, g.r_bar) != want:
-            raise InvariantError(
-                f"order {k} monomial has field counts {(g.r, g.r_bar)}, expected {want}")
-    return want
-
-
-def _tree_statistics(t: Term) -> tuple[int, int, int]:
-    """(leaves, interaction vertices, edges incl. leaf stems and trunks)."""
-    leaves = vertices = convs = 0
-    stack = [t.node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Leaf):
-            leaves += 1
-        elif isinstance(n, Conv):
-            convs += 1
-            stack.append(n.inner)
-        elif isinstance(n, Prod):
-            vertices += 1
-            stack.extend(n.children)
-    if convs != vertices:
-        raise InvariantError("trunk/vertex mismatch in recursion monomial")
-    return leaves, vertices, leaves + convs
-
-
-def graph_statistics(series: PerturbativeSeries, k: int, branch: str = SPINOR) -> tuple[int, int, int]:
-    """(leaves, internal vertices, edges) = (2k+1, k, 3k+1) for every monomial."""
-    want = (2 * k + 1, k, 3 * k + 1)
-    for t in series.coefficient(k, branch):
-        got = _tree_statistics(t)
+        r = r_bar = vertices = trunks = 0
+        stack = [t.node]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, Leaf):
+                if n.species == PHI:
+                    r += 1
+                else:
+                    r_bar += 1
+            elif isinstance(n, Conv):
+                trunks += 1
+                stack.append(n.inner)
+            elif isinstance(n, Prod):
+                vertices += 1
+                stack.extend(n.children)
+        if trunks != vertices:
+            raise InvariantError("trunk/vertex mismatch in recursion monomial")
+        got = (r, r_bar, vertices, r + r_bar + trunks)
         if got != want:
             raise InvariantError(
-                f"order {k} monomial has graph statistics {got}, expected {want}")
+                f"order {k} monomial has structure {got}, expected {want}")
     return want

@@ -93,15 +93,14 @@ def divergence_closed_form(k: int, d: int) -> Fraction:
     return Fraction((d - 3) * n, 2) + Fraction(d + 1, 2)
 
 
-def maximal_contractions(series: PerturbativeSeries, k: int,
-                         branch: str = SPINOR):
-    """All maximally contracted diagrams of the order-k coefficient.
+def maximal_contractions(series: PerturbativeSeries, k: int):
+    """All maximally contracted diagrams of the order-k spinor coefficient.
 
     Yields one diagram per contraction pattern (no canonical merging);
     every diagram keeps exactly one free leaf by parity of 2k+1.  Only
     pairings of the maximal size min(r, r_bar) are enumerated.
     """
-    for t in series.coefficient(k, branch):
+    for t in series.coefficient(k, SPINOR):
         g = grading(t)
         yield from contractions(t, min(g.r, g.r_bar))
 

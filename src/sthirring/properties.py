@@ -87,9 +87,8 @@ def check_convolve_commutation(rng: random.Random, trials: int) -> dict:
         branch = rng.choice(("spinor", "cospinor"))
         t = rng.choice(s.coefficient(k, branch).terms())
         kind = GPSI if branch == "spinor" else GPSIBAR
-        wrapped = canonicalize(convolve(kind, t))
-        lhs = gamma_Q(wrapped)
-        rhs = gamma_Q_convolved(kind, t)
+        lhs = gamma_Q(TermSum([convolve(kind, t)]))
+        rhs = gamma_Q_convolved(kind, TermSum([t]))
         if lhs != rhs:
             failures += 1
         done += 1

@@ -219,10 +219,9 @@ class Grading:
         return (self.r, self.r_bar, self.l, self.l_bar)
 
 
-def grading(t: Term | Node) -> Grading:
-    node = t.node if isinstance(t, Term) else t
+def grading(t: Term) -> Grading:
     r = r_bar = l = l_bar = 0
-    stack = [node]
+    stack = [t.node]
     while stack:
         n = stack.pop()
         if isinstance(n, Leaf):
@@ -447,9 +446,8 @@ def canonicalize(t: Term) -> Term:
     return out
 
 
-def canonical_key(t: Term | Node) -> str:
-    node = t.node if isinstance(t, Term) else t
-    return canonicalize(Term(Fraction(1), node))._key
+def canonical_key(t: Term) -> str:
+    return canonicalize(t)._key
 
 
 # --------------------------------------------------------------------------
@@ -479,13 +477,12 @@ def _idx_tex(i: int) -> str:
     return f"\\rho_{{{i}}}"
 
 
-def to_tex(t: Term | Node) -> str:
-    node = t.node if isinstance(t, Term) else t
+def to_tex(t: Term) -> str:
     prefix = ""
-    if isinstance(t, Term) and t.coeff != 1:
+    if t.coeff != 1:
         prefix = (f"{t.coeff.numerator}" if t.coeff.denominator == 1
                   else f"\\tfrac{{{t.coeff.numerator}}}{{{t.coeff.denominator}}}") + r"\,"
-    return prefix + _node_tex(node)
+    return prefix + _node_tex(t.node)
 
 
 def _node_tex(node: Node) -> str:

@@ -5,9 +5,13 @@ of one solution branch onto the other, the JSON readers invert the
 writers of `terms` and `diagrams` (so a test can show an export is
 lossless), `canonical_key` spells a diagram's canonical form,
 `bullet_cross` is the reference two-point construction (it pairs the free
-leaves of two already-deformed diagrams across their tensor slots), and
+leaves of two already-deformed diagrams across their tensor slots),
 `expand_eager` builds both branches of the series order by order, the
-reference for the series that builds each coefficient on first read.
+reference for the series that builds each coefficient on first read,
+`partial_matchings` and `all_contractions` enumerate every partial
+pairing (of two leaf lists, and of a term as unmerged diagrams: the
+references for the one pairing per orbit of `gamma_Q`), and
+`iter_children` lists every child of a diagram with its path.
 
 The `ref_*` functions are the walk-per-question forms of fast paths in
 the package, kept as their oracles: `ref_canonicalize` re-emits a
@@ -20,9 +24,10 @@ command line in-process, for the digest manifest.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from sthirring import diagrams
-from sthirring.deformation import partial_matchings
+from sthirring.deformation import contractions
 from sthirring.diagrams import (
     DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
     replace_at,
@@ -33,8 +38,8 @@ from sthirring.perturbation import vertex_term
 from sthirring.terms import (
     DOWN, GPSI, GPSIBAR, PHI, PHIBAR, UP,
     Conv, Gamma, Leaf, Node, Prod, Term, TermSum,
-    convolve, index_census, max_index, phi, phibar, rename_indices,
-    sole_free_index,
+    convolve, grading, index_census, max_index, phi, phibar,
+    rename_indices, sole_free_index,
 )
 
 
@@ -94,14 +99,45 @@ def diagram_from_json(d: dict) -> Diagram:
 
 
 def deformedsum_from_json(d: dict) -> DeformedSum:
-    return DeformedSum((diagram_from_json(x) for x in d["diagrams"]),
-                       origin=d.get("origin", ""), order=d.get("order"))
+    return DeformedSum(diagram_from_json(x) for x in d["diagrams"])
 
 
 def canonical_key(diag: Diagram) -> str:
     """The serialization of the canonical form; equal exactly for
     isomorphic diagrams."""
     return diagrams._serialize(diagrams.canonicalize(diag).slots, {})
+
+
+def partial_matchings(phis, phibars):
+    """All injective partial matchings of the two leaf lists, by size."""
+    for k in range(min(len(phis), len(phibars)) + 1):
+        for ps in combinations(phis, k):
+            for qs in permutations(phibars, k):
+                yield tuple(zip(ps, qs))
+
+
+def all_contractions(t: Term):
+    """The unmerged Diagram of every partial pairing of a canonical term's
+    Phi leaves with its PhiBar leaves, by size."""
+    g = grading(t)
+    for size in range(min(g.r, g.r_bar) + 1):
+        yield from contractions(t, size)
+
+
+def iter_children(diag: Diagram) -> list:
+    """(child, path) of every child, path = (slot, i0, i1, ...) descending
+    into convs, in pre-order."""
+    out = []
+
+    def walk(children, path):
+        for i, ch in enumerate(children):
+            out.append((ch, path + (i,)))
+            if ch[0] == "conv":
+                walk(ch[2], path + (i,))
+
+    for s, body in enumerate(diag.slots):
+        walk(body, (s,))
+    return out
 
 
 def tensor(a: Diagram, b: Diagram) -> Diagram:
@@ -165,14 +201,18 @@ def expand_eager(K: int) -> tuple[dict[int, TermSum], dict[int, TermSum]]:
 
 
 def run_argv(argv: str) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of the command line argv, run in-process."""
+    """(exit code, stdout, stderr) of the command line argv, run in-process;
+    a usage error that argparse reports exits through SystemExit."""
     import io
     from contextlib import redirect_stderr, redirect_stdout
 
     from sthirring.cli import main
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        rc = main(argv.split())
+        try:
+            rc = main(argv.split())
+        except SystemExit as exc:
+            rc = exc.code
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -406,7 +446,7 @@ def ref_graph_counts(diag: Diagram) -> dict:
     """`diagrams.graph_counts` over `iter_children`."""
     vertices = frees = loops = 0
     seen_pairs = set()
-    for ch, _ in diagrams.iter_children(diag):
+    for ch, _ in iter_children(diag):
         if ch[0] == "conv":
             vertices += 1
         elif ch[0] == "pair":

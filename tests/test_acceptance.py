@@ -23,9 +23,7 @@ from sthirring.kernels import (
     KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
     greens_identity_residual, q_kernel_1d, scaling_degree_probe,
 )
-from sthirring.perturbation import (
-    COSPINOR, SPINOR, expand, field_counts, graph_statistics,
-)
+from sthirring.perturbation import COSPINOR, SPINOR, check_structure, expand
 from sthirring.power_counting import (
     DIVERGENT, REGULAR, classify, divergence_closed_form, divergence_degree,
     maximal_contractions, sd_propagator,
@@ -96,9 +94,10 @@ def test_criterion_2_recursion_fidelity():
         assert series.coefficient(2, SPINOR) == golden
         assert len(series.coefficient(2)) == 3
         for k in range(6):
-            assert field_counts(series, k, SPINOR) == (k + 1, k)
-            assert field_counts(series, k, COSPINOR) == (k, k + 1)
-            assert graph_statistics(series, k) == (2 * k + 1, k, 3 * k + 1)
+            assert check_structure(series, k, SPINOR) == \
+                (k + 1, k, k, 3 * k + 1)
+            assert check_structure(series, k, COSPINOR) == \
+                (k, k + 1, k, 3 * k + 1)
 
 
 def test_criterion_3_contraction_combinatorics():

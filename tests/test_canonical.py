@@ -23,12 +23,14 @@ from networkx.algorithms.isomorphism import (
 )
 
 from sthirring import diagrams
-from sthirring.deformation import contractions, extract_counterterms, gamma_Q
+from sthirring.deformation import extract_counterterms, gamma_Q
 from sthirring.diagrams import DeformedSum, canonicalize
 from sthirring.perturbation import COSPINOR, SPINOR, expand
 from sthirring.properties import random_term
 
-from helpers import bullet_cross, canonical_key
+from helpers import (
+    all_contractions, bullet_cross, canonical_key, iter_children,
+)
 
 NODE_MATCH = categorical_node_match("label", None)
 EDGE_MATCH = categorical_multiedge_match("label", None)
@@ -79,7 +81,7 @@ def _oracle_inputs():
     for branch in (SPINOR, COSPINOR):
         for k in range(4):
             for t in series.coefficient(k, branch):
-                out += contractions(t)
+                out += all_contractions(t)
     ga = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(3)}
     gb = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(3)}
     for k in range(3):
@@ -207,7 +209,7 @@ def _residual_and_operator_inputs(monkeypatch):
     hands only one pairing per orbit to DeformedSum.add)."""
     series = expand(3)
     out = [d for branch in (SPINOR, COSPINOR) for k in range(4)
-           for t in series.coefficient(k, branch) for d in contractions(t)]
+           for t in series.coefficient(k, branch) for d in all_contractions(t)]
     return out + _recorded_adds(monkeypatch,
                                 lambda: extract_counterterms(series, 3))
 
@@ -220,7 +222,7 @@ def _random_term_inputs(seeds=range(8), draws=4, per_term=200):
     for seed in seeds:
         rng = random.Random(seed)
         for _ in range(draws):
-            raw = list(contractions(random_term(rng)))
+            raw = list(all_contractions(random_term(rng)))
             if len(raw) > per_term:
                 raw = rng.sample(raw, per_term)
             out += raw
@@ -233,7 +235,7 @@ def test_fast_canonicalizer_matches_brute_force(monkeypatch):
     assert len(inputs) > 5000
     assert any(len(d.slots) == 2 for d in inputs)
     assert any(ch[0] == "argport" for d in inputs
-               for ch, _ in diagrams.iter_children(d))
+               for ch, _ in iter_children(d))
     want = [_ref_canonical(d) for d in inputs]
     # the search, not only the one-layout path, is exercised
     searched = [d for d in inputs if any(len(_ref_layouts(b)) > 1 for b in d.slots)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,23 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", ["expand --order 2 --format xml",
+                                  "correlate --order 1 --branches psi-chi"])
+def test_argparse_usage_errors_do_not_depend_on_columns(argv):
+    """argparse wraps its usage block at a fixed width, so the stderr of a
+    bad choice is the same under any COLUMNS and is the manifest's."""
+    errs = []
+    for columns in ("40", "200"):
+        env = dict(os.environ, COLUMNS=columns)
+        proc = subprocess.run([sys.executable, "-m", "sthirring.cli",
+                               *argv.split()],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1] == MANIFEST[argv]["stderr"]
+    assert "invalid choice" in errs[0]
+
+
 def test_dot_output_loadable_shape():
     rc, out = run_cli("correlate", "--order", "0", "--format", "dot")
     assert rc == 0
@@ -270,9 +288,11 @@ def test_manifest_covers_the_recorded_command_lines():
                         "power-count", "gamma-check", "kernel-check"}
     empty = hashlib.sha256(b"").hexdigest()
     errors = [e for e in MANIFEST.values() if e["rc"] != 0]
-    assert len(errors) == 10
-    assert all(e["rc"] == 2 and e["stdout_sha256"] == empty
-               and e["stderr"].startswith("usage error: ") for e in errors)
+    assert len(errors) == 12
+    assert all(e["rc"] == 2 and e["stdout_sha256"] == empty for e in errors)
+    # 10 that main reports in one line, 2 that argparse reports
+    assert sum(e["stderr"].startswith("usage error: ") for e in errors) == 10
+    assert sum(e["stderr"].startswith("usage: sthirring ") for e in errors) == 2
 
 
 def test_benchmark_digests_agree_with_the_manifest():

@@ -14,11 +14,11 @@ import pytest
 
 from sthirring import properties, terms
 from sthirring.deformation import extract_counterterms, gamma_Q, two_point
-from sthirring.diagrams import diagram_to_json, iter_children
+from sthirring.diagrams import diagram_to_json
 from sthirring.perturbation import COSPINOR, SPINOR, expand
-from sthirring.terms import Conv, Prod, canonicalize
+from sthirring.terms import Conv, Prod, TermSum, canonicalize
 
-from helpers import diagram_from_json, wrapped
+from helpers import diagram_from_json, iter_children, wrapped
 
 CHILD_KINDS = {"free", "pair", "qloop", "ctloop", "argport", "conv"}
 BRANCHES = (SPINOR, COSPINOR)
@@ -47,7 +47,7 @@ def built_terms():
 
 @pytest.fixture(scope="module")
 def built_diagrams(built_terms):
-    out = [d for t in built_terms for d in gamma_Q(t)]
+    out = [d for t in built_terms for d in gamma_Q(TermSum([t]))]
     series = expand(3)
     out += [d for a in BRANCHES for b in BRANCHES
             for ds in two_point(series, a, b, 3).values() for d in ds]

@@ -4,7 +4,7 @@ from sthirring import perturbation
 
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import (
-    COSPINOR, SPINOR, expand, field_counts, graph_statistics, vertex_term,
+    COSPINOR, SPINOR, check_structure, expand, vertex_term,
 )
 from sthirring.terms import (
     GPSI, GPSIBAR, Conv, Gamma, Leaf, PHI, PHIBAR, Prod, Term,
@@ -62,13 +62,29 @@ def test_monomial_counts(series):
 
 def test_field_counts(series):
     for k in range(5):
-        assert field_counts(series, k, SPINOR) == (k + 1, k)
-        assert field_counts(series, k, COSPINOR) == (k, k + 1)
+        assert check_structure(series, k, SPINOR)[:2] == (k + 1, k)
+        assert check_structure(series, k, COSPINOR)[:2] == (k, k + 1)
 
 
 def test_graph_statistics(series):
     for k in range(5):
-        assert graph_statistics(series, k) == (2 * k + 1, k, 3 * k + 1)
+        for branch in (SPINOR, COSPINOR):
+            r, r_bar, vertices, edges = check_structure(series, k, branch)
+            assert (r + r_bar, vertices, edges) == (2 * k + 1, k, 3 * k + 1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    # a spinor-branch monomial where a cospinor one belongs
+    (vertex_term(phibar(0), phi(0), phi(0)), "has structure"),
+    # a vertex with no trunk propagator
+    (Term(1, Prod((Leaf(PHIBAR, 0), Gamma(1, 0, 2), Leaf(PHI, 2)))),
+     "trunk/vertex mismatch"),
+])
+def test_check_structure_refuses_a_malformed_monomial(bad, message):
+    s = expand(1)
+    s._built[1, COSPINOR] = TermSum([bad])
+    with pytest.raises(InvariantError, match=message):
+        check_structure(s, 1, COSPINOR)
 
 
 def test_parity_odd_total_degree(series):
