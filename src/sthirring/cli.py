@@ -26,7 +26,7 @@ from . import clifford
 from .deformation import (
     contractions, expectation_report, extract_counterterms, two_point,
 )
-from .diagrams import DeformedSum, deformedsum_to_json, diagram_to_json, to_dot
+from .diagrams import DeformedSum, Diagram, diagram_to_json, to_dot
 from .errors import Error, InvariantError, NumericalError, UsageError
 from .kernels import (
     KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
@@ -36,24 +36,27 @@ from .kernels import (
 from .perturbation import COSPINOR, SPINOR, check_structure, expand
 from .power_counting import classify, sd_propagator
 from .properties import run_all
-from .terms import termsum_to_json, to_tex
+from .terms import Term, term_to_json, to_tex
 
 THREADS_ENV = "STHIRRING_THREADS"
 
 _BRANCH = {"psi": SPINOR, "psibar": COSPINOR}
 _INF = float("inf")
+_BATCH = 4096  # chunks the JSON writer holds before it writes them out
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=1), byte for byte.
+def _stream_json(obj, write) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
+    through write, byte for byte, in batches of about _BATCH chunks.
 
     With `indent` set, json never uses its C encoder; it runs a chain of
     nested generators that passes every chunk through each level above it.
-    This writer appends the chunks to one list in one recursive pass and
-    joins them once."""
+    This writer appends the chunks to one list in one recursive pass, and
+    each container hands the list to write once it holds more than _BATCH
+    chunks, so no more than a batch of the output is held at once."""
     out: list[str] = []
-    _write_json(obj, 0, out)
-    return "".join(out)
+    _write_json(obj, 0, out, write)
+    write("".join(out))
 
 
 @cache
@@ -96,8 +99,20 @@ def _key_json(k) -> str:
     return _encode_str(k)
 
 
-def _write_json(o, depth: int, out: list) -> None:
-    """Append the chunks of o, a value nested `depth` containers deep.
+def _json_default(o):
+    """json's `default`: a Term or a Diagram becomes its export dict, built
+    only when the writer reaches it; anything else is a TypeError."""
+    if isinstance(o, Term):
+        return term_to_json(o)
+    if isinstance(o, Diagram):
+        return diagram_to_json(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _write_json(o, depth: int, out: list, write) -> None:
+    """Append the chunks of o, a value nested `depth` containers deep, and
+    pass out to write whenever a container has filled it past _BATCH.
     A module-level function, so no closure cycle keeps `out` alive."""
     if isinstance(o, str):
         out.append(_encode_str(o))
@@ -118,7 +133,10 @@ def _write_json(o, depth: int, out: list) -> None:
         sep, _, comma, close, _ = _pads(depth)
         for v in o:
             out.append(sep)
-            _write_json(v, depth + 1, out)
+            _write_json(v, depth + 1, out, write)
+            if len(out) > _BATCH:
+                write("".join(out))
+                out.clear()
             sep = comma
         out.append(close)
     elif isinstance(o, dict):
@@ -128,24 +146,46 @@ def _write_json(o, depth: int, out: list) -> None:
         _, sep, comma, _, close = _pads(depth)
         for k, v in sorted(o.items()):
             out.append(sep + _key_json(k) + ": ")
-            _write_json(v, depth + 1, out)
+            _write_json(v, depth + 1, out, write)
+            if len(out) > _BATCH:
+                write("".join(out))
+                out.clear()
             sep = comma
         out.append(close)
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        f"is not JSON serializable")
+        _write_json(_json_default(o), depth, out, write)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
+def _emit(result, path: str | None) -> None:
+    """Write result, then a newline, to the file at path, or to stdout when
+    there is no path.  A str result is text, written as it is; any other is
+    a JSON payload, streamed by `_stream_json`.  Every payload is computed
+    before this is called.  An OSError on opening the file or on any write
+    is a UsageError, and the file may then hold part of the output.  A
+    reader of stdout that goes away (`| head`) ends the output quietly."""
+    if not path:
         try:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(
-                f"cannot write output file {path!r}: {exc.strerror}")
+            _write_result(result, sys.stdout.write)
+        except BrokenPipeError:
+            # the rest goes to devnull, so the flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    try:
+        with open(path, "w") as fh:
+            _write_result(result, fh.write)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write output file {path!r}: {exc.strerror}")
+
+
+def _write_result(result, write) -> None:
+    if isinstance(result, str):
+        write(result)
     else:
-        sys.stdout.write(text + "\n")
+        _stream_json(result, write)
+    write("\n")
 
 
 def _read_config(path: str) -> dict:
@@ -194,11 +234,8 @@ def _cmd_expand(args) -> None:
         lines += [to_tex(t) for t in terms]
         _emit("\n".join(lines), args.output)
     elif args.format == "json":
-        _emit(_dumps({
-            "order": args.order,
-            "branch": args.branch,
-            "monomials": termsum_to_json(series.coefficient(args.order, branch)),
-        }), args.output)
+        _emit({"order": args.order, "branch": args.branch, "monomials": terms},
+              args.output)
     else:  # dot: the uncontracted diagrams, isomorphic monomials merged
         ds = DeformedSum(next(contractions(t, 0)) for t in terms)
         chunks = [to_dot(d, f"m{i}") for i, d in enumerate(ds)]
@@ -209,13 +246,13 @@ def _cmd_expect(args) -> None:
     series = expand(args.order)
     ds, examined = expectation_report(series, args.order, _BRANCH[args.branch])
     if args.format == "json":
-        _emit(_dumps({
+        _emit({
             "order": args.order,
             "branch": args.branch,
             "patterns_examined": examined,
             "surviving_diagrams": len(ds),
             "value": "0" if ds.is_zero() else "nonzero",
-        }), args.output)
+        }, args.output)
     else:
         _emit(f"0   ({examined} contraction patterns examined)", args.output)
     if not ds.is_zero():
@@ -234,12 +271,12 @@ def _cmd_correlate(args) -> None:
         _emit("\n".join(chunks), args.output)
     else:
         origin = f"two_point[{a},{b}]"
-        payload = {
+        _emit({
             "branches": args.branches,
-            "orders": {str(k): deformedsum_to_json(tp[k], origin, k)
+            "orders": {str(k): {"origin": origin, "order": k,
+                                "diagrams": tp[k].diagrams()}
                        for k in range(args.order + 1)},
-        }
-        _emit(_dumps(payload), args.output)
+        }, args.output)
 
 
 def _cmd_power_count(args) -> None:
@@ -247,7 +284,7 @@ def _cmd_power_count(args) -> None:
     reports = classify(args.dim, args.max_order, series=series)
     rows = [r.as_row() for r in reports]
     if args.format == "json":
-        _emit(_dumps({"dimension": args.dim, "rows": rows}), args.output)
+        _emit({"dimension": args.dim, "rows": rows}, args.output)
     else:
         header = ["k", "N", "L", "sd", "codim", "rho", "verdict", "graphs"]
         widths = [max(len(h), *(len(str(r[h])) for r in rows)) for h in header]
@@ -304,7 +341,7 @@ def _cmd_kernel_check(args) -> None:
         }
         ok = bool(res <= 1e-6 and abs(probe.sd - sd_propagator(2)) <= 0.1)
     report["pass"] = ok
-    _emit(_dumps(report), args.output)
+    _emit(report, args.output)
     if not ok:
         raise NumericalError("kernel identity check failed")
 
@@ -318,7 +355,7 @@ def _cmd_gamma_check(args) -> None:
     report = run_all(args.seed, trials=args.trials)
     if exported is not None:
         report["gamma_rep"] = exported
-    _emit(_dumps(report), args.output)
+    _emit(report, args.output)
     if report["failures"]:
         raise InvariantError(
             f"{report['failures']} deformation property failures")
@@ -331,10 +368,10 @@ def _cmd_counterterms(args) -> None:
     for k, h in H.items():
         payload["orders"][str(k)] = {
             "even": h.is_even(),
-            "operators": [diagram_to_json(d) for d in h.ops],
+            "operators": h.ops.diagrams(),
             "residual_zero": h.residual.is_zero(),
         }
-    _emit(_dumps(payload), args.output)
+    _emit(payload, args.output)
 
 
 # --------------------------------------------------------------------------

@@ -195,8 +195,7 @@ def orbit_matchings(phi_runs, bar_runs, complete=False):
     full = 1
     for r in phi_runs + bar_runs:
         full *= factorial(len(r))
-
-    def build():
+    for _ in _orbit_tables(0, cells, table, row_left, col_left, complete):
         matching = []
         taken_u = [0] * len(phi_runs)
         taken_w = [0] * len(bar_runs)
@@ -209,29 +208,33 @@ def orbit_matchings(phi_runs, bar_runs, complete=False):
                 drop *= factorial(n)
         for left in row_left + col_left:
             drop *= factorial(left)
-        return tuple(matching), full // drop
+        yield tuple(matching), full // drop
 
-    def fill(i):
-        while i < len(cells) and not (row_left[cells[i][0]] and
-                                      col_left[cells[i][1]]):
-            i += 1
-        if i == len(cells):
-            if not (complete and any(row_left)):
-                yield build()
-            return
-        u, w = cells[i]
-        last = complete and w == len(bar_runs) - 1
-        for n in range(row_left[u] if last else 0,
-                       min(row_left[u], col_left[w]) + 1):
-            table[i] = n
-            row_left[u] -= n
-            col_left[w] -= n
-            yield from fill(i + 1)
-            row_left[u] += n
-            col_left[w] += n
-        table[i] = 0
 
-    yield from fill(0)
+def _orbit_tables(i, cells, table, row_left, col_left, complete):
+    """Yield once for each table of `orbit_matchings` that extends
+    table[:i], with table, row_left and col_left set to it while it is
+    yielded.  A module-level generator, so no closure cycle keeps the
+    tables alive after the walk."""
+    while i < len(cells) and not (row_left[cells[i][0]] and
+                                  col_left[cells[i][1]]):
+        i += 1
+    if i == len(cells):
+        if not (complete and any(row_left)):
+            yield
+        return
+    u, w = cells[i]
+    last = complete and w == len(col_left) - 1
+    for n in range(row_left[u] if last else 0,
+                   min(row_left[u], col_left[w]) + 1):
+        table[i] = n
+        row_left[u] -= n
+        col_left[w] -= n
+        yield from _orbit_tables(i + 1, cells, table, row_left, col_left,
+                                 complete)
+        row_left[u] += n
+        col_left[w] += n
+    table[i] = 0
 
 
 # --------------------------------------------------------------------------
@@ -376,25 +379,28 @@ def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
         raise InvariantError("operator argument must be single-slot")
     off = max_pair_id(op_diag) + 1
     shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
-    grafted = False
-
-    def graft(children):
-        nonlocal grafted
-        out = []
-        for ch in children:
-            if ch[0] == "argport":
-                out += shifted
-                grafted = True
-            elif ch[0] == "conv":
-                out.append(("conv", ch[1], graft(ch[2])))
-            else:
-                out.append(ch)
-        return tuple(out)
-
-    slots = tuple(graft(body) for body in op_diag.slots)
-    if not grafted:
+    grafts = [_graft(body, shifted) for body in op_diag.slots]
+    if not any(found for _, found in grafts):
         raise InvariantError("operator diagram has no argument slot")
-    return Diagram(slots, op_diag.coeff * u.coeff)
+    return Diagram(tuple(body for body, _ in grafts), op_diag.coeff * u.coeff)
+
+
+def _graft(children, shifted) -> tuple[tuple, bool]:
+    """(children with each argument port replaced by the children shifted,
+    whether there was a port)."""
+    out = []
+    grafted = False
+    for ch in children:
+        if ch[0] == "argport":
+            out += shifted
+            grafted = True
+        elif ch[0] == "conv":
+            inner, found = _graft(ch[2], shifted)
+            out.append(("conv", ch[1], inner))
+            grafted = grafted or found
+        else:
+            out.append(ch)
+    return tuple(out), grafted
 
 
 def _designate(d: Diagram) -> Diagram:

@@ -77,18 +77,18 @@ def free_leaves(diag: Diagram) -> list:
 
 def replace_at(diag: Diagram, path: tuple, repl) -> Diagram:
     """The diagram with the child at path replaced by the child repl."""
-
-    def go(children, rest):
-        i, rest = rest[0], rest[1:]
-        out = list(children)
-        ch = out[i]
-        out[i] = (ch[0], ch[1], go(ch[2], rest)) if rest else repl
-        return tuple(out)
-
     slot, rest = path[0], path[1:]
     slots = list(diag.slots)
-    slots[slot] = go(slots[slot], rest)
+    slots[slot] = _replace_in(slots[slot], rest, repl)
     return Diagram(tuple(slots), diag.coeff)
+
+
+def _replace_in(children, rest, repl) -> tuple:
+    i, rest = rest[0], rest[1:]
+    out = list(children)
+    ch = out[i]
+    out[i] = (ch[0], ch[1], _replace_in(ch[2], rest, repl)) if rest else repl
+    return tuple(out)
 
 
 def rename_pair_ids(children, f):
@@ -181,26 +181,26 @@ def graph_counts(diag: Diagram) -> dict:
 def _serialize(slots, naming: dict) -> str:
     """Left-to-right serialization; pair names assigned on first occurrence."""
     tokens: list = []
-
-    def emit(children):
-        for ch in children:
-            if ch[0] == "pair":
-                pid = ch[1]
-                if pid not in naming:
-                    naming[pid] = f"p{len(naming)}"
-                tokens.append(f"x[{naming[pid]},{ch[2]},{ch[3]}]")
-            elif ch[0] == "conv":
-                tokens.append(f"T[{ch[1]}](")
-                emit(ch[2])
-                tokens.append(")")
-            else:
-                tokens.append(repr(ch))
-            tokens.append(",")
-
     for body in slots:
-        emit(body)
+        _serialize_children(body, naming, tokens)
         tokens.append(";")
     return "".join(tokens)
+
+
+def _serialize_children(children, naming: dict, tokens: list) -> None:
+    for ch in children:
+        if ch[0] == "pair":
+            pid = ch[1]
+            if pid not in naming:
+                naming[pid] = f"p{len(naming)}"
+            tokens.append(f"x[{naming[pid]},{ch[2]},{ch[3]}]")
+        elif ch[0] == "conv":
+            tokens.append(f"T[{ch[1]}](")
+            _serialize_children(ch[2], naming, tokens)
+            tokens.append(")")
+        else:
+            tokens.append(repr(ch))
+        tokens.append(",")
 
 
 _LAYOUT_MEMO = 256
@@ -315,59 +315,57 @@ def to_graph(diag: Diagram) -> dict:
     Contractions appear both structurally (two stems into the collapse
     point) and as a dashed Q/Q_tilde marker edge between the parent sites.
     """
-    sites = []
-    edges = []
-    tags = []
-    frees = []
-    pair_sites: dict = {}
-    pair_parents: dict = {}
+    g = {"sites": [], "edges": [], "tags": [], "frees": []}
+    pairs: dict = {}  # pair id -> (its pair point, first parent site, label)
+    for body in diag.slots:
+        _graph_children(body, _new_site(g["sites"], "root"), g, pairs)
+    return g
 
-    def new_site(kind):
-        sid = f"{kind[0]}{len(sites)}"
-        sites.append((sid, kind))
-        return sid
 
-    def visit(children, here):
-        for ch in children:
-            kind = ch[0]
-            if kind == "conv":
-                v = new_site("vertex")
-                edges.append((ch[1], here, v))
-                visit(ch[2], v)
-            elif kind == "free":
-                p = new_site("leafpoint")
-                edges.append((GPSI if ch[1] == PHI else GPSIBAR, here, p))
-                frees.append((ch[1], p))
-            elif kind == "qloop":
-                p = new_site("pairpoint")
-                edges.append((GPSI, here, p))
-                edges.append((GPSIBAR, here, p))
-                edges.append((QT if ch[1] == "Qt" else Q, here, here))
-                edges.append(("DeltaDiag", here, p))
-            elif kind == "ctloop":
-                p = new_site("pairpoint")
-                edges.append((GPSI, here, p))
-                edges.append((GPSIBAR, here, p))
-                tags.append((ch[1], p))
-            elif kind == "pair":
-                pid = ch[1]
-                if pid not in pair_sites:
-                    pair_sites[pid] = new_site("pairpoint")
-                    pair_parents[pid] = (here, ch[3])
-                else:
-                    a, qt = pair_parents[pid]
-                    edges.append((QT if qt == "Qt" else Q, a, here))
-                p = pair_sites[pid]
-                edges.append((GPSI if ch[2] == PHI else GPSIBAR, here, p))
-            elif kind == "argport":
-                tags.append(("argport", here))
-            else:  # pragma: no cover
-                raise InvariantError(f"unknown child kind {kind!r}")
+def _new_site(sites: list, kind: str) -> str:
+    sid = f"{kind[0]}{len(sites)}"
+    sites.append((sid, kind))
+    return sid
 
-    for s, body in enumerate(diag.slots):
-        root = new_site("root")
-        visit(body, root)
-    return {"sites": sites, "edges": edges, "tags": tags, "frees": frees}
+
+def _graph_children(children, here: str, g: dict, pairs: dict) -> None:
+    """Add the sites and edges of children, hung from the site here.  A
+    module-level function, so no closure cycle keeps the tables alive."""
+    sites, edges = g["sites"], g["edges"]
+    for ch in children:
+        kind = ch[0]
+        if kind == "conv":
+            v = _new_site(sites, "vertex")
+            edges.append((ch[1], here, v))
+            _graph_children(ch[2], v, g, pairs)
+        elif kind == "free":
+            p = _new_site(sites, "leafpoint")
+            edges.append((GPSI if ch[1] == PHI else GPSIBAR, here, p))
+            g["frees"].append((ch[1], p))
+        elif kind == "qloop":
+            p = _new_site(sites, "pairpoint")
+            edges.append((GPSI, here, p))
+            edges.append((GPSIBAR, here, p))
+            edges.append((QT if ch[1] == "Qt" else Q, here, here))
+            edges.append(("DeltaDiag", here, p))
+        elif kind == "ctloop":
+            p = _new_site(sites, "pairpoint")
+            edges.append((GPSI, here, p))
+            edges.append((GPSIBAR, here, p))
+            g["tags"].append((ch[1], p))
+        elif kind == "pair":
+            pid = ch[1]
+            if pid not in pairs:
+                p = _new_site(sites, "pairpoint")
+                pairs[pid] = (p, here, ch[3])
+            else:
+                p, a, qt = pairs[pid]
+                edges.append((QT if qt == "Qt" else Q, a, here))
+            edges.append((GPSI if ch[2] == PHI else GPSIBAR, here, p))
+        elif kind == "argport":
+            g["tags"].append(("argport", here))
+        else:  # pragma: no cover
+            raise InvariantError(f"unknown child kind {kind!r}")
 
 
 _DOT_STYLE = {
@@ -406,26 +404,15 @@ def diagram_to_json(diag: Diagram) -> dict:
         "edges": [list(e) for e in g["edges"]],
         "counterterm_tags": [list(t) for t in g["tags"]],
         "free_leaves": [list(f) for f in g["frees"]],
-        "skeleton": _skeleton_json(diag.slots),
+        "skeleton": [_skeleton_json(body) for body in diag.slots],
     }
 
 
-def _skeleton_json(slots):
-    def enc(children):
-        out = []
-        for ch in children:
-            if ch[0] == "conv":
-                out.append(["conv", ch[1], enc(ch[2])])
-            else:
-                out.append([str(x) for x in ch])
-        return out
-
-    return [enc(body) for body in slots]
-
-
-def deformedsum_to_json(ds: DeformedSum, origin: str, order: int) -> dict:
-    return {
-        "origin": origin,
-        "order": order,
-        "diagrams": [diagram_to_json(d) for d in ds.diagrams()],
-    }
+def _skeleton_json(children) -> list:
+    out = []
+    for ch in children:
+        if ch[0] == "conv":
+            out.append(["conv", ch[1], _skeleton_json(ch[2])])
+        else:
+            out.append([str(x) for x in ch])
+    return out

@@ -63,13 +63,13 @@ DOWN = -1
 # node types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     species: str  # PHI | PHIBAR
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gamma:
     """(gamma^mu)^row_col as a symbolic matrix element."""
 
@@ -78,7 +78,7 @@ class Gamma:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conv:
     """(G)^out_in convolved against the inner term's free index."""
 
@@ -88,7 +88,7 @@ class Conv:
     inner: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod:
     children: tuple
 
@@ -285,51 +285,54 @@ def _walk(node: Node):
     itself (every other piece is a str); span[id(n)] is the half-open
     range of the pieces of subtree n, where[i] lists the pieces that hold
     index i, and census is node's `index_census`."""
-    pieces: list = []
-    span: dict = {}
-    where: dict = {}
-    census: dict = {}
+    table = pieces, span, where, census = [], {}, {}, {}
+    _walk_node(node, pieces, span, where, census)
+    return table
 
-    def index(i, pol, kind):
-        where.setdefault(i, []).append(len(pieces))
-        census.setdefault(i, []).append((pol, kind))
-        pieces.append(i)
 
-    def visit(n):
-        lo = len(pieces)
-        if isinstance(n, Leaf):
-            pieces.append(f"L[{n.species},")
-            index(n.index, UP if n.species == PHI else DOWN, "spinor")
-            pieces.append("]")
-        elif isinstance(n, Gamma):
-            pieces.append("g[")
-            index(n.mu, 0, "vector")
-            pieces.append(",")
-            index(n.row, UP, "spinor")
-            pieces.append(",")
-            index(n.col, DOWN, "spinor")
-            pieces.append("]")
-        elif isinstance(n, Conv):
-            up_out = n.kind == GPSI
-            pieces.append(f"C[{n.kind},")
-            index(n.out_index, UP if up_out else DOWN, "spinor")
-            pieces.append(",")
-            index(n.in_index, DOWN if up_out else UP, "spinor")
-            pieces.append("](")
-            visit(n.inner)
-            pieces.append(")")
-        elif isinstance(n, Prod):
-            pieces.append("P(")
-            for c in n.children:
-                visit(c)
-                pieces.append(",")
-            pieces.append(")")
-        else:
-            raise TypeError(n)
-        span[id(n)] = (lo, len(pieces))
+def _walk_index(i, pol, kind, pieces, where, census) -> None:
+    where.setdefault(i, []).append(len(pieces))
+    census.setdefault(i, []).append((pol, kind))
+    pieces.append(i)
 
-    visit(node)
-    return pieces, span, where, census
+
+def _walk_node(n, pieces, span, where, census) -> None:
+    """One step of `_walk`: a module-level function, so no closure cycle
+    keeps the walk's tables alive after it returns."""
+    lo = len(pieces)
+    if isinstance(n, Leaf):
+        pieces.append(f"L[{n.species},")
+        _walk_index(n.index, UP if n.species == PHI else DOWN, "spinor",
+                    pieces, where, census)
+        pieces.append("]")
+    elif isinstance(n, Gamma):
+        pieces.append("g[")
+        _walk_index(n.mu, 0, "vector", pieces, where, census)
+        pieces.append(",")
+        _walk_index(n.row, UP, "spinor", pieces, where, census)
+        pieces.append(",")
+        _walk_index(n.col, DOWN, "spinor", pieces, where, census)
+        pieces.append("]")
+    elif isinstance(n, Conv):
+        up_out = n.kind == GPSI
+        pieces.append(f"C[{n.kind},")
+        _walk_index(n.out_index, UP if up_out else DOWN, "spinor",
+                    pieces, where, census)
+        pieces.append(",")
+        _walk_index(n.in_index, DOWN if up_out else UP, "spinor",
+                    pieces, where, census)
+        pieces.append("](")
+        _walk_node(n.inner, pieces, span, where, census)
+        pieces.append(")")
+    elif isinstance(n, Prod):
+        pieces.append("P(")
+        for c in n.children:
+            _walk_node(c, pieces, span, where, census)
+            pieces.append(",")
+        pieces.append(")")
+    else:
+        raise TypeError(n)
+    span[id(n)] = (lo, len(pieces))
 
 
 def _render(table, node: Node, name) -> str:
@@ -518,7 +521,3 @@ def node_to_json(node: Node) -> dict:
 def term_to_json(t: Term) -> dict:
     return {"coefficient": [t.coeff.numerator, t.coeff.denominator],
             "node": node_to_json(t.node)}
-
-
-def termsum_to_json(s: TermSum) -> list:
-    return [term_to_json(t) for t in s.terms()]

@@ -3,7 +3,9 @@
 No command needs these, so they live with the tests: `mirror` maps a term
 of one solution branch onto the other, the JSON readers invert the
 writers of `terms` and `diagrams` (so a test can show an export is
-lossless), `canonical_key` spells a diagram's canonical form,
+lossless), `termsum_to_json` and `deformedsum_to_json` build a sum's
+export dicts up front (the CLI hands the objects to its streaming
+writer instead), `canonical_key` spells a diagram's canonical form,
 `bullet_cross` is the reference two-point construction (it pairs the free
 leaves of two already-deformed diagrams across their tensor slots),
 `expand_eager` builds both branches of the series order by order, the
@@ -29,8 +31,8 @@ from itertools import combinations, permutations
 from sthirring import diagrams
 from sthirring.deformation import contractions
 from sthirring.diagrams import (
-    DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
-    replace_at,
+    DeformedSum, Diagram, diagram_to_json, free_leaves, max_pair_id,
+    rename_pair_ids, replace_at,
 )
 from sthirring.canonical import tie_orders
 from sthirring.errors import InvariantError
@@ -39,7 +41,7 @@ from sthirring.terms import (
     DOWN, GPSI, GPSIBAR, PHI, PHIBAR, UP,
     Conv, Gamma, Leaf, Node, Prod, Term, TermSum,
     convolve, grading, index_census, max_index, phi, phibar,
-    rename_indices, sole_free_index,
+    rename_indices, sole_free_index, term_to_json,
 )
 
 
@@ -100,6 +102,21 @@ def diagram_from_json(d: dict) -> Diagram:
 
 def deformedsum_from_json(d: dict) -> DeformedSum:
     return DeformedSum(diagram_from_json(x) for x in d["diagrams"])
+
+
+def termsum_to_json(s: TermSum) -> list:
+    """The monomial dicts of `expand --format json`, built up front."""
+    return [term_to_json(t) for t in s.terms()]
+
+
+def deformedsum_to_json(ds: DeformedSum, origin: str, order: int) -> dict:
+    """One order of `correlate --format json`, its diagram dicts built up
+    front."""
+    return {
+        "origin": origin,
+        "order": order,
+        "diagrams": [diagram_to_json(d) for d in ds.diagrams()],
+    }
 
 
 def canonical_key(diag: Diagram) -> str:

@@ -435,8 +435,35 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "no-such-dir" / "out.json"
     rc, out = run_cli("expect", "--order", "1", "--output", str(path))
     assert (rc, out) == (2, "")
-    assert capsys.readouterr().err.startswith(
-        "usage error: cannot write output file ")
+    assert capsys.readouterr().err == (f"usage error: cannot write output "
+                                       f"file {str(path)!r}: No such file "
+                                       f"or directory\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "tex"])
+def test_failed_write_is_a_usage_error(capsys, fmt):
+    """The file opens, and its writes fail (ENOSPC): exit 2, one line."""
+    rc, out = run_cli("expand", "--order", "4", "--format", fmt,
+                      "--output", "/dev/full")
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == ("usage error: cannot write output "
+                                       "file '/dev/full': No space left on "
+                                       "device\n")
+
+
+@pytest.mark.parametrize("read", [0, 10])
+def test_closed_stdout_ends_the_output_quietly(read):
+    """A reader that leaves before the first byte, or after a few (as
+    `| head` does) of a 154 KB output: exit 0 and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sthirring.cli", "expand", "--order", "4",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
 
 
 def test_non_utf8_config_is_a_usage_error(tmp_path, capsys):

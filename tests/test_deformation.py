@@ -13,7 +13,7 @@ from sthirring.deformation import (
 )
 from sthirring.diagrams import (
     DeformedSum, Diagram, canonicalize as canonicalize_diagram, convolved,
-    deformedsum_to_json, diagram_to_json, free_leaves, graph_counts,
+    diagram_to_json, free_leaves, graph_counts,
     to_dot, to_graph,
 )
 from sthirring.errors import UsageError
@@ -27,7 +27,7 @@ from sthirring.terms import (
 
 from helpers import (
     all_contractions, bullet_cross, canonical_key, deformedsum_from_json,
-    diagram_from_json, iter_children, partial_matchings,
+    deformedsum_to_json, diagram_from_json, iter_children, partial_matchings,
 )
 
 

@@ -1,7 +1,9 @@
 """Each one-walk fast path of the series census against its walk-per-question
 reference in `helpers`: term canonicalization, `vertex_term`,
-`graph_counts` and the coefficient of a matching's diagram."""
+`graph_counts` and the coefficient of a matching's diagram; and that the
+symbolic layers leave no reference cycle behind a call."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -9,8 +11,11 @@ import pytest
 
 from sthirring import properties
 from sthirring.canonical import _PERM_BUDGET
-from sthirring.deformation import _diagram_for_matching, gamma_Q, term_census
-from sthirring.diagrams import DeformedSum, graph_counts
+from sthirring.deformation import (
+    _diagram_for_matching, extract_counterterms, gamma_Q, term_census,
+    two_point,
+)
+from sthirring.diagrams import DeformedSum, diagram_to_json, graph_counts
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import COSPINOR, SPINOR, expand, vertex_term
 from sthirring.power_counting import maximal_contractions
@@ -230,3 +235,29 @@ def test_matching_diagrams_match_the_fraction_halving_reference(series):
                     assert isinstance(got.coeff, Fraction)
                     halved += got.coeff != t.coeff
     assert halved > 0
+
+
+_CALLS = {
+    "coefficient(4)": lambda: expand(4).coefficient(4),
+    "gamma_Q(F_3)": lambda: gamma_Q(expand(3).coefficient(3)),
+    "two_point(K=3)": lambda: two_point(expand(3), SPINOR, COSPINOR, 3),
+    "extract_counterterms(K=3)": lambda: extract_counterterms(expand(3), 3),
+    "diagram_to_json(gamma_Q(F_2))": lambda: [
+        diagram_to_json(d) for d in gamma_Q(expand(2).coefficient(2))],
+}
+
+
+@pytest.mark.parametrize("name", list(_CALLS))
+def test_symbolic_calls_leave_no_reference_cycles(name):
+    """A self-recursive closure makes a function-cell cycle on every call,
+    which keeps the call's tables alive until the cyclic collector runs.
+    With the collector off, a call must leave it nothing to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = _CALLS[name]()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert result
+    assert found == 0
