@@ -161,16 +161,20 @@ def _emit(result, path: str | None) -> None:
     there is no path.  A str result is text, written as it is; any other is
     a JSON payload, streamed by `_stream_json`.  Every payload is computed
     before this is called.  An OSError on opening the file or on any write
-    is a UsageError, and the file may then hold part of the output.  A
-    reader of stdout that goes away (`| head`) ends the output quietly."""
+    to it or to stdout is a UsageError, and the output may then hold part
+    of the result.  A reader of stdout that goes away (`| head`) ends the
+    output quietly."""
     if not path:
         try:
             _write_result(result, sys.stdout.write)
-        except BrokenPipeError:
+            sys.stdout.flush()
+        except OSError as exc:
             # the rest goes to devnull, so the flush at exit cannot fail
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise UsageError(f"cannot write to stdout: {exc.strerror}")
         return
     try:
         with open(path, "w") as fh:

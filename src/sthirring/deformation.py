@@ -252,11 +252,21 @@ def _instantiate(template, roles):
     return tuple(out)
 
 
-def _diagram_for_matching(coeff, templates, leaves, matching):
-    """The diagram of one matching of census positions; each tagged
-    coincident pair halves the coefficient, in one division."""
+def _halvings(coeff, leaves) -> tuple:
+    """coeff / 2**h for every number h of tagged coincident pairs that a
+    matching of the census `leaves` can make, indexed by h: each pair
+    takes one taggable Phi and one taggable PhiBar leaf."""
+    n = min(sum(l.taggable for l in leaves if l.species == PHI),
+            sum(l.taggable for l in leaves if l.species == PHIBAR))
+    return (coeff,) + tuple(coeff / (1 << h) for h in range(1, n + 1))
+
+
+def _diagram_for_matching(halvings, templates, leaves, matching):
+    """The diagram of one matching of census positions, with the
+    coefficient `halvings`[h] (see `_halvings`) for its h tagged coincident
+    pairs."""
     roles: dict = {}
-    halvings = 0
+    h = 0
     pid = 0
     for li, lj in matching:
         a, b = leaves[li], leaves[lj]
@@ -265,7 +275,7 @@ def _diagram_for_matching(coeff, templates, leaves, matching):
         if a.vertex == b.vertex:
             if a.taggable:
                 roles[first.pos] = ("ctloop", a.tag)
-                halvings += 1
+                h += 1
             else:
                 roles[first.pos] = ("qloop", qt)
             roles[second.pos] = None
@@ -274,7 +284,7 @@ def _diagram_for_matching(coeff, templates, leaves, matching):
             roles[b.pos] = ("pair", pid, b.species, qt)
             pid += 1
     return Diagram(tuple(_instantiate(tpl, roles) for tpl in templates),
-                   coeff / (1 << halvings) if halvings else coeff)
+                   halvings[h])
 
 
 def contractions(t: Term, size: int):
@@ -284,11 +294,12 @@ def contractions(t: Term, size: int):
     counting takes the maximal pairings and the DOT export the empty one;
     the sums take one pairing per orbit instead."""
     templates, leaves = term_census(t)
+    halvings = _halvings(t.coeff, leaves)
     phis = [l.pos for l in leaves if l.species == PHI]
     bars = [l.pos for l in leaves if l.species == PHIBAR]
     for ps in combinations(phis, size):
         for qs in permutations(bars, size):
-            yield _diagram_for_matching(t.coeff, templates, leaves,
+            yield _diagram_for_matching(halvings, templates, leaves,
                                         tuple(zip(ps, qs)))
 
 
@@ -302,9 +313,9 @@ def _orbit_contractions(*slots: Term, complete=False):
     runs = leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
     if complete and sum(map(len, runs[0])) != sum(map(len, runs[1])):
         return
-    coeff = prod(t.coeff for t in slots)
+    halvings = _halvings(prod(t.coeff for t in slots), leaves)
     for matching, size in orbit_matchings(*runs, complete):
-        yield _diagram_for_matching(coeff, templates, leaves,
+        yield _diagram_for_matching(halvings, templates, leaves,
                                     matching).scaled(size)
 
 

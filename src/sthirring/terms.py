@@ -28,13 +28,23 @@ of the input tree spells its serialization as pieces, with each index left
 unnamed, and records each subtree's span of pieces, each index's positions
 and the index census that `validate` checks.  A child's shape and a
 candidate order's serialization render slices of those pieces under their
-own namings, so no subtree is walked again, though a subtree nested in d
-products is still rendered for the shapes of each of them.  The canonical
-tree has its indices renamed 0, 1, 2, ... in order of first occurrence,
-so the pass that orders the products also assigns those names, builds the
-renamed tree and spells its serialization, which is its key:
-`canonicalize` records it on the returned term and `TermSum.add` merges
-under it, with no second search and no second walk.
+own namings, so no subtree is walked again.  The canonical tree has its
+indices renamed 0, 1, 2, ... in order of first occurrence, so the pass
+that orders the products also assigns those names, builds the renamed
+tree and spells its serialization, which is its key: `canonicalize`
+records it on the returned term and `TermSum.add` merges under it, with
+no second search and no second walk.
+
+The recursion puts every lower-order monomial, as a factor G * [...],
+into many higher-order ones.  Such a factor is sealed: each of its
+indices but the propagator's outer one occurs only inside it.  The
+canonical form of a sealed subtree depends only on its input shape, on
+how many indices are named before it and on the name of its outer index,
+so one bounded memo keeps its renamed tree and serialization under those
+three; each factor is ordered once per such context, not once per
+monomial and enclosing product, and the monomials share its tree.  An
+unsealed subtree, nested in d products, is still rendered for the shapes
+of each of them.
 
 Precondition: the form is canonical only when every product nested
 below the outermost one already has its children in canonical order: a
@@ -400,10 +410,65 @@ def _rank(naming: dict, idx) -> int:
     return r
 
 
+_SEALED_MEMO = 8192
+
+# memo key -> (canonical node, serialization) of a sealed Conv subtree;
+# holds at most _SEALED_MEMO entries (4,610 once F_6 of both branches is
+# built), and past that stores no more
+_sealed: dict = {}
+
+
+def _sealed_shape(node: Conv, table):
+    """(shape, indices) of a sealed Conv subtree of the walked term, or
+    None.  The subtree is sealed when each of its indices but out_index
+    occurs only inside it; every recursion factor G * [...] is.  shape
+    spells its input-order serialization with its indices named by first
+    occurrence, and indices holds them in that order (a dict of those
+    names), out_index first."""
+    pieces, span, where = table
+    lo, hi = span[id(node)]
+    local = {node.out_index: "0"}
+    parts = []
+    for p in pieces[lo:hi]:
+        if p.__class__ is str:
+            parts.append(p)
+            continue
+        name = local.get(p)
+        if name is None:
+            for q in where[p]:
+                if not lo <= q < hi:
+                    return None
+            name = local[p] = str(len(local))
+        parts.append(name)
+    return "".join(parts), local
+
+
 def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
     """node with its products ordered and its indices renamed by first
     occurrence into naming; appends the serialization of the result to
-    key."""
+    key.  A sealed Conv subtree reads naming only through len(naming) and
+    the rank of its out_index, so `_sealed` holds its result under its
+    shape and those two."""
+    if isinstance(node, Conv):
+        sealed = _sealed_shape(node, table)
+        if sealed is None:
+            return _canon_conv(node, naming, key, table)
+        shape, indices = sealed
+        memo = f"{len(naming)} {naming.get(node.out_index)} {shape}"
+        hit = _sealed.get(memo)
+        if hit is not None:
+            # its other indices occur nowhere else, so naming them in input
+            # order advances naming as the full pass would
+            for i in indices:
+                _rank(naming, i)
+            key.append(hit[1])
+            return hit[0]
+        mark = len(key)
+        out = _canon_conv(node, naming, key, table)
+        key[mark:] = ["".join(key[mark:])]
+        if len(_sealed) < _SEALED_MEMO:
+            _sealed[memo] = out, key[mark]
+        return out
     if isinstance(node, Leaf):
         i = _rank(naming, node.index)
         key.append(f"L[{node.species},i{i}]")
@@ -414,13 +479,6 @@ def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
         col = _rank(naming, node.col)
         key.append(f"g[i{mu},i{row},i{col}]")
         return Gamma(mu, row, col)
-    if isinstance(node, Conv):
-        out = _rank(naming, node.out_index)
-        inn = _rank(naming, node.in_index)
-        key.append(f"C[{node.kind},i{out},i{inn}](")
-        inner = _canon_node(node.inner, naming, key, table)
-        key.append(")")
-        return Conv(node.kind, out, inn, inner)
     if isinstance(node, Prod):
         key.append("P(")
         kids = []
@@ -432,14 +490,27 @@ def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
     raise TypeError(node)  # pragma: no cover
 
 
+def _canon_conv(node: Conv, naming: dict, key: list, table) -> Conv:
+    """`_canon_node` of a Conv, computed in full."""
+    out = _rank(naming, node.out_index)
+    inn = _rank(naming, node.in_index)
+    key.append(f"C[{node.kind},i{out},i{inn}](")
+    inner = _canon_node(node.inner, naming, key, table)
+    key.append(")")
+    return Conv(node.kind, out, inn, inner)
+
+
 def canonicalize(t: Term) -> Term:
     """Canonical representative: sorted products, indices renamed 0,1,2,...
     in order of first occurrence.  One walk of the input tree spells it
     as pieces and checks its index census; each product's child shapes
     and tie-break serializations render slices of those pieces, and one
     pass over the ordered tree names the indices, builds the renamed tree
-    and records its serialization as `_key`.  Nested products must
-    already be in canonical child order (see the module docstring)."""
+    and records its serialization as `_key`.  That pass takes each sealed
+    G * [...] subtree from the memo when it has met the subtree's shape in
+    the same context before, with the same tree and text it would
+    compute.  Nested products must already be in canonical child order
+    (see the module docstring)."""
     pieces, span, where, census = _walk(t.node)
     validate(census)
     key: list = []

@@ -452,6 +452,19 @@ def test_failed_write_is_a_usage_error(capsys, fmt):
                                        "device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "tex"])
+def test_failed_write_to_stdout_is_a_usage_error(fmt):
+    """stdout is /dev/full: exit 2 and the one-line error, no traceback."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sthirring.cli", "expand", "--order", "2",
+             "--format", fmt],
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, "usage error: cannot write to stdout: No space left on device\n")
+
+
 @pytest.mark.parametrize("read", [0, 10])
 def test_closed_stdout_ends_the_output_quietly(read):
     """A reader that leaves before the first byte, or after a few (as

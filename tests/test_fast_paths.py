@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from sthirring import properties
+from sthirring import properties, terms
 from sthirring.canonical import _PERM_BUDGET
 from sthirring.deformation import (
-    _diagram_for_matching, extract_counterterms, gamma_Q, term_census,
-    two_point,
+    _diagram_for_matching, _halvings, extract_counterterms, gamma_Q,
+    term_census, two_point,
 )
 from sthirring.diagrams import DeformedSum, diagram_to_json, graph_counts
 from sthirring.errors import InvariantError, UsageError
@@ -22,7 +22,7 @@ from sthirring.power_counting import maximal_contractions
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR,
     Conv, Gamma, Leaf, Prod, Term, TermSum, canonicalize, index_occurrences,
-    phi, phibar, product,
+    phi, phibar, product, rename_indices,
 )
 
 from helpers import (
@@ -53,7 +53,15 @@ def _factor_triples(series, K):
                                 yield ta, tb, tc, kind
 
 
-def _assert_same_canonical_form(t):
+# Whether `_assert_same_canonical_form` empties the sealed-subtree memo of
+# `terms` before each term, so that every subtree is computed in full, or,
+# warm, keeps what the cold pass and the rest of the run put in it.
+MEMO_PASSES = (True, False)
+
+
+def _assert_same_canonical_form(t, cold):
+    if cold:
+        terms._sealed.clear()
     got, want = canonicalize(t), ref_canonicalize(t)
     assert got.coeff == want.coeff
     assert got.node == want.node
@@ -62,14 +70,15 @@ def _assert_same_canonical_form(t):
 
 
 def test_vertex_term_and_its_canonical_form_match_the_references(series):
-    calls = 0
-    for ta, tb, tc, kind in _factor_triples(series, 5):
-        raw = vertex_term(ta, tb, tc, kind)
-        assert raw == ref_vertex_term(ta, tb, tc, kind)
-        _assert_same_canonical_form(raw)
-        calls += 1
-    # 1 + 3 + 12 + 55 + 273 monomials per branch, none merged
-    assert calls == 2 * 344
+    for cold in MEMO_PASSES:
+        calls = 0
+        for ta, tb, tc, kind in _factor_triples(series, 5):
+            raw = vertex_term(ta, tb, tc, kind)
+            assert raw == ref_vertex_term(ta, tb, tc, kind)
+            _assert_same_canonical_form(raw, cold)
+            calls += 1
+        # 1 + 3 + 12 + 55 + 273 monomials per branch, none merged
+        assert calls == 2 * 344
 
 
 def test_vertex_term_errors_match_the_reference():
@@ -98,11 +107,12 @@ def test_order_5_monomials_that_are_not_fixed_points_keep_their_forms(series):
     moved = {b: [t for t in series.coefficient(5, b)
                  if canonicalize(t).node != t.node] for b in BRANCHES}
     assert {b: len(ts) for b, ts in moved.items()} == {SPINOR: 4, COSPINOR: 5}
-    for t in moved[SPINOR] + moved[COSPINOR]:
-        _assert_same_canonical_form(t)
-        once = canonicalize(t)
-        _assert_same_canonical_form(once)
-        assert canonicalize(once)._key == t._key != once._key
+    for cold in MEMO_PASSES:
+        for t in moved[SPINOR] + moved[COSPINOR]:
+            _assert_same_canonical_form(t, cold)
+            once = canonicalize(t)
+            _assert_same_canonical_form(once, cold)
+            assert canonicalize(once)._key == t._key != once._key
 
 
 def test_order_5_monomials_that_are_not_fixed_points_deform_as_held(series):
@@ -141,34 +151,84 @@ def test_nested_product_shuffles_match_the_reference(series):
     """The canonical form requires nested products in canonical order
     (ROADMAP item 10); shuffling them moves the key of 49 of these 720
     terms, and the fast path moves the same ones to the same forms."""
-    rng = random.Random(1)
-    moved = n = 0
-    for branch in BRANCHES:
-        for k in range(5):
-            for t in series.coefficient(k, branch):
-                for _ in range(5):
-                    u = Term(t.coeff, _shuffle_nested(t.node, rng))
-                    _assert_same_canonical_form(u)
-                    moved += canonicalize(u)._key != t._key
-                    n += 1
-    assert (moved, n) == (49, 720)
+    for cold in MEMO_PASSES:
+        rng = random.Random(1)
+        moved = n = 0
+        for branch in BRANCHES:
+            for k in range(5):
+                for t in series.coefficient(k, branch):
+                    for _ in range(5):
+                        u = Term(t.coeff, _shuffle_nested(t.node, rng))
+                        _assert_same_canonical_form(u, cold)
+                        moved += canonicalize(u)._key != t._key
+                        n += 1
+        assert (moved, n) == (49, 720)
+
+
+def _offset_factor(n):
+    """A sealed G_psi_bar factor behind n sealed G_psi ones, so that it is
+    entered with 2n indices named.  Its two gammas g(m,u,v), g(m,w,u) tie
+    and are linked, and the tie-break compares the names of u and w, which
+    are 2n+5 and 2n+3: at n = 3 that is "i11" against "i9", and the string
+    order picks the other order of the two."""
+    kids = tuple(Conv(GPSI, 2 * j, 2 * j + 1, Leaf(PHI, 2 * j + 1))
+                 for j in range(n))
+    o, x, m, u, v, w = range(2 * n, 2 * n + 6)
+    factor = Conv(GPSIBAR, o, x, Prod((
+        Gamma(m, u, v), Gamma(m, w, u),
+        Leaf(PHI, v), Leaf(PHIBAR, w), Leaf(PHIBAR, x))))
+    return Term(1, Prod(kids + (factor,)))
+
+
+def _context_pairs():
+    """Pairs of terms whose factor G_psi_bar * [...] has one input shape and
+    is entered with as many indices named, but whose results differ: its
+    out_index is named before it or not; an index of it is named before
+    it (so it is not sealed) or is its own free index."""
+
+    # ordered first; the G_psi_bar factor takes up its index 2, or not
+    g_psi = Conv(GPSI, 0, 1, Prod((Leaf(PHI, 1), Leaf(PHI, 2))))
+    return [
+        Term(1, Prod((g_psi, Conv(GPSIBAR, 2, 3, Leaf(PHIBAR, 3))))),
+        Term(1, Prod((g_psi, Conv(GPSIBAR, 3, 5, Leaf(PHIBAR, 5)),
+                      Leaf(PHI, 3)))),
+        Term(1, Prod((g_psi, Conv(GPSIBAR, 3, 4, Prod((
+            Leaf(PHIBAR, 4), Leaf(PHIBAR, 2))))))),
+        Term(1, Prod((g_psi, Conv(GPSIBAR, 3, 4, Prod((
+            Leaf(PHIBAR, 4), Leaf(PHIBAR, 5))))))),
+    ]
+
+
+def test_sealed_subtree_memo_keys_on_its_context():
+    """The memo of sealed subtrees keys on the offset of the naming and on
+    the rank of out_index, and takes no subtree linked outside itself;
+    warm, each term below finds the factor of the others in the memo."""
+    crafted = [_offset_factor(n) for n in range(5)] + _context_pairs()
+    for cold in MEMO_PASSES:
+        for t in crafted + crafted:
+            _assert_same_canonical_form(t, cold)
+    factors = [rename_indices(canonicalize(_offset_factor(n)).node
+                              .children[-1], lambda i, n=n: i - 2 * n)
+               for n in range(5)]
+    assert [f == factors[0] for f in factors] == [True] * 3 + [False, True]
 
 
 def test_random_terms_and_their_convolutions_match_the_reference():
-    rng = random.Random(16)
-    convolved = 0
-    for _ in range(300):
-        t = properties.random_term(rng)
-        _assert_same_canonical_form(t)
-        # a product that is not yet canonical, in both factor orders
-        u = properties.random_term(rng)
-        _assert_same_canonical_form(product(t, u))
-        _assert_same_canonical_form(product(u, t))
-        w = wrapped(t)
-        if w is not None:
-            _assert_same_canonical_form(w)
-            convolved += 1
-    assert convolved > 50
+    for cold in MEMO_PASSES:
+        rng = random.Random(16)
+        convolved = 0
+        for _ in range(300):
+            t = properties.random_term(rng)
+            _assert_same_canonical_form(t, cold)
+            # a product that is not yet canonical, in both factor orders
+            u = properties.random_term(rng)
+            _assert_same_canonical_form(product(t, u), cold)
+            _assert_same_canonical_form(product(u, t), cold)
+            w = wrapped(t)
+            if w is not None:
+                _assert_same_canonical_form(w, cold)
+                convolved += 1
+        assert convolved > 50
 
 
 def _error(fn, t):
@@ -225,10 +285,11 @@ def test_matching_diagrams_match_the_fraction_halving_reference(series):
         for k in range(5):
             for t in series.coefficient(k, branch):
                 templates, leaves = term_census(t)
+                halvings = _halvings(t.coeff, leaves)
                 phis = [l.pos for l in leaves if l.species == PHI]
                 bars = [l.pos for l in leaves if l.species == PHIBAR]
                 for m in partial_matchings(phis, bars):
-                    got = _diagram_for_matching(t.coeff, templates, leaves, m)
+                    got = _diagram_for_matching(halvings, templates, leaves, m)
                     want = ref_diagram_for_matching(t.coeff, templates,
                                                     leaves, m)
                     assert got == want

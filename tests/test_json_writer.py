@@ -188,6 +188,9 @@ class _Sink:
         self.sha.update(b)
         self.size += len(b)
 
+    def flush(self) -> None:
+        pass
+
 
 def test_writing_order_5_holds_less_than_its_output(monkeypatch):
     """The writing phase of `expand --order 5 --format json` (0.99 MB)

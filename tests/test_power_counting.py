@@ -139,9 +139,9 @@ def test_distinct_graph_merging(series):
 def test_maximal_contractions_count_and_order():
     from itertools import combinations, permutations
 
-    from sthirring.deformation import (
-        _diagram_for_matching, contraction_count, term_census,
-    )
+    from sthirring.deformation import contraction_count, term_census
+
+    from helpers import ref_diagram_for_matching
     s4 = expand(4)
     for k in range(5):
         want = 0
@@ -160,8 +160,8 @@ def test_maximal_contractions_count_and_order():
             phis = [l.pos for l in leaves if l.species == PHI]
             bars = [l.pos for l in leaves if l.species == PHIBAR]
             top = min(len(phis), len(bars))
-            ref += [_diagram_for_matching(t.coeff, templates, leaves,
-                                          tuple(zip(ps, qs)))
+            ref += [ref_diagram_for_matching(t.coeff, templates, leaves,
+                                             tuple(zip(ps, qs)))
                     for ps in combinations(phis, top)
                     for qs in permutations(bars, top)]
         assert list(maximal_contractions(s4, k)) == ref
