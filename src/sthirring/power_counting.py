@@ -19,15 +19,19 @@ The linear coefficient (d-3)/2 is negative exactly for d < 3: there the
 divergent set is finite (subcritical), at d = 3 rho is constantly 2
 (critical), and above it grows with the order.
 
-The graphs are the unmerged maximal pairings of `deformation.contractions`.
+The graphs are the unmerged maximal pairings of `deformation.contractions`,
+counted from each monomial's grading; one graph per order is built as a
+Diagram and counted directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations, groupby, permutations
+from operator import itemgetter
 
-from .deformation import contractions
+from .deformation import contraction_count, contractions
 from .diagrams import Diagram, free_leaves, graph_counts
 from .errors import InvariantError, UsageError
 from .perturbation import SPINOR, PerturbativeSeries
@@ -94,40 +98,55 @@ def divergence_closed_form(k: int, d: int) -> Fraction:
 
 
 def maximal_contractions(series: PerturbativeSeries, k: int):
-    """All maximally contracted diagrams of the order-k spinor coefficient.
-
-    Yields one diagram per contraction pattern (no canonical merging);
-    every diagram keeps exactly one free leaf by parity of 2k+1.  Only
-    pairings of the maximal size min(r, r_bar) are enumerated.
+    """Every maximal pairing of the order-k spinor coefficient as
+    (monomial, counts, ps, qs), with no Diagram built: the ps[i]-th of the
+    monomial's r Phi leaves pairs with its qs[i]-th PhiBar leaf, for
+    s = min(r, r_bar) pairs in the order of `contractions`.  Each pair is
+    one point of the Diagram and the f = r + r_bar - 2s other leaves stay
+    free, so all pairings of a monomial with v propagators share one
+    `graph_counts` dict: N = v + s + f, L = v + 2s + f.
     """
     for t in series.coefficient(k, SPINOR):
         g = grading(t)
-        yield from contractions(t, min(g.r, g.r_bar))
+        s = min(g.r, g.r_bar)
+        v, f = g.l + g.l_bar, g.r + g.r_bar - 2 * s
+        counts = {"vertices": v, "pair_points": s, "free_points": f,
+                  "N": v + s + f, "L": v + 2 * s + f}
+        for ps in combinations(range(g.r), s):
+            for qs in permutations(range(g.r_bar), s):
+                yield t, counts, ps, qs
 
 
 def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceReport]:
     """Power-counting verdicts for all admissible graphs of `series`
     through order K.
 
-    Every generated graph is checked against the counting laws N = 2k+1,
-    L = 3k+1 and one free leaf.  rho depends on (N, L, d) only, so each
-    order has one report: the direct count of its first graph, checked
-    against the closed-form degree of divergence.
+    Each monomial must have the counts N = 2k+1, L = 3k+1 and one free
+    leaf, and `contraction_count` graphs.  rho depends on (N, L, d) only,
+    so each order has one report: the direct count of its first graph's
+    Diagram, checked against the census and the closed-form rho.
     """
     reports = []
     for k in range(K + 1):
+        law = (2 * k + 1, 3 * k + 1, 1)
+        rep, n_graphs = None, 0
         graphs = maximal_contractions(series, k)
-        first = next(graphs)
-        rep = divergence_degree(first, d)
-        seen = {(rep.vertices, rep.edges, len(free_leaves(first)))}
-        n_graphs = 1
-        for g in graphs:
-            c = graph_counts(g)
-            seen.add((c["N"], c["L"], c["free_points"]))
-            n_graphs += 1
-        if seen != {(2 * k + 1, 3 * k + 1, 1)}:
-            raise InvariantError(f"order {k} graphs have (N, L, free leaves) "
-                                 f"in {sorted(seen)}")
+        for t, items in groupby(graphs, itemgetter(0)):
+            c = next(items)[1]
+            if rep is None:  # one Diagram per order, counted directly
+                first = next(contractions(t, c["pair_points"]))
+                rep = divergence_degree(first, d)
+                direct = (rep.vertices, rep.edges, len(free_leaves(first)))
+            g = grading(t)
+            pairings = contraction_count(g.r, g.r_bar, c["pair_points"])
+            made = 1 + sum(1 for _ in items)
+            got = ((c["N"], c["L"], c["free_points"]), direct, made)
+            want = (law, law, pairings)
+            if got != want:
+                raise InvariantError(
+                    f"order {k} graphs have ((N, L, free leaves) by census, "
+                    f"directly; pairings) {got}, not {want}")
+            n_graphs += made
         want = divergence_closed_form(k, d)
         if rep.rho != want:
             raise InvariantError(

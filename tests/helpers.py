@@ -12,8 +12,10 @@ leaves of two already-deformed diagrams across their tensor slots),
 reference for the series that builds each coefficient on first read,
 `partial_matchings` and `all_contractions` enumerate every partial
 pairing (of two leaf lists, and of a term as unmerged diagrams: the
-references for the one pairing per orbit of `gamma_Q`), and
-`iter_children` lists every child of a diagram with its path.
+references for the one pairing per orbit of `gamma_Q`),
+`maximal_diagrams` builds the Diagram of every graph that power counting
+counts from its census, and `iter_children` lists every child of a
+diagram with its path.
 
 The `ref_*` functions are the walk-per-question forms of fast paths in
 the package, kept as their oracles: `ref_canonicalize` re-emits a
@@ -36,7 +38,7 @@ from sthirring.diagrams import (
 )
 from sthirring.canonical import tie_orders
 from sthirring.errors import InvariantError
-from sthirring.perturbation import vertex_term
+from sthirring.perturbation import SPINOR, vertex_term
 from sthirring.terms import (
     DOWN, GPSI, GPSIBAR, PHI, PHIBAR, UP,
     Conv, Gamma, Leaf, Node, Prod, Term, TermSum,
@@ -139,6 +141,14 @@ def all_contractions(t: Term):
     g = grading(t)
     for size in range(min(g.r, g.r_bar) + 1):
         yield from contractions(t, size)
+
+
+def maximal_diagrams(series, k: int):
+    """The unmerged Diagram of every maximal pairing of the order-k spinor
+    coefficient, in the order of `power_counting.maximal_contractions`."""
+    for t in series.coefficient(k, SPINOR):
+        g = grading(t)
+        yield from contractions(t, min(g.r, g.r_bar))
 
 
 def iter_children(diag: Diagram) -> list:

@@ -62,6 +62,8 @@ ARGVS = sorted(set(
         "power-count --dim 2 --max-order 4 --format json",
         # the benchmark's pinned power-count output
         "power-count --dim 2 --max-order 4 --format table",
+        # the subcritical verdict at the highest accepted order
+        "power-count --dim 2 --max-order 6",
         # usage errors: exit 2, one line on stderr, nothing on stdout
         "expand",
         "expand --order -1",

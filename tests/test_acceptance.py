@@ -26,7 +26,7 @@ from sthirring.kernels import (
 from sthirring.perturbation import COSPINOR, SPINOR, check_structure, expand
 from sthirring.power_counting import (
     DIVERGENT, REGULAR, classify, divergence_closed_form, divergence_degree,
-    maximal_contractions, sd_propagator,
+    sd_propagator,
 )
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR, Conv, Gamma, Leaf, Prod, Term, TermSum,
@@ -162,10 +162,14 @@ def test_criterion_6_counterterm_extraction(series):
 
 def test_criterion_7_power_counting(series):
     with _Timer(7, "power counting", 60.0):
+        series6 = expand(6)  # the subcritical range d <= 2 one order further
         for d in (1, 2, 3, 4):
-            reports = classify(d, 5, series=series)  # re-checks every graph
+            K = 6 if d <= 2 else 5
+            # re-checks every monomial's graphs
+            reports = classify(d, K, series=series6 if d <= 2 else series)
             rhos = [r.rho for r in reports]
-            assert rhos == [divergence_closed_form(k, d) for k in range(6)]
+            assert rhos == [divergence_closed_form(k, d) for k in range(K + 1)]
+            assert reports[-1].n_graphs == (7197120 if K == 6 else 196560)
             divergent = [r.order for r in reports if r.verdict == DIVERGENT]
             if d == 1:
                 assert divergent == [0]

@@ -1,7 +1,8 @@
 """Each one-walk fast path of the series census against its walk-per-question
 reference in `helpers`: term canonicalization, `vertex_term`,
-`graph_counts` and the coefficient of a matching's diagram; and that the
-symbolic layers leave no reference cycle behind a call."""
+`graph_counts`, power counting's census counts and the coefficient of a
+matching's diagram; and that the symbolic layers leave no reference cycle
+behind a call."""
 
 import gc
 import random
@@ -12,8 +13,8 @@ import pytest
 from sthirring import properties, terms
 from sthirring.canonical import _PERM_BUDGET
 from sthirring.deformation import (
-    _diagram_for_matching, _halvings, extract_counterterms, gamma_Q,
-    term_census, two_point,
+    _diagram_for_matching, _halvings, contractions, extract_counterterms,
+    gamma_Q, term_census, two_point,
 )
 from sthirring.diagrams import DeformedSum, diagram_to_json, graph_counts
 from sthirring.errors import InvariantError, UsageError
@@ -26,9 +27,9 @@ from sthirring.terms import (
 )
 
 from helpers import (
-    all_contractions, iter_children, partial_matchings, ref_canonicalize,
-    ref_diagram_for_matching, ref_graph_counts, ref_index_occurrences,
-    ref_vertex_term, wrapped,
+    all_contractions, iter_children, maximal_diagrams, partial_matchings,
+    ref_canonicalize, ref_diagram_for_matching, ref_graph_counts,
+    ref_index_occurrences, ref_vertex_term, wrapped,
 )
 
 BRANCHES = (SPINOR, COSPINOR)
@@ -261,7 +262,7 @@ def test_errors_match_the_reference():
 
 
 def test_graph_counts_match_the_reference(series):
-    graphs = [g for k in range(5) for g in maximal_contractions(series, k)]
+    graphs = [g for k in range(5) for g in maximal_diagrams(series, k)]
     assert len(graphs) == 6909
     for g in graphs:
         assert graph_counts(g) == ref_graph_counts(g)
@@ -277,6 +278,30 @@ def test_graph_counts_match_the_reference(series):
             assert graph_counts(d) == ref_graph_counts(d)
             kinds |= {ch[0] for ch, _ in iter_children(d)}
     assert {"qloop", "ctloop", "pair", "free", "conv"} <= kinds
+
+
+def test_census_counts_match_every_maximal_diagram(series):
+    """Power counting reads each graph from its monomial's census: through
+    order 4 the compact items are the pairings of `contractions`, one to
+    one and in order, and each pairing's Diagram has the yielded counts."""
+    graphs = 0
+    for k in range(5):
+        items = iter(maximal_contractions(series, k))
+        for t in series.coefficient(k, SPINOR):
+            templates, leaves = term_census(t)
+            halvings = _halvings(t.coeff, leaves)
+            phis = [l.pos for l in leaves if l.species == PHI]
+            bars = [l.pos for l in leaves if l.species == PHIBAR]
+            for d in contractions(t, min(len(phis), len(bars))):
+                u, counts, ps, qs = next(items)
+                assert u is t
+                matching = tuple((phis[i], bars[j]) for i, j in zip(ps, qs))
+                assert _diagram_for_matching(halvings, templates, leaves,
+                                             matching) == d
+                assert graph_counts(d) == ref_graph_counts(d) == counts
+                graphs += 1
+        assert next(items, None) is None
+    assert graphs == 6909
 
 
 def test_matching_diagrams_match_the_fraction_halving_reference(series):

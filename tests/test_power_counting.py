@@ -9,7 +9,9 @@ from sthirring.power_counting import (
     DIVERGENT, REGULAR, classify, divergence_closed_form,
     divergence_degree, maximal_contractions, sd_propagator,
 )
-from sthirring.terms import PHI, PHIBAR
+from sthirring.terms import PHI, PHIBAR, Leaf, Prod, Term
+
+from helpers import maximal_diagrams
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +38,7 @@ def test_closed_form_values():
 
 def test_direct_count_examples(series):
     # k=1, d=2: N=3, L=4, rho=0; same graph at d=1 gives rho = -2
-    gs = list(maximal_contractions(series, 1))
+    gs = list(maximal_diagrams(series, 1))
     for g in gs:
         r2 = divergence_degree(g, 2)
         assert (r2.vertices, r2.edges, r2.rho) == (3, 4, 0)
@@ -46,7 +48,7 @@ def test_direct_count_examples(series):
 
 
 def test_bare_loop_at_order_zero(series):
-    (g,) = list(maximal_contractions(series, 0))
+    (g,) = list(maximal_diagrams(series, 0))
     r = divergence_degree(g, 2)
     assert (r.vertices, r.edges, r.rho) == (1, 1, 1)
     assert r.verdict == DIVERGENT
@@ -54,7 +56,7 @@ def test_bare_loop_at_order_zero(series):
 
 def test_direct_equals_closed_form_all_graphs(series):
     for k in range(4):
-        for g in maximal_contractions(series, k):
+        for g in maximal_diagrams(series, k):
             for d in (1, 2, 3, 4):
                 r = divergence_degree(g, d)
                 assert (r.order, r.rho) == (k, divergence_closed_form(k, d))
@@ -62,7 +64,7 @@ def test_direct_equals_closed_form_all_graphs(series):
 
 def test_counting_lemmas_on_generated_graphs(series):
     for k in range(4):
-        for g in maximal_contractions(series, k):
+        for g in maximal_diagrams(series, k):
             c = graph_counts(g)
             assert c["N"] == 2 * k + 1
             assert c["L"] == 3 * k + 1
@@ -82,8 +84,9 @@ def test_classify_verdict_patterns(series):
 
 
 def test_classify_reports_once_per_order(monkeypatch):
-    """Every graph is counted once; each order's report is one direct
-    power count (rho depends on N, L and d only)."""
+    """Every graph is counted from its monomial's census; each order's
+    report is one direct power count of one Diagram (rho depends on N, L
+    and d only)."""
     from sthirring import power_counting
     calls = {"divergence_degree": 0, "graph_counts": 0}
     for name in calls:
@@ -94,22 +97,47 @@ def test_classify_reports_once_per_order(monkeypatch):
         monkeypatch.setattr(power_counting, name, counting)
     reports = classify(2, 4, series=expand(4))
     assert [r.n_graphs for r in reports] == [1, 2, 18, 288, 6600]
-    assert calls == {"divergence_degree": 5, "graph_counts": 6909}
+    assert calls == {"divergence_degree": 5, "graph_counts": 5}
 
 
 def test_classify_rejects_a_graph_off_the_counting_laws(series, monkeypatch):
     from sthirring import power_counting
     real = power_counting.maximal_contractions
-    stray = Diagram(((("free", PHI), ("free", PHIBAR), ("free", PHI)),),
-                    Fraction(1))
+    stray = Term(1, Prod((Leaf(PHI, 0), Leaf(PHIBAR, 1), Leaf(PHI, 2))))
+    counts = graph_counts(Diagram(
+        ((("free", PHI), ("free", PHIBAR), ("free", PHI)),), Fraction(1)))
 
     def with_stray(s, k):
         yield from real(s, k)
         if k == 1:
-            yield stray
+            yield stray, counts, (), ()
 
     monkeypatch.setattr(power_counting, "maximal_contractions", with_stray)
     with pytest.raises(InvariantError, match="order 1 graphs"):
+        classify(2, 1, series=series)
+
+
+def test_classify_rejects_a_monomial_short_of_a_pairing(series, monkeypatch):
+    from sthirring import power_counting
+    real = power_counting.maximal_contractions
+
+    def short(s, k):
+        items = list(real(s, k))
+        yield from items[:-1] if k == 2 else items
+
+    monkeypatch.setattr(power_counting, "maximal_contractions", short)
+    with pytest.raises(InvariantError, match=r"order 2 graphs .* 5\), not "):
+        classify(2, 2, series=series)
+
+
+def test_classify_rejects_a_spot_check_off_the_census(series, monkeypatch):
+    from sthirring import power_counting
+    lone = Diagram(((("free", PHI),),), Fraction(1))
+    monkeypatch.setattr(power_counting, "contractions",
+                        lambda t, size: iter([lone]))
+    # order 0's graph is that lone leaf, so order 1's spot check fails
+    off = r"order 1 graphs .*\(3, 4, 1\), \(1, 1, 1\), 2\), not"
+    with pytest.raises(InvariantError, match=off):
         classify(2, 1, series=series)
 
 
@@ -130,7 +158,7 @@ def test_non_admissible_graph_rejected():
 
 
 def test_distinct_graph_merging(series):
-    ds = DeformedSum(maximal_contractions(series, 1))
+    ds = DeformedSum(maximal_diagrams(series, 1))
     # the two maximal contractions of the order-1 vertex are isomorphic
     assert len(ds) == 1
     assert ds.diagrams()[0].coeff == 1  # two tagged pairings at weight 1/2
@@ -164,4 +192,4 @@ def test_maximal_contractions_count_and_order():
                                              tuple(zip(ps, qs)))
                     for ps in combinations(phis, top)
                     for qs in permutations(bars, top)]
-        assert list(maximal_contractions(s4, k)) == ref
+        assert list(maximal_diagrams(s4, k)) == ref
