@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .deformation import (
     brute_force_contractions, contraction_count, gamma_Q, gamma_Q_convolved,
@@ -27,14 +28,9 @@ from .terms import (
 BARE_LEAVES_MAX = 4         # most leaves of each species in a bare monomial
 CONTRACTION_COUNTS_MAX = 5  # most leaves of each species checked for counts
 
-_SERIES = None
-
-
+@cache
 def _series():
-    global _SERIES
-    if _SERIES is None:
-        _SERIES = expand(3)
-    return _SERIES
+    return expand(3)
 
 
 def random_bare_monomial(rng: random.Random) -> Term:
@@ -146,7 +142,7 @@ def check_grading_additivity(rng: random.Random, trials: int) -> dict:
     for _ in range(trials):
         t1, t2 = random_term(rng), random_term(rng)
         both = product(t1, t2)
-        if grading(both).as_tuple() != (grading(t1) + grading(t2)).as_tuple():
+        if grading(both) != grading(t1) + grading(t2):
             failures += 1
     return {"name": "grading_additivity", "trials": trials, "failures": failures}
 

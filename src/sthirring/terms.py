@@ -42,9 +42,12 @@ canonical form of a sealed subtree depends only on its input shape, on
 how many indices are named before it and on the name of its outer index,
 so one bounded memo keeps its renamed tree and serialization under those
 three; each factor is ordered once per such context, not once per
-monomial and enclosing product, and the monomials share its tree.  An
-unsealed subtree, nested in d products, is still rendered for the shapes
-of each of them.
+monomial and enclosing product, and the monomials share its tree.  The
+input shape is the child shape that orders the factor in its product,
+where each of its indices but the outer one has a local name, so the key
+costs no further rendering.  Only factors of products enter the memo: a
+whole monomial, met once, is canonicalized in full.  An unsealed subtree,
+nested in d products, is still rendered for the shapes of each of them.
 
 Precondition: the form is canonical only when every product nested
 below the outermost one already has its children in canonical order: a
@@ -225,9 +228,6 @@ class Grading:
         return Grading(self.r + other.r, self.r_bar + other.r_bar,
                        self.l + other.l, self.l_bar + other.l_bar)
 
-    def as_tuple(self):
-        return (self.r, self.r_bar, self.l, self.l_bar)
-
 
 def grading(t: Term) -> Grading:
     r = r_bar = l = l_bar = 0
@@ -354,40 +354,50 @@ def _render(table, node: Node, name) -> str:
                     for p in pieces[lo:hi]])
 
 
-def _child_shape(child: Node, table, naming: dict) -> str:
-    """Order key for a product child.
+def _child_shape(child: Node, table, naming: dict) -> tuple:
+    """(shape, sealed): the order key for a product child, and whether the
+    child is a sealed Conv subtree.
 
     Indices already named in the enclosing context keep their names; indices
     local to the child get positional names; indices linking to siblings
     (or free elsewhere) are reduced to link/free markers so that the key is
     independent of sibling identity.  Whether an index is local is read
     off the positions of its pieces, so naming the child walks nothing.
+    The child is sealed when it is a Conv in which every index but
+    out_index is local; every recursion factor G * [...] is.
     """
     where = table[2]
     lo, hi = table[1][id(child)]
+    out = child.out_index if child.__class__ is Conv else None
+    sealed = out is not None
     local = {}
 
     def name(idx):
+        nonlocal sealed
         r = naming.get(idx)
+        at = where[idx]
+        if r is None and len(at) == 2:
+            p, q = at
+            if lo <= p < hi and lo <= q < hi:
+                if idx not in local:
+                    local[idx] = f"l{len(local)}"
+                return local[idx]
+        if idx != out:
+            sealed = False
         if r is not None:
             return f"@i{r}"
-        at = where[idx]
-        if len(at) == 1:
-            return "*FREE*"
-        p, q = at  # `validate` allows no third occurrence
-        if not (lo <= p < hi and lo <= q < hi):
-            return "*LINK*"
-        if idx not in local:
-            local[idx] = f"l{len(local)}"
-        return local[idx]
+        return "*FREE*" if len(at) == 1 else "*LINK*"
 
-    return _render(table, child, name)
+    return _render(table, child, name), sealed
 
 
 def _order_prod(kids: tuple, naming: dict, table) -> tuple:
-    """Canonical order of a product's children under the current naming."""
-    orders = tie_orders(kids, [_child_shape(c, table, naming) for c in kids],
-                        "*LINK*")
+    """Canonical order of a product's children under the current naming,
+    as (child, shape) pairs; shape is the child's `_child_shape` if it is
+    sealed, else None."""
+    shaped = [_child_shape(c, table, naming) for c in kids]
+    items = [(c, s if ok else None) for c, (s, ok) in zip(kids, shaped)]
+    orders = tie_orders(items, [s for s, _ in shaped], "*LINK*")
     if len(orders) == 1:
         return orders[0]
 
@@ -397,7 +407,7 @@ def _order_prod(kids: tuple, naming: dict, table) -> tuple:
         def name(idx):
             return f"i{_rank(names, idx)}"
 
-        return "".join([_render(table, c, name) + "," for c in cand])
+        return "".join([_render(table, c, name) + "," for c, _ in cand])
 
     return min(orders, key=serialization)
 
@@ -412,55 +422,34 @@ def _rank(naming: dict, idx) -> int:
 
 _SEALED_MEMO = 8192
 
-# memo key -> (canonical node, serialization) of a sealed Conv subtree;
-# holds at most _SEALED_MEMO entries (4,610 once F_6 of both branches is
-# built), and past that stores no more
+# memo key -> (canonical node, serialization) of a sealed Conv child of a
+# product; holds at most _SEALED_MEMO entries (1,066 once F_6 of both
+# branches is built), and past that stores no more
 _sealed: dict = {}
 
 
-def _sealed_shape(node: Conv, table):
-    """(shape, indices) of a sealed Conv subtree of the walked term, or
-    None.  The subtree is sealed when each of its indices but out_index
-    occurs only inside it; every recursion factor G * [...] is.  shape
-    spells its input-order serialization with its indices named by first
-    occurrence, and indices holds them in that order (a dict of those
-    names), out_index first."""
-    pieces, span, where = table
-    lo, hi = span[id(node)]
-    local = {node.out_index: "0"}
-    parts = []
-    for p in pieces[lo:hi]:
-        if p.__class__ is str:
-            parts.append(p)
-            continue
-        name = local.get(p)
-        if name is None:
-            for q in where[p]:
-                if not lo <= q < hi:
-                    return None
-            name = local[p] = str(len(local))
-        parts.append(name)
-    return "".join(parts), local
-
-
-def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
+def _canon_node(node: Node, naming: dict, key: list, table,
+                shape: str | None = None) -> Node:
     """node with its products ordered and its indices renamed by first
     occurrence into naming; appends the serialization of the result to
-    key.  A sealed Conv subtree reads naming only through len(naming) and
-    the rank of its out_index, so `_sealed` holds its result under its
-    shape and those two."""
+    key.  shape is node's `_child_shape` when node is a sealed Conv child
+    of a product.  Such a subtree reads naming only through len(naming)
+    and the rank of its out_index, so `_sealed` holds its result under
+    its shape and those two."""
     if isinstance(node, Conv):
-        sealed = _sealed_shape(node, table)
-        if sealed is None:
+        if shape is None:
             return _canon_conv(node, naming, key, table)
-        shape, indices = sealed
         memo = f"{len(naming)} {naming.get(node.out_index)} {shape}"
         hit = _sealed.get(memo)
         if hit is not None:
-            # its other indices occur nowhere else, so naming them in input
-            # order advances naming as the full pass would
-            for i in indices:
-                _rank(naming, i)
+            # out_index comes first and the other indices occur nowhere
+            # else, so naming them in slice order advances naming as the
+            # full pass would
+            pieces, span, _ = table
+            lo, hi = span[id(node)]
+            for p in pieces[lo:hi]:
+                if p.__class__ is not str:
+                    _rank(naming, p)
             key.append(hit[1])
             return hit[0]
         mark = len(key)
@@ -482,8 +471,8 @@ def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
     if isinstance(node, Prod):
         key.append("P(")
         kids = []
-        for c in _order_prod(_flatten(node.children), naming, table):
-            kids.append(_canon_node(c, naming, key, table))
+        for c, shape in _order_prod(_flatten(node.children), naming, table):
+            kids.append(_canon_node(c, naming, key, table, shape))
             key.append(",")
         key.append(")")
         return Prod(tuple(kids))
@@ -507,10 +496,10 @@ def canonicalize(t: Term) -> Term:
     and tie-break serializations render slices of those pieces, and one
     pass over the ordered tree names the indices, builds the renamed tree
     and records its serialization as `_key`.  That pass takes each sealed
-    G * [...] subtree from the memo when it has met the subtree's shape in
-    the same context before, with the same tree and text it would
-    compute.  Nested products must already be in canonical child order
-    (see the module docstring)."""
+    G * [...] factor of a product from the memo, keyed by its child shape,
+    when it has met that shape in the same context before, with the same
+    tree and text it would compute.  Nested products must already be in
+    canonical child order (see the module docstring)."""
     pieces, span, where, census = _walk(t.node)
     validate(census)
     key: list = []

@@ -214,6 +214,16 @@ def test_sealed_subtree_memo_keys_on_its_context():
     assert [f == factors[0] for f in factors] == [True] * 3 + [False, True]
 
 
+def test_sealed_subtree_memo_holds_only_factors_of_products():
+    """A root Conv is canonicalized in full and never enters the memo, so
+    building spinor F_5 from an empty memo stores no entry at offset 0
+    with its out_index unnamed, only the factors G * [...] of products."""
+    terms._sealed.clear()
+    expand(5).coefficient(5, SPINOR)
+    assert [k for k in terms._sealed if k.startswith("0 None ")] == []
+    assert len(terms._sealed) == 229
+
+
 def test_random_terms_and_their_convolutions_match_the_reference():
     for cold in MEMO_PASSES:
         rng = random.Random(16)

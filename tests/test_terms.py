@@ -97,7 +97,7 @@ def test_grading_additivity_random():
         t1, t2 = make(r1, b1), make(r2, b2)
         got = grading(product(t1, t2))
         want = grading(t1) + grading(t2)
-        assert got.as_tuple() == want.as_tuple()
+        assert got == want
 
 
 def test_canonical_soundness_randomized():
