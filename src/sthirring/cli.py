@@ -26,7 +26,7 @@ from . import clifford
 from .deformation import (
     contractions, expectation_report, extract_counterterms, two_point,
 )
-from .diagrams import DeformedSum, Diagram, diagram_to_json, to_dot
+from .diagrams import DeformedSum, Diagram, diagram_json, to_dot
 from .errors import Error, InvariantError, NumericalError, UsageError
 from .kernels import (
     KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
@@ -36,18 +36,25 @@ from .kernels import (
 from .perturbation import COSPINOR, SPINOR, check_structure, expand
 from .power_counting import classify, sd_propagator
 from .properties import run_all
-from .terms import Term, term_to_json, to_tex
+from .terms import Term, term_json, to_tex
 
 THREADS_ENV = "STHIRRING_THREADS"
 
 _BRANCH = {"psi": SPINOR, "psibar": COSPINOR}
 _INF = float("inf")
-_BATCH = 4096  # chunks the JSON writer holds before it writes them out
+# Chunks the JSON writer holds before it writes them out.  A chunk is a
+# scalar, a bracket, or a node or row of a Term or Diagram with the text
+# before it, so one write of `expand --order 5` holds at most about 31 KB.
+_BATCH = 256
 
 
 def _stream_json(obj, write) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
-    through write, byte for byte, in batches of about _BATCH chunks.
+    """Write the text of json.dumps(obj, sort_keys=True, indent=1) through
+    write, byte for byte, in batches of about _BATCH chunks.  A Term or a
+    Diagram in obj is written as its export dict would be, straight from
+    the object, by the emitter of the module that owns its grammar
+    (`terms.term_json`, `diagrams.diagram_json`); any other object json
+    cannot write is a TypeError.
 
     With `indent` set, json never uses its C encoder; it runs a chain of
     nested generators that passes every chunk through each level above it.
@@ -99,17 +106,6 @@ def _key_json(k) -> str:
     return _encode_str(k)
 
 
-def _json_default(o):
-    """json's `default`: a Term or a Diagram becomes its export dict, built
-    only when the writer reaches it; anything else is a TypeError."""
-    if isinstance(o, Term):
-        return term_to_json(o)
-    if isinstance(o, Diagram):
-        return diagram_to_json(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    f"is not JSON serializable")
-
-
 def _write_json(o, depth: int, out: list, write) -> None:
     """Append the chunks of o, a value nested `depth` containers deep, and
     pass out to write whenever a container has filled it past _BATCH.
@@ -152,8 +148,13 @@ def _write_json(o, depth: int, out: list, write) -> None:
                 out.clear()
             sep = comma
         out.append(close)
+    elif isinstance(o, Term):
+        term_json(o, depth, out)
+    elif isinstance(o, Diagram):
+        diagram_json(o, depth, out)
     else:
-        _write_json(_json_default(o), depth, out, write)
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
 
 
 def _emit(result, path: str | None) -> None:

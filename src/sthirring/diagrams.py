@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .canonical import KeyedSum, tie_orders, within_budget
 from .errors import InvariantError
@@ -396,23 +397,53 @@ def to_dot(diag: Diagram, name: str = "diagram") -> str:
     return "\n".join(lines)
 
 
-def diagram_to_json(diag: Diagram) -> dict:
+def diagram_json(diag: Diagram, depth: int, out: list) -> None:
+    """Append the text json.dumps(indent=1, sort_keys=True) gives diag's
+    export dict nested `depth` containers deep: its coefficient, the rows
+    of `to_graph` (one chunk per row) and its skeleton, the slots as lists
+    with every field of a child a string but a conv child's child list."""
     g = to_graph(diag)
-    return {
-        "coefficient": [diag.coeff.numerator, diag.coeff.denominator],
-        "sites": [list(s) for s in g["sites"]],
-        "edges": [list(e) for e in g["edges"]],
-        "counterterm_tags": [list(t) for t in g["tags"]],
-        "free_leaves": [list(f) for f in g["frees"]],
-        "skeleton": [_skeleton_json(body) for body in diag.slots],
-    }
+    nl = "\n" + " " * depth
+    k = nl + " "
+    r = k + " "
+    v = r + " "
+    joint = "," + v
+    q = diag.coeff
+    pre = '{%s"coefficient": [%s%s,%s%s%s],' % (k, r, q.numerator, r,
+                                                q.denominator, k)
+    for name, rows in (("counterterm_tags", g["tags"]), ("edges", g["edges"]),
+                       ("free_leaves", g["frees"]), ("sites", g["sites"])):
+        sep = '%s%s"%s": [%s' % (pre, k, name, r)
+        for row in rows:
+            out.append('%s[%s%s%s]'
+                       % (sep, v, joint.join(map(_encode_str, row)), r))
+            sep = "," + r
+        pre = k + "]," if rows else '%s%s"%s": [],' % (pre, k, name)
+    sep = '%s%s"skeleton": [%s' % (pre, k, r)
+    for body in diag.slots:
+        _children_json(body, r, out, sep)
+        sep = "," + r
+    out.append(k + "]" + nl + "}" if diag.slots
+               else '%s%s"skeleton": []%s}' % (pre, k, nl))
 
 
-def _skeleton_json(children) -> list:
-    out = []
+def _children_json(children, nl: str, out: list, pre: str) -> None:
+    """Append pre and the list of children, whose closing bracket starts
+    the line nl."""
+    if not children:
+        out.append(pre + "[]")
+        return
+    c = nl + " "
+    e = c + " "
+    joint = "," + e
+    sep = pre + "[" + c
     for ch in children:
         if ch[0] == "conv":
-            out.append(["conv", ch[1], _skeleton_json(ch[2])])
+            _children_json(ch[2], e, out, '%s[%s"conv",%s%s,%s'
+                           % (sep, e, e, _encode_str(ch[1]), e))
+            out.append(c + "]")
         else:
-            out.append([str(x) for x in ch])
-    return out
+            out.append('%s[%s%s%s]' % (sep, e, joint.join(
+                map(_encode_str, map(str, ch))), c))
+        sep = "," + c
+    out.append(nl + "]")

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .canonical import KeyedSum, tie_orders
 from .errors import InvariantError
@@ -563,21 +564,47 @@ def _node_tex(node: Node) -> str:
     raise TypeError(node)  # pragma: no cover
 
 
-def node_to_json(node: Node) -> dict:
+# The JSON emitters here and in `diagrams` format with %s, as fast as
+# f-strings: compiling as many f-string fields (Python 3.11, no bytecode
+# cache) raised the peak RSS of a CLI process by about 0.15 MB.
+def term_json(t: Term, depth: int, out: list) -> None:
+    """Append the text json.dumps(indent=1, sort_keys=True) gives t's
+    export dict ({"coefficient": [num, den], "node": ...}, every index a
+    string) nested `depth` containers deep: a chunk per leaf and gamma,
+    holding the text before it, and one per closing conv and prod."""
+    nl = "\n" + " " * depth
+    k = nl + " "
+    c = k + " "
+    q = t.coeff
+    _node_json(t.node, k, out, '{%s"coefficient": [%s%s,%s%s%s],%s"node": '
+               % (k, c, q.numerator, c, q.denominator, k, k))
+    out.append(nl + "}")
+
+
+def _node_json(node: Node, nl: str, out: list, pre: str) -> None:
+    """Append pre and node's dict, whose closing brace starts the line nl;
+    pre is the text before the node, so each chunk opens with it."""
+    k = nl + " "
     if isinstance(node, Leaf):
-        return {"kind": "leaf", "species": node.species, "index": str(node.index)}
-    if isinstance(node, Gamma):
-        return {"kind": "gamma", "mu": str(node.mu),
-                "row": str(node.row), "col": str(node.col)}
-    if isinstance(node, Conv):
-        return {"kind": "conv", "propagator": node.kind,
-                "out": str(node.out_index), "in": str(node.in_index),
-                "inner": node_to_json(node.inner)}
-    if isinstance(node, Prod):
-        return {"kind": "prod", "children": [node_to_json(c) for c in node.children]}
-    raise TypeError(node)  # pragma: no cover
-
-
-def term_to_json(t: Term) -> dict:
-    return {"coefficient": [t.coeff.numerator, t.coeff.denominator],
-            "node": node_to_json(t.node)}
+        out.append('%s{%s"index": "%s",%s"kind": "leaf",%s"species": %s%s}'
+                   % (pre, k, node.index, k, k, _encode_str(node.species), nl))
+    elif isinstance(node, Gamma):
+        out.append('%s{%s"col": "%s",%s"kind": "gamma",%s"mu": "%s",'
+                   '%s"row": "%s"%s}' % (pre, k, node.col, k, k, node.mu,
+                                         k, node.row, nl))
+    elif isinstance(node, Conv):
+        _node_json(node.inner, k, out, '%s{%s"in": "%s",%s"inner": '
+                   % (pre, k, node.in_index, k))
+        out.append(',%s"kind": "conv",%s"out": "%s",%s"propagator": %s%s}'
+                   % (k, k, node.out_index, k, _encode_str(node.kind), nl))
+    elif isinstance(node, Prod):
+        c = k + " "
+        sep = '%s{%s"children": [%s' % (pre, k, c)
+        for ch in node.children:
+            _node_json(ch, c, out, sep)
+            sep = "," + c
+        out.append('%s],%s"kind": "prod"%s}' % (k, k, nl) if node.children
+                   else '%s{%s"children": [],%s"kind": "prod"%s}'
+                   % (pre, k, k, nl))
+    else:  # pragma: no cover
+        raise TypeError(node)

@@ -1,11 +1,13 @@
 """Oracles that tests check the package's output against.
 
 No command needs these, so they live with the tests: `mirror` maps a term
-of one solution branch onto the other, the JSON readers invert the
-writers of `terms` and `diagrams` (so a test can show an export is
-lossless), `termsum_to_json` and `deformedsum_to_json` build a sum's
-export dicts up front (the CLI hands the objects to its streaming
-writer instead), `canonical_key` spells a diagram's canonical form,
+of one solution branch onto the other, `term_to_json` and
+`diagram_to_json` build the export dicts whose json.dumps text the JSON
+writers of `terms` and `diagrams` emit straight from the objects
+(`json_default` hands them to json.dumps), the JSON readers invert them
+(so a test can show an export is lossless), `termsum_to_json` and
+`deformedsum_to_json` build a sum's export dicts up front,
+`canonical_key` spells a diagram's canonical form,
 `bullet_cross` is the reference two-point construction (it pairs the free
 leaves of two already-deformed diagrams across their tensor slots),
 `expand_eager` builds both branches of the series order by order, the
@@ -33,8 +35,8 @@ from itertools import combinations, permutations
 from sthirring import diagrams
 from sthirring.deformation import contractions
 from sthirring.diagrams import (
-    DeformedSum, Diagram, diagram_to_json, free_leaves, max_pair_id,
-    rename_pair_ids, replace_at,
+    DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
+    replace_at, to_graph,
 )
 from sthirring.canonical import tie_orders
 from sthirring.errors import InvariantError
@@ -43,7 +45,7 @@ from sthirring.terms import (
     DOWN, GPSI, GPSIBAR, PHI, PHIBAR, UP,
     Conv, Gamma, Leaf, Node, Prod, Term, TermSum,
     convolve, grading, index_census, max_index, phi, phibar,
-    rename_indices, sole_free_index, term_to_json,
+    rename_indices, sole_free_index,
 )
 
 
@@ -104,6 +106,59 @@ def diagram_from_json(d: dict) -> Diagram:
 
 def deformedsum_from_json(d: dict) -> DeformedSum:
     return DeformedSum(diagram_from_json(x) for x in d["diagrams"])
+
+
+def node_to_json(node: Node) -> dict:
+    if isinstance(node, Leaf):
+        return {"kind": "leaf", "species": node.species, "index": str(node.index)}
+    if isinstance(node, Gamma):
+        return {"kind": "gamma", "mu": str(node.mu),
+                "row": str(node.row), "col": str(node.col)}
+    if isinstance(node, Conv):
+        return {"kind": "conv", "propagator": node.kind,
+                "out": str(node.out_index), "in": str(node.in_index),
+                "inner": node_to_json(node.inner)}
+    if isinstance(node, Prod):
+        return {"kind": "prod", "children": [node_to_json(c) for c in node.children]}
+    raise TypeError(node)
+
+
+def term_to_json(t: Term) -> dict:
+    return {"coefficient": [t.coeff.numerator, t.coeff.denominator],
+            "node": node_to_json(t.node)}
+
+
+def diagram_to_json(diag: Diagram) -> dict:
+    g = to_graph(diag)
+    return {
+        "coefficient": [diag.coeff.numerator, diag.coeff.denominator],
+        "sites": [list(s) for s in g["sites"]],
+        "edges": [list(e) for e in g["edges"]],
+        "counterterm_tags": [list(t) for t in g["tags"]],
+        "free_leaves": [list(f) for f in g["frees"]],
+        "skeleton": [_skeleton_json(body) for body in diag.slots],
+    }
+
+
+def _skeleton_json(children) -> list:
+    out = []
+    for ch in children:
+        if ch[0] == "conv":
+            out.append(["conv", ch[1], _skeleton_json(ch[2])])
+        else:
+            out.append([str(x) for x in ch])
+    return out
+
+
+def json_default(o):
+    """json's `default` for the CLI's payloads: a Term or a Diagram becomes
+    its export dict; anything else is a TypeError."""
+    if isinstance(o, Term):
+        return term_to_json(o)
+    if isinstance(o, Diagram):
+        return diagram_to_json(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
 
 
 def termsum_to_json(s: TermSum) -> list:

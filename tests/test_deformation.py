@@ -13,8 +13,7 @@ from sthirring.deformation import (
 )
 from sthirring.diagrams import (
     DeformedSum, Diagram, canonicalize as canonicalize_diagram, convolved,
-    diagram_to_json, free_leaves, graph_counts,
-    to_dot, to_graph,
+    free_leaves, graph_counts, to_dot, to_graph,
 )
 from sthirring.errors import UsageError
 from sthirring.perturbation import COSPINOR, SPINOR, expand
@@ -27,7 +26,8 @@ from sthirring.terms import (
 
 from helpers import (
     all_contractions, bullet_cross, canonical_key, deformedsum_from_json,
-    deformedsum_to_json, diagram_from_json, iter_children, partial_matchings,
+    deformedsum_to_json, diagram_from_json, diagram_to_json, iter_children,
+    partial_matchings,
 )
 
 

@@ -12,11 +12,12 @@ import pytest
 
 from sthirring import properties, terms
 from sthirring.canonical import _PERM_BUDGET
+from sthirring.cli import _stream_json
 from sthirring.deformation import (
     _diagram_for_matching, _halvings, contractions, extract_counterterms,
     gamma_Q, term_census, two_point,
 )
-from sthirring.diagrams import DeformedSum, diagram_to_json, graph_counts
+from sthirring.diagrams import DeformedSum, graph_counts
 from sthirring.errors import InvariantError, UsageError
 from sthirring.perturbation import COSPINOR, SPINOR, expand, vertex_term
 from sthirring.power_counting import maximal_contractions
@@ -27,8 +28,9 @@ from sthirring.terms import (
 )
 
 from helpers import (
-    all_contractions, iter_children, maximal_diagrams, partial_matchings,
-    ref_canonicalize, ref_diagram_for_matching, ref_graph_counts,
+    all_contractions, diagram_to_json, iter_children, maximal_diagrams,
+    partial_matchings, ref_canonicalize, ref_diagram_for_matching,
+    ref_graph_counts,
     ref_index_occurrences, ref_vertex_term, wrapped,
 )
 
@@ -333,6 +335,12 @@ def test_matching_diagrams_match_the_fraction_halving_reference(series):
     assert halved > 0
 
 
+def _streamed(payload) -> list:
+    out: list = []
+    _stream_json(payload, out.append)
+    return out
+
+
 _CALLS = {
     "coefficient(4)": lambda: expand(4).coefficient(4),
     "gamma_Q(F_3)": lambda: gamma_Q(expand(3).coefficient(3)),
@@ -340,6 +348,9 @@ _CALLS = {
     "extract_counterterms(K=3)": lambda: extract_counterterms(expand(3), 3),
     "diagram_to_json(gamma_Q(F_2))": lambda: [
         diagram_to_json(d) for d in gamma_Q(expand(2).coefficient(2))],
+    "_stream_json(F_3, gamma_Q(F_2))": lambda: _streamed(
+        [expand(3).coefficient(3).terms(),
+         gamma_Q(expand(2).coefficient(2)).diagrams()]),
 }
 
 

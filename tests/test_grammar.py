@@ -14,11 +14,12 @@ import pytest
 
 from sthirring import properties, terms
 from sthirring.deformation import extract_counterterms, gamma_Q, two_point
-from sthirring.diagrams import diagram_to_json
 from sthirring.perturbation import COSPINOR, SPINOR, expand
 from sthirring.terms import Conv, Prod, TermSum, canonicalize
 
-from helpers import diagram_from_json, iter_children, wrapped
+from helpers import (
+    diagram_from_json, diagram_to_json, iter_children, wrapped,
+)
 
 CHILD_KINDS = {"free", "pair", "qloop", "ctloop", "argport", "conv"}
 BRANCHES = (SPINOR, COSPINOR)

@@ -1,5 +1,6 @@
-"""The CLI's streaming JSON writer against
-json.dumps(sort_keys=True, indent=1, default=cli._json_default)."""
+"""The CLI's streaming JSON writer, and the Term and Diagram emitters it
+hands each object to, against json.dumps(sort_keys=True, indent=1) of the
+export dicts that `helpers` builds."""
 
 import hashlib
 import io
@@ -14,16 +15,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sthirring import cli
-from sthirring.cli import _json_default, _stream_json, main
+from sthirring.cli import _stream_json, main
 from sthirring.deformation import extract_counterterms, gamma_Q, two_point
+from sthirring.diagrams import diagram_json
 from sthirring.perturbation import COSPINOR, SPINOR, expand
-from sthirring.terms import TermSum
+from sthirring.terms import TermSum, phi, phibar, product, term_json
 
-from helpers import deformedsum_to_json, termsum_to_json
+from helpers import (
+    deformedsum_to_json, diagram_to_json, json_default, term_to_json,
+    termsum_to_json,
+)
 
 
 def _reference(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
+    return json.dumps(obj, sort_keys=True, indent=1, default=json_default)
 
 
 def _streamed(obj) -> str:
@@ -114,6 +119,42 @@ def test_writer_rejects_what_json_rejects(obj):
         _reference(obj)
     with pytest.raises(TypeError):
         _streamed(obj)
+
+
+def _assert_emits_its_oracle(emit, to_json, objs):
+    """emit writes each object, nested 0 to 3 containers deep, as the
+    text json.dumps gives the oracle's dict at that depth."""
+    for o in objs:
+        want = json.dumps(to_json(o), sort_keys=True, indent=1)
+        for depth in range(4):
+            out = []
+            emit(o, depth, out)
+            assert "".join(out) == want.replace("\n", "\n" + " " * depth)
+
+
+def test_term_emitter_matches_its_oracle():
+    """Every monomial of F_0..F_5 on both branches."""
+    series = expand(5)
+    terms = [t for k in range(6) for b in (SPINOR, COSPINOR)
+             for t in series.coefficient(k, b)]
+    assert len(terms) == 2 * (1 + 1 + 3 + 12 + 55 + 273)
+    _assert_emits_its_oracle(term_json, term_to_json, terms)
+
+
+def test_diagram_emitter_matches_its_oracle():
+    """Every diagram of Gamma_Q(F_3), of two_point(psi, psibar) through
+    K = 3, and of H_1..H_3, and the untagged coincident pair (qloop) of
+    Phi Phibar, which the recursion's gamma-wired vertices never give."""
+    series = expand(3)
+    diagrams = gamma_Q(series.coefficient(3)).diagrams()
+    diagrams += gamma_Q(TermSum([product(phi(0), phibar(1))])).diagrams()
+    for ds in two_point(series, SPINOR, COSPINOR, 3).values():
+        diagrams += ds.diagrams()
+    for op in extract_counterterms(series, 3).values():
+        diagrams += op.ops.diagrams()
+    kinds = {ch[0] for d in diagrams for body in d.slots for ch in body}
+    assert kinds == {"conv", "free", "pair", "qloop", "ctloop", "argport"}
+    _assert_emits_its_oracle(diagram_json, diagram_to_json, diagrams)
 
 
 SUBCOMMANDS = [
@@ -211,3 +252,26 @@ def test_writing_order_5_holds_less_than_its_output(monkeypatch):
         tracemalloc.stop()
     assert sink.sha.hexdigest() == manifest[argv]["stdout_sha256"]
     assert peak < sink.size
+
+
+@pytest.mark.parametrize("argv, size", [
+    ("expand --order 5 --format json", 994_075),
+    ("counterterms --order 3", 192_907),
+])
+def test_no_write_exceeds_the_batch_bound(argv, size, monkeypatch):
+    """_BATCH bounds each write of a command's output: a whole Term or
+    Diagram is a few chunks, so a batch of them stays below the 57 KB
+    that a batch of 4,096 scalar chunks wrote before."""
+    writes = []
+
+    class Recorder:
+        write = writes.append
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(argv.split()) == 0
+    sizes = [len(w.encode()) for w in writes]
+    assert sum(sizes) == size  # the whole output, with its newline
+    assert max(sizes) <= 57_000

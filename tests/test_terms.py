@@ -9,10 +9,12 @@ from sthirring.terms import (
     DOWN, GPSI, GPSIBAR, PHI, PHIBAR,
     Conv, Gamma, Leaf, Prod, Term, TermSum,
     canonical_key, canonicalize, convolve, grading,
-    node_to_json, phi, phibar, product, term_to_json, to_tex,
+    phi, phibar, product, to_tex,
 )
 
-from helpers import free_indices, node_from_json, term_from_json
+from helpers import (
+    free_indices, node_from_json, node_to_json, term_from_json, term_to_json,
+)
 
 
 def bilinear(i0=0, mu=1, i1=2):
