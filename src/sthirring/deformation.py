@@ -261,10 +261,10 @@ def _halvings(coeff, leaves) -> tuple:
     return (coeff,) + tuple(coeff / (1 << h) for h in range(1, n + 1))
 
 
-def _diagram_for_matching(halvings, templates, leaves, matching):
+def _diagram_for_matching(halvings, templates, leaves, matching, size):
     """The diagram of one matching of census positions, with the
-    coefficient `halvings`[h] (see `_halvings`) for its h tagged coincident
-    pairs."""
+    coefficient `halvings`[h] * size (see `_halvings`) for its h tagged
+    coincident pairs."""
     roles: dict = {}
     h = 0
     pid = 0
@@ -284,7 +284,7 @@ def _diagram_for_matching(halvings, templates, leaves, matching):
             roles[b.pos] = ("pair", pid, b.species, qt)
             pid += 1
     return Diagram(tuple(_instantiate(tpl, roles) for tpl in templates),
-                   halvings[h])
+                   halvings[h] * size)
 
 
 def contractions(t: Term, size: int):
@@ -300,7 +300,7 @@ def contractions(t: Term, size: int):
     for ps in combinations(phis, size):
         for qs in permutations(bars, size):
             yield _diagram_for_matching(halvings, templates, leaves,
-                                        tuple(zip(ps, qs)))
+                                        tuple(zip(ps, qs)), 1)
 
 
 def _orbit_contractions(*slots: Term, complete=False):
@@ -315,8 +315,8 @@ def _orbit_contractions(*slots: Term, complete=False):
         return
     halvings = _halvings(prod(t.coeff for t in slots), leaves)
     for matching, size in orbit_matchings(*runs, complete):
-        yield _diagram_for_matching(halvings, templates, leaves,
-                                    matching).scaled(size)
+        yield _diagram_for_matching(halvings, templates, leaves, matching,
+                                    size)
 
 
 def gamma_Q(s: TermSum) -> DeformedSum:

@@ -26,11 +26,13 @@ the smallest serialization, then renumber pair ids by first occurrence; two
 contraction outcomes merge exactly when the typed multigraphs are
 isomorphic slot by slot.  Shapes are built once per subtree, bottom-up, and
 a subtree's layouts are memoized on its value, since subtrees repeat across
-the matchings of a term.  A diagram with one layout is not serialized at
-all while it is canonicalized.  `DeformedSum.add` canonicalizes once and
-merges under the canonical slots, which are equal exactly when the keys
-(serializations) are; only the diagrams it keeps are serialized, to list
-them in key order.
+the matchings of a term.  Most diagrams have one layout, since none of
+their vertices holds a tied run: each vertex then gives its children sorted
+by shape, with no candidates built, the diagram is not serialized, and the
+walk that builds the output renumbers its pair ids.  `DeformedSum.add`
+canonicalizes once and merges under the canonical slots, which are equal
+exactly when the keys (serializations) are; only the diagrams it keeps are
+serialized, to list them in key order.
 """
 
 from __future__ import annotations
@@ -220,58 +222,61 @@ def _layouts(children) -> tuple[str, tuple]:
     The layouts are the child orders sorted by shape, with every permutation
     of each equal-shape run that carries pair ids (a pair-free run holds
     identical subtrees, so its one order is fixed), and with each conv
-    interior in each of its own layouts.  Shapes are built bottom-up from
-    the interiors' shapes, once per call; calls are memoized on the
-    children tuple, since subtrees repeat across the matchings of a term.
+    interior in each of its own layouts.  A vertex with no such run whose
+    children have one layout each has one layout, its children sorted by
+    shape, and builds no candidates.  Shapes are built bottom-up from the
+    interiors' shapes, once per call; calls are memoized on the children
+    tuple, since subtrees repeat across the matchings of a term.
     """
     shapes = []
     options = []
+    single = True
     for ch in children:
         if ch[0] == "conv":
             inner, lays = _layouts(ch[2])
             shapes.append(f"T[{ch[1]}]({inner})")
             options.append([("conv", ch[1], lay) for lay in lays])
+            single = single and len(lays) == 1
         else:
             shapes.append(f"x[{ch[2]},{ch[3]}]" if ch[0] == "pair" else repr(ch))
             options.append((ch,))
+    order = sorted(range(len(children)), key=shapes.__getitem__)
+    shape = ",".join(shapes[i] for i in order)
+    tied = any(shapes[a] == shapes[b] and "x[" in shapes[a]
+               for a, b in zip(order, order[1:]))
+    if single and not tied:
+        return shape, (tuple(options[i][0] for i in order),)
     bound = 1
     for opts in options:
         bound = within_budget(bound * len(opts))
-    order = sorted(range(len(children)), key=shapes.__getitem__)
-    if any(shapes[a] == shapes[b] and "x[" in shapes[a]
-           for a, b in zip(order, order[1:])):
+    if tied:
         orders = tie_orders(range(len(children)), shapes, "x[")
         within_budget(bound * len(orders))
     else:
         orders = [order]
     layouts = tuple(tuple(kids[i] for i in o)
                     for kids in iproduct(*options) for o in orders)
-    return ",".join(shapes[i] for i in order), layouts
+    return shape, layouts
 
 
 def canonicalize(diag: Diagram) -> Diagram:
     """Minimal-serialization layout with pair ids renumbered 0,1,2,...
 
-    A diagram with one layout needs no serialization: its pair ids are
-    renumbered in the order the serialization would name them."""
+    A diagram with one layout needs no serialization.  Pair ids are
+    renumbered in the order the serialization names them, in the walk
+    that builds the output."""
     per_slot = [_layouts(body)[1] for body in diag.slots]
     total = 1
     for opts in per_slot:
         total = within_budget(total * len(opts))
     if total == 1:
-        slots = tuple(opts[0] for opts in per_slot)
-        naming = dict.fromkeys(p for body in slots for p in _pair_ids(body))
+        slots = [opts[0] for opts in per_slot]
     else:
-        best = None
-        for slots in iproduct(*per_slot):
-            naming = {}
-            key = _serialize(slots, naming)
-            if best is None or key < best[0]:
-                best = (key, slots, naming)
-        _, slots, naming = best
-    rank = {old: r for r, old in enumerate(naming)}
-    return Diagram(tuple(rename_pair_ids(b, rank.__getitem__) for b in slots),
-                   diag.coeff)
+        slots = min(iproduct(*per_slot), key=lambda s: _serialize(s, {}))
+    naming: dict = {}
+    renamed = (rename_pair_ids(b, lambda p: naming.setdefault(p, len(naming)))
+               for b in slots)
+    return Diagram(tuple(renamed), diag.coeff)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,10 @@ mean isomorphic graphs and distinct keys non-isomorphic ones.
 
 Brute force: the memoized bottom-up layout search must pick exactly the
 representative of the plain search it replaced, which recomputes every
-subtree shape for every layout combination and serializes every candidate.
+subtree shape for every layout combination and serializes every candidate:
+on recorded inputs, on every orbit representative of Gamma_Q(F_4), where
+tied layouts are common, and on drawn diagrams, where the form must also be
+idempotent and blind to child order and pair names.
 """
 
 import random
@@ -18,6 +21,7 @@ from itertools import groupby, permutations, product as iproduct
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from networkx.algorithms.isomorphism import (
     categorical_multiedge_match, categorical_node_match,
 )
@@ -27,6 +31,7 @@ from sthirring.deformation import extract_counterterms, gamma_Q
 from sthirring.diagrams import DeformedSum, canonicalize
 from sthirring.perturbation import COSPINOR, SPINOR, expand
 from sthirring.properties import random_term
+from sthirring.terms import GPSI, GPSIBAR, PHI, PHIBAR
 
 from helpers import (
     all_contractions, bullet_cross, canonical_key, iter_children,
@@ -254,6 +259,96 @@ def test_fast_canonicalizer_matches_brute_force(monkeypatch):
             assert c.slots == slots and c.coeff == d.coeff
             assert canonical_key(d) == key
     assert diagrams._layouts.cache_info().hits > 0
+
+
+def test_fast_canonicalizer_matches_brute_force_at_order_4(monkeypatch):
+    """Every orbit representative Gamma_Q(F_4) adds on the spinor branch, a
+    quarter of them with more than one layout, cold and warm."""
+    f4 = expand(4).coefficient(4, SPINOR)
+    inputs = _recorded_adds(monkeypatch, lambda: gamma_Q(f4))
+    assert len(inputs) == 8727
+    want = [_ref_canonical(d) for d in inputs]
+    tied = 0
+    for d, (key, slots) in zip(inputs, want):
+        diagrams._layouts.cache_clear()
+        assert canonicalize(d).slots == slots
+        assert canonical_key(d) == key
+        tied += len(diagrams._layouts(d.slots[0])[1]) > 1
+    assert tied == 2290
+    diagrams._layouts.cache_clear()
+    for d, (key, slots) in zip(inputs, want):
+        assert canonicalize(d).slots == slots
+        assert canonical_key(d) == key
+    assert diagrams._layouts.cache_info().hits > 0
+
+
+# drawn diagrams: leaves, two thirds of them ("half",) standing for one half
+# of a pair; the halves are paired up across the whole diagram once it is
+# drawn, all with one Q/Q_tilde type, so that equal-shape runs are common
+_HALF = ("half",)
+_LEAF = st.one_of(st.just(_HALF), st.just(_HALF), st.sampled_from([
+    ("free", PHI), ("free", PHIBAR), ("qloop", "Q"), ("qloop", "Qt"),
+    ("ctloop", "C"), ("ctloop", "Ctilde"), ("argport", PHI)]))
+
+
+@st.composite
+def _drawn_body(draw, depth):
+    kids = draw(st.lists(_LEAF, max_size=3))
+    if depth:
+        for inner in draw(st.lists(_drawn_body(depth - 1), max_size=depth)):
+            kind = draw(st.sampled_from([GPSI, GPSIBAR]))
+            # a repeated interior makes an equal-shape run of convs
+            kids += [("conv", kind, inner)] * draw(st.integers(1, 2))
+    return tuple(draw(st.permutations(kids)))
+
+
+def _place_pairs(children, halves):
+    """children with each half replaced by the next item of halves."""
+    return tuple(next(halves) if ch == _HALF
+                 else ("conv", ch[1], _place_pairs(ch[2], halves))
+                 if ch[0] == "conv" else ch for ch in children)
+
+
+@st.composite
+def _drawn_diagrams(draw):
+    slots = draw(st.lists(_drawn_body(2), min_size=1, max_size=2))
+    children = iter_children(diagrams.Diagram(tuple(slots), Fraction(1)))
+    assume(len(children) <= 12)  # the brute force tries every layout
+    n = sum(ch == _HALF for ch, _ in children)
+    ids = draw(st.lists(st.integers(0, 99), min_size=n // 2, max_size=n // 2,
+                        unique=True))
+    qt = draw(st.sampled_from(["Q", "Qt"]))
+    halves = [("free", PHI)] * (n % 2)  # an odd half out stays free
+    for pid in ids:
+        halves += [("pair", pid, PHI, qt), ("pair", pid, PHIBAR, qt)]
+    halves = iter(draw(st.permutations(halves)))
+    return diagrams.Diagram(tuple(_place_pairs(b, halves) for b in slots),
+                            Fraction(1))
+
+
+def _shuffled(children, rng, rename):
+    out = [("pair", rename[ch[1]], ch[2], ch[3]) if ch[0] == "pair"
+           else ("conv", ch[1], _shuffled(ch[2], rng, rename))
+           if ch[0] == "conv" else ch for ch in children]
+    rng.shuffle(out)
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_diagrams(), st.randoms(use_true_random=False))
+def test_canonical_form_of_drawn_diagrams(d, rng):
+    """The brute-force representative; idempotent; and unchanged when every
+    vertex's children are shuffled and the pair ids renamed."""
+    key, slots = _ref_canonical(d)
+    c = canonicalize(d)
+    assert c.slots == slots and c.coeff == d.coeff
+    assert canonical_key(d) == key
+    assert canonicalize(c).slots == slots
+    ids = sorted({ch[1] for ch, _ in iter_children(d) if ch[0] == "pair"})
+    rename = dict(zip(ids, rng.sample(range(100, 200), len(ids))))
+    moved = diagrams.Diagram(tuple(_shuffled(b, rng, rename) for b in d.slots),
+                             d.coeff)
+    assert canonicalize(moved).slots == slots
 
 
 def test_deformed_sum_orders_and_merges_by_key():

@@ -307,17 +307,26 @@ def test_benchmark_digests_agree_with_the_manifest():
 def test_permutation_budget_overflow_is_a_usage_error(monkeypatch, capsys):
     """A canonical-form search past its budget is a resource limit (exit 2),
     not an invariant violation.  counterterms --order 2 has a diagram with
-    four candidate layouts, so a budget of 3 trips the diagram search."""
+    four candidate layouts, so a budget of 3 trips the diagram search, with
+    the layout memo cold and after an unbudgeted run has warmed it: the
+    diagram-level total is checked on every call, memoized or not."""
     from sthirring import canonical, diagrams
-    monkeypatch.setattr(canonical, "_PERM_BUDGET", 3)
-    diagrams._layouts.cache_clear()  # memoized layouts skip the budget check
     try:
-        rc, out = run_cli("counterterms", "--order", "2")
+        for warm in (False, True):
+            diagrams._layouts.cache_clear()
+            if warm:
+                assert run_cli("counterterms", "--order", "2")[0] == 0
+            misses = diagrams._layouts.cache_info().misses
+            with monkeypatch.context() as m:
+                m.setattr(canonical, "_PERM_BUDGET", 3)
+                rc, out = run_cli("counterterms", "--order", "2")
+            assert rc == 2 and out == ""
+            assert capsys.readouterr().err == \
+                "usage error: canonicalization permutation budget exceeded\n"
+            # warm, every layout of the run comes from the memo
+            assert warm == (diagrams._layouts.cache_info().misses == misses)
     finally:
         diagrams._layouts.cache_clear()
-    assert rc == 2 and out == ""
-    assert capsys.readouterr().err == \
-        "usage error: canonicalization permutation budget exceeded\n"
 
 
 def test_counterterms_deform_each_coefficient_once(monkeypatch):

@@ -309,7 +309,7 @@ def test_census_counts_match_every_maximal_diagram(series):
                 assert u is t
                 matching = tuple((phis[i], bars[j]) for i, j in zip(ps, qs))
                 assert _diagram_for_matching(halvings, templates, leaves,
-                                             matching) == d
+                                             matching, 1) == d
                 assert graph_counts(d) == ref_graph_counts(d) == counts
                 graphs += 1
         assert next(items, None) is None
@@ -326,12 +326,14 @@ def test_matching_diagrams_match_the_fraction_halving_reference(series):
                 phis = [l.pos for l in leaves if l.species == PHI]
                 bars = [l.pos for l in leaves if l.species == PHIBAR]
                 for m in partial_matchings(phis, bars):
-                    got = _diagram_for_matching(halvings, templates, leaves, m)
+                    size = 1 + len(m)  # any orbit size scales the weight
+                    got = _diagram_for_matching(halvings, templates, leaves,
+                                                m, size)
                     want = ref_diagram_for_matching(t.coeff, templates,
                                                     leaves, m)
-                    assert got == want
+                    assert got == want.scaled(size)
                     assert isinstance(got.coeff, Fraction)
-                    halved += got.coeff != t.coeff
+                    halved += want.coeff != t.coeff
     assert halved > 0
 
 
