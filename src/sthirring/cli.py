@@ -18,13 +18,14 @@ import argparse
 import os
 import sys
 from functools import cache, partial
-from json.encoder import encode_basestring_ascii as _encode_str
+from itertools import repeat
+from json import JSONEncoder
 
 import numpy as np
 
 from . import clifford
 from .deformation import (
-    contractions, expectation_report, extract_counterterms, two_point,
+    expectation_report, extract_counterterms, pairing_diagram, two_point,
 )
 from .diagrams import DeformedSum, Diagram, diagram_json, to_dot
 from .errors import Error, InvariantError, NumericalError, UsageError
@@ -41,7 +42,8 @@ from .terms import Term, term_json, to_tex
 THREADS_ENV = "STHIRRING_THREADS"
 
 _BRANCH = {"psi": SPINOR, "psibar": COSPINOR}
-_INF = float("inf")
+# json's spelling of a scalar, or of a str key
+_encode = JSONEncoder().encode
 # Chunks the JSON writer holds before it writes them out.  A chunk is a
 # scalar, a bracket, or a node or row of a Term or Diagram with the text
 # before it, so one write of `expand --order 5` holds at most about 31 KB.
@@ -75,73 +77,36 @@ def _pads(depth: int) -> tuple[str, str, str, str, str]:
     return "[" + inner, "{" + inner, "," + inner, nl + "]", nl + "}"
 
 
-def _float_json(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
 def _key_json(k) -> str:
-    """A dict key as json spells it: str keys as they are, float, bool,
-    None and int keys converted first; any other key is a TypeError."""
+    """A dict key as json spells it: a str as it is, an int, float, bool
+    or None as the string of its json value; any other key is a
+    TypeError."""
     if isinstance(k, str):
-        pass
-    elif isinstance(k, float):
-        k = _float_json(k)
-    elif k is True:
-        k = "true"
-    elif k is False:
-        k = "false"
-    elif k is None:
-        k = "null"
-    elif isinstance(k, int):
-        k = int.__repr__(k)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {k.__class__.__name__}")
-    return _encode_str(k)
+        return _encode(k)
+    if k is None or isinstance(k, (int, float)):
+        return _encode(_encode(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
 
 
 def _write_json(o, depth: int, out: list, write) -> None:
     """Append the chunks of o, a value nested `depth` containers deep, and
     pass out to write whenever a container has filled it past _BATCH.
-    A module-level function, so no closure cycle keeps `out` alive."""
-    if isinstance(o, str):
-        out.append(_encode_str(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_json(o))
-    elif isinstance(o, (list, tuple)):
+    json spells every scalar, and raises json's TypeError for an object
+    it cannot write.  A module-level function, so no closure cycle keeps
+    `out` alive."""
+    if isinstance(o, (list, tuple, dict)):
+        if isinstance(o, dict):
+            _, sep, comma, _, close = _pads(depth)
+            items = ((_key_json(k) + ": ", v) for k, v in sorted(o.items()))
+        else:
+            sep, _, comma, close, _ = _pads(depth)
+            items = zip(repeat(""), o)
         if not o:
-            out.append("[]")
+            out.append(sep[0] + close[-1])  # "[]" or "{}"
             return
-        sep, _, comma, close, _ = _pads(depth)
-        for v in o:
-            out.append(sep)
-            _write_json(v, depth + 1, out, write)
-            if len(out) > _BATCH:
-                write("".join(out))
-                out.clear()
-            sep = comma
-        out.append(close)
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        _, sep, comma, _, close = _pads(depth)
-        for k, v in sorted(o.items()):
-            out.append(sep + _key_json(k) + ": ")
+        for key, v in items:
+            out.append(sep + key)
             _write_json(v, depth + 1, out, write)
             if len(out) > _BATCH:
                 write("".join(out))
@@ -153,8 +118,7 @@ def _write_json(o, depth: int, out: list, write) -> None:
     elif isinstance(o, Diagram):
         diagram_json(o, depth, out)
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        f"is not JSON serializable")
+        out.append(_encode(o))
 
 
 def _emit(result, path: str | None) -> None:
@@ -242,7 +206,7 @@ def _cmd_expand(args) -> None:
         _emit({"order": args.order, "branch": args.branch, "monomials": terms},
               args.output)
     else:  # dot: the uncontracted diagrams, isomorphic monomials merged
-        ds = DeformedSum(next(contractions(t, 0)) for t in terms)
+        ds = DeformedSum(pairing_diagram(t) for t in terms)
         chunks = [to_dot(d, f"m{i}") for i, d in enumerate(ds)]
         _emit("\n".join(chunks), args.output)
 
@@ -395,9 +359,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value defaults file")
     sub = p.add_subparsers(dest="command", required=True, parser_class=parser)
 
-    def common(sp):
+    def common(sp, fn, *required):
+        """The options every subcommand has, its handler fn, and the
+        options it cannot run without (`main` checks them)."""
         sp.add_argument("--output", help="write to file instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(fn=fn, required=required)
         if config:
             # a config entry is a default only where an option has its
             # name; flags still override (3.10 subparsers reparse their
@@ -413,15 +380,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int)
     sp.add_argument("--branch", choices=("psi", "psibar"), default="psi")
     sp.add_argument("--format", choices=("tex", "json", "dot"), default="tex")
-    common(sp)
-    sp.set_defaults(fn=_cmd_expand)
+    common(sp, _cmd_expand, "order")
 
     sp = sub.add_parser("expect", help="expectation value at a given order")
     sp.add_argument("--order", type=int)
     sp.add_argument("--branch", choices=("psi", "psibar"), default="psi")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    common(sp)
-    sp.set_defaults(fn=_cmd_expect)
+    common(sp, _cmd_expect, "order")
 
     sp = sub.add_parser("correlate", help="two-point function diagrams")
     sp.add_argument("--order", type=int)
@@ -429,50 +394,34 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                     choices=("psi-psibar", "psibar-psi", "psi-psi",
                              "psibar-psibar"))
     sp.add_argument("--format", choices=("json", "dot"), default="json")
-    common(sp)
-    sp.set_defaults(fn=_cmd_correlate)
+    common(sp, _cmd_correlate, "order")
 
     sp = sub.add_parser("power-count", help="divergence classification")
     sp.add_argument("--dim", type=int)
     sp.add_argument("--max-order", type=int)
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    common(sp)
-    sp.set_defaults(fn=_cmd_power_count)
+    common(sp, _cmd_power_count, "dim", "max_order")
 
     sp = sub.add_parser("kernel-check", help="numerical kernel identities")
     sp.add_argument("--dim", type=int, choices=(1, 2))
     sp.add_argument("--mass", type=float, default=1.0)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--format", choices=("json",), default="json")
-    common(sp)
-    sp.set_defaults(fn=_cmd_kernel_check)
+    common(sp, _cmd_kernel_check, "dim")
 
     sp = sub.add_parser("gamma-check", help="deformation-map property trials")
     sp.add_argument("--trials", type=int, default=25)
     sp.add_argument("--export-rep", type=int, metavar="D",
                     help="include the Cl(D) gamma matrices as [re, im] arrays")
     sp.add_argument("--format", choices=("json",), default="json")
-    common(sp)
-    sp.set_defaults(fn=_cmd_gamma_check)
+    common(sp, _cmd_gamma_check)
 
     sp = sub.add_parser("counterterms", help="renormalized-equation operators")
     sp.add_argument("--order", type=int)
     sp.add_argument("--format", choices=("json",), default="json")
-    common(sp)
-    sp.set_defaults(fn=_cmd_counterterms)
+    common(sp, _cmd_counterterms, "order")
 
     return p
-
-
-_REQUIRED = {
-    "expand": ("order",),
-    "expect": ("order",),
-    "correlate": ("order",),
-    "counterterms": ("order",),
-    "power-count": ("dim", "max_order"),
-    "kernel-check": ("dim",),
-    "gamma-check": (),
-}
 
 
 def main(argv=None) -> int:
@@ -486,8 +435,8 @@ def main(argv=None) -> int:
         config = _read_config(known.config) if known.config else None
         parser = build_parser(config)
         args = parser.parse_args(argv)
-        missing = [name for name in _REQUIRED[args.command]
-                   if getattr(args, name, None) is None]
+        missing = [name for name in args.required
+                   if getattr(args, name) is None]
         if missing:
             flags = ", ".join("--" + m.replace("_", "-") for m in missing)
             raise UsageError(

@@ -10,13 +10,13 @@ pair is wired through the vertex's gamma insertions the ill-defined kernel
 is replaced by a named counterterm tag, otherwise the diagonal kernel is
 kept as an explicit Q/Q_tilde loop with a DeltaDiag marker.
 
-`contractions(t, size)` enumerates every pairing of `size` pairs as an
-unmerged diagram; the maximal graphs of power counting and the DOT export
-(size 0) take theirs from it.  The sums (the local map `gamma_Q` of a
-`TermSum`, expectation values and two-point functions) deform one pairing
-per orbit of the leaf permutations that stay inside a run (leaves of one
-species at one vertex, adjacent in the canonical tree), scaled by the
-orbit size (`orbit_matchings`).  A `TermSum` holds each term in canonical
+`pairing_diagram(t, ps, qs)` builds the unmerged diagram of one pairing;
+power counting's spot check and the DOT export (no pairs) take theirs
+from it.  The sums (the local map `gamma_Q` of a `TermSum`, expectation
+values and two-point functions) deform one pairing per orbit of the leaf
+permutations that stay inside a run (leaves of one species at one vertex,
+adjacent in the canonical tree), scaled by the orbit size
+(`orbit_matchings`).  A `TermSum` holds each term in canonical
 form, where the Phi leaves of a vertex are adjacent siblings, and so are
 its PhiBar leaves, since the children of a product are sorted by shape.
 Such a permutation therefore keeps which end of every pair comes first,
@@ -287,20 +287,18 @@ def _diagram_for_matching(halvings, templates, leaves, matching, size):
                    halvings[h] * size)
 
 
-def contractions(t: Term, size: int):
-    """The unmerged Diagram of every pairing of `size` of a canonical
-    term's Phi leaves with as many of its PhiBar leaves: each choice of
-    Phi leaves, in order, times each arrangement of PhiBar leaves.  Power
-    counting takes the maximal pairings and the DOT export the empty one;
-    the sums take one pairing per orbit instead."""
+def pairing_diagram(t: Term, ps=(), qs=()) -> Diagram:
+    """The unmerged Diagram of one pairing of a canonical term's leaves:
+    its ps[i]-th Phi leaf with its qs[i]-th PhiBar leaf, in census order
+    (no pair by default).  Power counting checks one maximal pairing
+    this way and the DOT export draws the empty one; the sums take one
+    pairing per orbit instead."""
     templates, leaves = term_census(t)
-    halvings = _halvings(t.coeff, leaves)
     phis = [l.pos for l in leaves if l.species == PHI]
     bars = [l.pos for l in leaves if l.species == PHIBAR]
-    for ps in combinations(phis, size):
-        for qs in permutations(bars, size):
-            yield _diagram_for_matching(halvings, templates, leaves,
-                                        tuple(zip(ps, qs)), 1)
+    matching = tuple((phis[i], bars[j]) for i, j in zip(ps, qs))
+    return _diagram_for_matching(_halvings(t.coeff, leaves), templates,
+                                 leaves, matching, 1)
 
 
 def _orbit_contractions(*slots: Term, complete=False):

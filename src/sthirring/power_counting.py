@@ -19,9 +19,9 @@ The linear coefficient (d-3)/2 is negative exactly for d < 3: there the
 divergent set is finite (subcritical), at d = 3 rho is constantly 2
 (critical), and above it grows with the order.
 
-The graphs are the unmerged maximal pairings of `deformation.contractions`,
-counted from each monomial's grading; one graph per order is built as a
-Diagram and counted directly.
+The graphs are the unmerged maximal pairings of each monomial, counted
+from its grading; one graph per order is built as a Diagram by
+`deformation.pairing_diagram` and counted directly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, permutations
 from operator import itemgetter
 
-from .deformation import contraction_count, contractions
+from .deformation import contraction_count, pairing_diagram
 from .diagrams import Diagram, free_leaves, graph_counts
 from .errors import InvariantError, UsageError
 from .perturbation import SPINOR, PerturbativeSeries
@@ -101,10 +101,12 @@ def maximal_contractions(series: PerturbativeSeries, k: int):
     """Every maximal pairing of the order-k spinor coefficient as
     (monomial, counts, ps, qs), with no Diagram built: the ps[i]-th of the
     monomial's r Phi leaves pairs with its qs[i]-th PhiBar leaf, for
-    s = min(r, r_bar) pairs in the order of `contractions`.  Each pair is
-    one point of the Diagram and the f = r + r_bar - 2s other leaves stay
-    free, so all pairings of a monomial with v propagators share one
-    `graph_counts` dict: N = v + s + f, L = v + 2s + f.
+    s = min(r, r_bar) pairs: each choice of Phi leaves, in order, times
+    each arrangement of PhiBar leaves (`deformation.pairing_diagram`
+    builds one).  Each pair is one point of the Diagram and the
+    f = r + r_bar - 2s other leaves stay free, so all pairings of a
+    monomial with v propagators share one `graph_counts` dict:
+    N = v + s + f, L = v + 2s + f.
     """
     for t in series.coefficient(k, SPINOR):
         g = grading(t)
@@ -132,9 +134,9 @@ def classify(d: int, K: int, series: PerturbativeSeries) -> list[DivergenceRepor
         rep, n_graphs = None, 0
         graphs = maximal_contractions(series, k)
         for t, items in groupby(graphs, itemgetter(0)):
-            c = next(items)[1]
+            _, c, ps, qs = next(items)
             if rep is None:  # one Diagram per order, counted directly
-                first = next(contractions(t, c["pair_points"]))
+                first = pairing_diagram(t, ps, qs)
                 rep = divergence_degree(first, d)
                 direct = (rep.vertices, rep.edges, len(free_leaves(first)))
             g = grading(t)

@@ -14,7 +14,8 @@ leaves of two already-deformed diagrams across their tensor slots),
 reference for the series that builds each coefficient on first read,
 `partial_matchings` and `all_contractions` enumerate every partial
 pairing (of two leaf lists, and of a term as unmerged diagrams: the
-references for the one pairing per orbit of `gamma_Q`),
+references for the one pairing per orbit of `gamma_Q`), `contractions`
+every pairing of one size of a term,
 `maximal_diagrams` builds the Diagram of every graph that power counting
 counts from its census, and `iter_children` lists every child of a
 diagram with its path.
@@ -33,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from sthirring import diagrams
-from sthirring.deformation import contractions
+from sthirring.deformation import _diagram_for_matching, _halvings, term_census
 from sthirring.diagrams import (
     DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
     replace_at, to_graph,
@@ -188,6 +189,21 @@ def partial_matchings(phis, phibars):
         for ps in combinations(phis, k):
             for qs in permutations(phibars, k):
                 yield tuple(zip(ps, qs))
+
+
+def contractions(t: Term, size: int):
+    """The unmerged Diagram of every pairing of `size` of a canonical
+    term's Phi leaves with as many of its PhiBar leaves: each choice of
+    Phi leaves, in order, times each arrangement of PhiBar leaves, the
+    order of `power_counting.maximal_contractions`."""
+    templates, leaves = term_census(t)
+    halvings = _halvings(t.coeff, leaves)
+    phis = [l.pos for l in leaves if l.species == PHI]
+    bars = [l.pos for l in leaves if l.species == PHIBAR]
+    for ps in combinations(phis, size):
+        for qs in permutations(bars, size):
+            yield _diagram_for_matching(halvings, templates, leaves,
+                                        tuple(zip(ps, qs)), 1)
 
 
 def all_contractions(t: Term):

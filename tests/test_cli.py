@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sthirring.cli import main
+from sthirring.cli import build_parser, main
 from sthirring.perturbation import expand
 
 from helpers import run_argv, term_from_json
@@ -302,6 +302,45 @@ def test_benchmark_digests_agree_with_the_manifest():
     for argv, digest in pinned.items():
         assert MANIFEST[argv] == {"rc": 0, "stderr": "",
                                   "stdout_sha256": digest}
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ("expand", "--order"),
+    ("expect", "--order"),
+    ("correlate", "--order"),
+    ("counterterms", "--order"),
+    ("power-count", "--dim, --max-order"),
+    ("power-count --dim 2", "--max-order"),
+    ("kernel-check", "--dim"),
+    ("gamma-check --trials 0", None),  # needs no flag
+])
+def test_each_subcommand_names_its_missing_options(argv, flags):
+    """A missing required option is a usage error that lists every such
+    option of the subcommand, in the order its parser declares them."""
+    rc, out, err = run_argv(argv)
+    if flags is None:
+        assert (rc, err) == (0, "")
+        return
+    command = argv.split()[0]
+    assert (rc, out) == (2, "")
+    assert err == (f"usage error: {command} requires {flags} "
+                   f"(flag or config entry)\n")
+
+
+_JSON_ARGVS = [argv for argv in sorted(MANIFEST) if MANIFEST[argv]["rc"] == 0
+               and build_parser().parse_args(argv.split()).format == "json"]
+
+
+@pytest.mark.parametrize("argv", _JSON_ARGVS + [
+    "kernel-check --dim 1 --trials 5 --seed 7",
+    "kernel-check --dim 2 --mass 0.0",
+])
+def test_json_output_is_its_own_json_dumps(argv):
+    """Each JSON output, the kernel-checks' numpy floats among them, reads
+    back to a value that json.dumps writes as the same bytes."""
+    rc, out, err = run_argv(argv)
+    assert (rc, err) == (0, "")
+    assert json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n" == out
 
 
 def test_permutation_budget_overflow_is_a_usage_error(monkeypatch, capsys):

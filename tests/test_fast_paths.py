@@ -14,8 +14,8 @@ from sthirring import properties, terms
 from sthirring.canonical import _PERM_BUDGET
 from sthirring.cli import _stream_json
 from sthirring.deformation import (
-    _diagram_for_matching, _halvings, contractions, extract_counterterms,
-    gamma_Q, term_census, two_point,
+    _diagram_for_matching, _halvings, extract_counterterms, gamma_Q,
+    pairing_diagram, term_census, two_point,
 )
 from sthirring.diagrams import DeformedSum, graph_counts
 from sthirring.errors import InvariantError, UsageError
@@ -23,15 +23,15 @@ from sthirring.perturbation import COSPINOR, SPINOR, expand, vertex_term
 from sthirring.power_counting import maximal_contractions
 from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR,
-    Conv, Gamma, Leaf, Prod, Term, TermSum, canonicalize, index_occurrences,
-    phi, phibar, product, rename_indices,
+    Conv, Gamma, Leaf, Prod, Term, TermSum, canonicalize, grading,
+    index_occurrences, phi, phibar, product, rename_indices,
 )
 
 from helpers import (
-    all_contractions, diagram_to_json, iter_children, maximal_diagrams,
-    partial_matchings, ref_canonicalize, ref_diagram_for_matching,
-    ref_graph_counts,
-    ref_index_occurrences, ref_vertex_term, wrapped,
+    all_contractions, contractions, diagram_to_json, iter_children,
+    maximal_diagrams, partial_matchings, ref_canonicalize,
+    ref_diagram_for_matching, ref_graph_counts, ref_index_occurrences,
+    ref_vertex_term, wrapped,
 )
 
 BRANCHES = (SPINOR, COSPINOR)
@@ -295,21 +295,17 @@ def test_graph_counts_match_the_reference(series):
 def test_census_counts_match_every_maximal_diagram(series):
     """Power counting reads each graph from its monomial's census: through
     order 4 the compact items are the pairings of `contractions`, one to
-    one and in order, and each pairing's Diagram has the yielded counts."""
+    one and in order, `pairing_diagram` builds each item's Diagram, and
+    that Diagram has the yielded counts."""
     graphs = 0
     for k in range(5):
         items = iter(maximal_contractions(series, k))
         for t in series.coefficient(k, SPINOR):
-            templates, leaves = term_census(t)
-            halvings = _halvings(t.coeff, leaves)
-            phis = [l.pos for l in leaves if l.species == PHI]
-            bars = [l.pos for l in leaves if l.species == PHIBAR]
-            for d in contractions(t, min(len(phis), len(bars))):
+            g = grading(t)
+            for d in contractions(t, min(g.r, g.r_bar)):
                 u, counts, ps, qs = next(items)
                 assert u is t
-                matching = tuple((phis[i], bars[j]) for i, j in zip(ps, qs))
-                assert _diagram_for_matching(halvings, templates, leaves,
-                                             matching, 1) == d
+                assert pairing_diagram(t, ps, qs) == d
                 assert graph_counts(d) == ref_graph_counts(d) == counts
                 graphs += 1
         assert next(items, None) is None

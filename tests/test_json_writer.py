@@ -71,8 +71,8 @@ _scalars = st.one_of(
     st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200),
     st.sampled_from(_TERMS), st.sampled_from(_DIAGRAMS),
 )
-_keys = st.one_of(_strings, st.integers(), st.floats(), st.booleans(),
-                  st.none())
+_keys = st.one_of(_strings, st.integers(), st.floats(),
+                  st.floats().map(np.float64), st.booleans(), st.none())
 _values = st.recursive(
     _scalars,
     lambda inner: st.one_of(

@@ -1,5 +1,6 @@
 """Module boundaries of the package: what one module may take from another,
-and that no public name is kept for the tests alone."""
+that no public name is kept for the tests alone, and that no private
+module-level name is left without a reader."""
 
 import ast
 from collections import Counter
@@ -21,18 +22,33 @@ def test_no_module_imports_a_private_name_from_another():
     assert len(list(package.glob("*.py"))) > 5  # the scan saw the package
 
 
-def _public_definitions(tree):
-    """(name, node) of each public module-level function, class and
-    constant, and of each public method."""
+def _module_level(tree):
+    """(name, node) of each module-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
-            if isinstance(node, ast.ClassDef):
-                yield from ((m.name, m) for m in node.body
-                            if isinstance(m, ast.FunctionDef))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def _public_definitions(tree):
+    """(name, node) of each public module-level function, class and
+    constant, and of each public method."""
+    for name, node in _module_level(tree):
+        if not name.startswith("_"):
+            yield name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m) for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not m.name.startswith("_"))
+
+
+def _private_definitions(tree):
+    """(name, node) of each private module-level function, class and
+    constant."""
+    return ((name, node) for name, node in _module_level(tree)
+            if name.startswith("_"))
 
 
 def _name_counts(node):
@@ -43,18 +59,30 @@ def _name_counts(node):
                    and isinstance(n.ctx, ast.Load))
 
 
+def _unread(definitions) -> list[str]:
+    """module.name of each name that `definitions` yields for a module of
+    the package and that nothing in the package reads outside the name's
+    own definition."""
+    package = Path(sthirring.__file__).parent
+    trees = {p: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert len(trees) > 5  # the scan saw the package
+    everywhere = sum(map(_name_counts, trees.values()), Counter())
+    return [f"{path.stem}.{name}"
+            for path, tree in trees.items() if path.name != "__init__.py"
+            for name, node in definitions(tree)
+            if everywhere[name] == _name_counts(node)[name]]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A public name in a module must be used somewhere else in the package
     (outside its own definition).  Code that only tests reach belongs in
     the tests; a function that only the benchmark harness names has no
     caller either, and the harness's metric of it reads 0."""
-    package = Path(sthirring.__file__).parent
-    trees = {p: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
-    everywhere = sum(map(_name_counts, trees.values()), Counter())
-    unused = [f"{path.stem}.{name}"
-              for path, tree in trees.items() if path.name != "__init__.py"
-              for name, node in _public_definitions(tree)
-              if not name.startswith("_")
-              and everywhere[name] == _name_counts(node)[name]]
-    assert unused == []
-    assert len(trees) > 5  # the scan saw the package
+    assert _unread(_public_definitions) == []
+
+
+def test_every_private_module_level_name_is_read():
+    """A private module-level function, class or constant must be read
+    somewhere in the package outside its own definition, so a helper or
+    table that its last reader stopped using fails here."""
+    assert _unread(_private_definitions) == []

@@ -133,8 +133,8 @@ def test_classify_rejects_a_monomial_short_of_a_pairing(series, monkeypatch):
 def test_classify_rejects_a_spot_check_off_the_census(series, monkeypatch):
     from sthirring import power_counting
     lone = Diagram(((("free", PHI),),), Fraction(1))
-    monkeypatch.setattr(power_counting, "contractions",
-                        lambda t, size: iter([lone]))
+    monkeypatch.setattr(power_counting, "pairing_diagram",
+                        lambda t, ps, qs: lone)
     # order 0's graph is that lone leaf, so order 1's spot check fails
     off = r"order 1 graphs .*\(3, 4, 1\), \(1, 1, 1\), 2\), not"
     with pytest.raises(InvariantError, match=off):
