@@ -11,7 +11,8 @@ The same generic rule is used for k = 1 and k = 2; agreement with the
 separately stated low-order expressions is covered by tests.  `expand`
 builds nothing up front: each coefficient is built on its first read, so
 the top-order coefficient of a branch no command reads (273 monomials at
-K = 5) is never built.
+K = 5) is never built.  Each monomial comes from `vertex_term` in
+canonical form and is merged under its key, never canonicalized again.
 
 Every monomial of F_k has k+1 spinor and k cospinor leaves (the cospinor
 branch swaps the two), k interaction vertices, each with its trunk
@@ -26,52 +27,13 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantError, UsageError
 from .terms import (
-    GPSI, GPSIBAR, PHI, UP, DOWN,
-    Conv, Gamma, Leaf, Prod, Term, TermSum,
-    index_census, phi, phibar, rename_indices, sole_free_index,
+    GPSI, GPSIBAR, PHI, Conv, Leaf, Prod, TermSum, phi, phibar, vertex_term,
 )
 
 ORDER_CEILING = 6
 
 SPINOR = "spinor"
 COSPINOR = "cospinor"
-
-
-def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
-    """One cubic interaction monomial.
-
-    ta is a cospinor-branch term, tb a spinor-branch term; tc is spinor for
-    the G_psi branch and cospinor for the G_psibar branch.  Index ranges are
-    shifted apart, the gamma pair is wired in and the whole product is
-    wrapped in the branch propagator.  Each factor's index census is read
-    once: its top index and its sole free index, shifted by the factor's
-    offset, are those of the renamed factor.
-    """
-    na = ta.node
-    ca, cb, cc = (index_census(t.node) for t in (ta, tb, tc))
-    top_a = max(ca, default=-1)
-    off_b = top_a + 1
-    top_b = max(cb) + off_b if cb else -1
-    off_c = max(top_a, top_b) + 1
-    top_c = max(cc) + off_c if cc else -1
-    nb = rename_indices(tb.node, lambda i: i + off_b)
-    nc = rename_indices(tc.node, lambda i: i + off_c)
-
-    a = sole_free_index(ca, DOWN)
-    b = sole_free_index(cb, UP) + off_b
-    top = max(top_a, top_b, top_c) + 1
-    mu, rho1, out = top, top + 1, top + 2
-    if kind == GPSI:
-        c = sole_free_index(cc, UP) + off_c
-        g2 = Gamma(mu, rho1, c)        # (g^mu)^{rho'}_{c}
-    elif kind == GPSIBAR:
-        c = sole_free_index(cc, DOWN) + off_c
-        g2 = Gamma(mu, c, rho1)        # (g^mu)^{c}_{rho'}
-    else:
-        raise InvariantError(f"unknown branch propagator {kind!r}")
-    body = Prod((na, Gamma(mu, a, b), nb, g2, nc))
-    coeff = ta.coeff * tb.coeff * tc.coeff
-    return Term(coeff, Conv(kind, out, rho1, body))
 
 
 @dataclass
@@ -113,7 +75,7 @@ class PerturbativeSeries:
                 for ta in fa:
                     for tb in fb:
                         for tc in fc:
-                            out.add(vertex_term(ta, tb, tc, kind))
+                            out.add_keyed(vertex_term(ta, tb, tc, kind))
         return out
 
 

@@ -44,20 +44,24 @@ so one bounded memo keeps its renamed tree and serialization under those
 three; each factor is ordered once per such context, not once per
 monomial and enclosing product, and the monomials share its tree.  The
 input shape is the child shape that orders the factor in its product,
-where each of its indices but the outer one has a local name, so the key
-costs no further rendering.  Only factors of products enter the memo: a
-whole monomial, met once, is canonicalized in full.  An unsealed subtree,
-nested in d products, is still rendered for the shapes of each of them.
+where each of its indices but the outer one has a local name.  Only
+factors of products enter the memo.  `vertex_term` joins each monomial
+from its three canonical factors with no raw tree: a factor's shape is
+its key respelled, once per factor.  A second `canonicalize` pass moves
+a few monomials of order 5 and up, so the series merges each under the
+key the join returns.  An unsealed subtree, nested in d products, is
+still rendered for the shapes of each of them.
 
 Precondition: the form is canonical only when every product nested
 below the outermost one already has its children in canonical order: a
 child's shape and the tie-break serialize its subtree in input order.
-Terms that `product`, `convolve` and `vertex_term` build from canonical
-terms meet it.
+Terms that `product` and `convolve` build from canonical terms meet it,
+and so does every monomial `vertex_term` returns.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -514,6 +518,75 @@ def canonical_key(t: Term) -> str:
     return canonicalize(t)._key
 
 
+def _factor(t: Term) -> tuple:
+    """(node, shape, size, free) of a recursion factor, kept on t: its
+    canonical node; its `_child_shape` in a vertex product, its key with i0
+    (linked to a gamma) spelled *LINK* and each i{j} l{j-1}, or None unless
+    it is a Leaf or a Conv whose one free index is i0; its index count; and
+    the free entries of its `index_census`."""
+    got = t.__dict__.get("_factor")
+    if got is None:
+        c = t if hasattr(t, "_key") else canonicalize(t)
+        census = index_census(c.node)
+        free = {i: occ for i, occ in census.items() if len(occ) == 1}
+        sealed = c.node.__class__ in (Leaf, Conv) and list(free) == [0]
+        shape = re.sub(r"i(\d+)", lambda m: f"l{int(m[1]) - 1}" if m[1] != "0"
+                       else "*LINK*", c._key) if sealed else None
+        got = c.node, shape, len(census), free
+        object.__setattr__(t, "_factor", got)
+    return got
+
+
+def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
+    """One cubic interaction monomial G * [(ta g_mu tb) g^mu tc] in canonical
+    form, carrying its `_key`: ta is a cospinor-branch term, tb a spinor one
+    and tc spinor for G_psi, cospinor for G_psibar.  It is `canonicalize` of
+    the raw product, joined from the canonical factors: `tie_orders` puts
+    the factors before the gammas, each factor's names run on from 2 and its
+    tree and text come from `_sealed`, or from `_canon_node` on the factor
+    under placeholder names (negative, so none is an index of the factor)."""
+    fs = _factor(ta), None, _factor(tb), None, _factor(tc)
+    sole_free_index(fs[0][3], DOWN)
+    sole_free_index(fs[2][3], UP)
+    if kind not in (GPSI, GPSIBAR):
+        raise InvariantError(f"unknown branch propagator {kind!r}")
+    sole_free_index(fs[4][3], UP if kind == GPSI else DOWN)
+    # the gammas' shapes: (g_mu)^a_b, and (g^mu)^rho'_c or (g^mu)^c_rho'
+    shapes = [fs[0][1], "g[*LINK*,*LINK*,*LINK*]", fs[2][1],
+              "g[*LINK*,@i1,*LINK*]" if kind == GPSI
+              else "g[*LINK*,*LINK*,@i1]", fs[4][1]]
+    if None in shapes:
+        raise InvariantError("a recursion factor must be a leaf or a "
+                             "convolution whose one free index is its out")
+    layouts = []
+    for order in tie_orders(range(5), shapes, "*LINK*"):
+        first, n = {}, 2
+        for i in order[:3]:
+            first[i], n = n, n + fs[i][2]
+        g = (n, first[0], first[2]) + ((n, 1, first[4]) if kind == GPSI
+                                       else (n, first[4], 1))
+        # twin factors are one term, so two orders' serializations differ
+        # only in the gammas that follow the factors
+        layouts.append(("g[i%d,i%d,i%d],g[i%d,i%d,i%d]," % g, order, first, g))
+    text, order, first, g = min(layouts, key=lambda layout: layout[0])
+    key, kids = [f"C[{kind},i0,i1](P("], []
+    for i in order[:3]:
+        node, shape, _, _ = fs[i]
+        n = first[i]  # out_index unnamed: the gamma naming it comes later
+        hit = ((Leaf(node.species, n), f"L[{node.species},i{n}]")
+               if node.__class__ is Leaf else _sealed.get(f"{n} None {shape}"))
+        if hit is None:
+            part: list = []
+            hit = _canon_node(node, dict(zip(range(-n, 0), range(n))), part,
+                              _walk(node)[:3], shape), part[0]
+        kids.append(hit[0])
+        key.append(hit[1] + ",")
+    out = Term(ta.coeff * tb.coeff * tc.coeff, Conv(kind, 0, 1, Prod(
+        (*kids, Gamma(*g[:3]), Gamma(*g[3:])))))
+    object.__setattr__(out, "_key", "".join(key) + text + "))")
+    return out
+
+
 # --------------------------------------------------------------------------
 # sums of terms
 # --------------------------------------------------------------------------
@@ -526,6 +599,10 @@ class TermSum(KeyedSum):
             return
         ct = canonicalize(t)
         self._merge(ct._key, ct)
+
+    def add_keyed(self, t: Term) -> None:
+        """Add t, as `canonicalize` or `vertex_term` returned it, as is."""
+        self._merge(t._key, t)
 
     terms = KeyedSum.entries
 

@@ -10,8 +10,10 @@ writers of `terms` and `diagrams` emit straight from the objects
 `canonical_key` spells a diagram's canonical form,
 `bullet_cross` is the reference two-point construction (it pairs the free
 leaves of two already-deformed diagrams across their tensor slots),
-`expand_eager` builds both branches of the series order by order, the
-reference for the series that builds each coefficient on first read,
+`expand_eager` builds both branches of the series order by order from
+`ref_vertex_term` and `TermSum.add`, the reference for the series that
+builds each coefficient on first read and each monomial in canonical
+form,
 `partial_matchings` and `all_contractions` enumerate every partial
 pairing (of two leaf lists, and of a term as unmerged diagrams: the
 references for the one pairing per orbit of `gamma_Q`), `contractions`
@@ -23,11 +25,15 @@ diagram with its path.
 The `ref_*` functions are the walk-per-question forms of fast paths in
 the package, kept as their oracles: `ref_canonicalize` re-emits a
 product child's subtree for each shape and candidate serialization and
-renames the ordered tree in a second pass, `ref_vertex_term` asks each
-factor for its top and free indices walk by walk, `ref_graph_counts`
+renames the ordered tree in a second pass, `ref_graph_counts`
 counts over `iter_children`, and `ref_diagram_for_matching` halves the
-coefficient once per tagged coincident pair.  `run_argv` runs one
-command line in-process, for the digest manifest.
+coefficient once per tagged coincident pair.  `ref_vertex_term` is the
+raw builder of a recursion monomial, which shifts the factors' index
+ranges apart and wires in the gamma pair, asking each renamed factor for
+its top and free indices walk by walk: its `canonicalize` is the oracle
+of `terms.vertex_term`, which joins the canonical monomial from the
+canonical factors.  `run_argv` runs one command line in-process, for the
+digest manifest.
 """
 
 from fractions import Fraction
@@ -41,7 +47,7 @@ from sthirring.diagrams import (
 )
 from sthirring.canonical import tie_orders
 from sthirring.errors import InvariantError
-from sthirring.perturbation import SPINOR, vertex_term
+from sthirring.perturbation import SPINOR
 from sthirring.terms import (
     DOWN, GPSI, GPSIBAR, PHI, PHIBAR, UP,
     Conv, Gamma, Leaf, Node, Prod, Term, TermSum,
@@ -290,9 +296,9 @@ def expand_eager(K: int) -> tuple[dict[int, TermSum], dict[int, TermSum]]:
                 for ta in cospinor[k1]:
                     for tb in spinor[k2]:
                         for tc in spinor[k3]:
-                            fs.add(vertex_term(ta, tb, tc, GPSI))
+                            fs.add(ref_vertex_term(ta, tb, tc, GPSI))
                         for tc in cospinor[k3]:
-                            fc.add(vertex_term(ta, tb, tc, GPSIBAR))
+                            fc.add(ref_vertex_term(ta, tb, tc, GPSIBAR))
         spinor[k] = fs
         cospinor[k] = fc
     return spinor, cospinor
@@ -512,8 +518,10 @@ def ref_canonicalize(t: Term) -> Term:
 # --------------------------------------------------------------------------
 
 def ref_vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
-    """`perturbation.vertex_term`, asking each renamed factor for its top
-    and sole free index by a walk of its own."""
+    """One cubic interaction monomial, raw: the factors' index ranges are
+    shifted apart, the gamma pair is wired in and the whole product is
+    wrapped in the branch propagator.  Each renamed factor is asked for
+    its top and sole free index by a walk of its own."""
 
     def free(node, pol):
         return sole_free_index(index_census(node), pol)

@@ -1,8 +1,8 @@
 """Each one-walk fast path of the series census against its walk-per-question
-reference in `helpers`: term canonicalization, `vertex_term`,
-`graph_counts`, power counting's census counts and the coefficient of a
-matching's diagram; and that the symbolic layers leave no reference cycle
-behind a call."""
+reference in `helpers`: term canonicalization, `vertex_term` (against the
+canonical form of the raw monomial), `graph_counts`, power counting's
+census counts and the coefficient of a matching's diagram; and that the
+symbolic layers leave no reference cycle behind a call."""
 
 import gc
 import random
@@ -63,6 +63,7 @@ MEMO_PASSES = (True, False)
 
 
 def _assert_same_canonical_form(t, cold):
+    """canonicalize(t) against ref_canonicalize(t); returns the latter."""
     if cold:
         terms._sealed.clear()
     got, want = canonicalize(t), ref_canonicalize(t)
@@ -70,18 +71,50 @@ def _assert_same_canonical_form(t, cold):
     assert got.node == want.node
     assert got._key == want._key
     assert list(index_occurrences(t.node)) == list(ref_index_occurrences(t.node))
+    return want
 
 
 def test_vertex_term_and_its_canonical_form_match_the_references(series):
+    """The join equals canonicalize (and ref_canonicalize) of the raw
+    monomial that ref_vertex_term builds, in node, key and coefficient,
+    with the memo emptied before each join and with it warm; twin factors
+    (tb, tc on the G_psi branch, ta, tc on G_psi_bar) take the tie-break."""
     for cold in MEMO_PASSES:
-        calls = 0
+        calls = twins = 0
         for ta, tb, tc, kind in _factor_triples(series, 5):
-            raw = vertex_term(ta, tb, tc, kind)
-            assert raw == ref_vertex_term(ta, tb, tc, kind)
-            _assert_same_canonical_form(raw, cold)
+            if cold:
+                terms._sealed.clear()
+            got = vertex_term(ta, tb, tc, kind)
+            want = _assert_same_canonical_form(
+                ref_vertex_term(ta, tb, tc, kind), cold)
+            assert (got.coeff, got.node, got._key) == (
+                want.coeff, want.node, want._key)
             calls += 1
+            twins += tc._key == (tb if kind == GPSI else ta)._key
         # 1 + 3 + 12 + 55 + 273 monomials per branch, none merged
-        assert calls == 2 * 344
+        assert (calls, twins) == (2 * 344, 160)
+
+
+def test_building_the_series_canonicalizes_only_order_zero(monkeypatch):
+    """Every monomial of F_1..F_5 is joined from canonical factors: the
+    whole build calls canonicalize and TermSum.add for F_0 of each branch
+    alone."""
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(terms, "canonicalize",
+                        counted("canonicalize", terms.canonicalize))
+    monkeypatch.setattr(TermSum, "add", counted("add", TermSum.add))
+    s = expand(5)
+    for k in range(6):
+        for branch in BRANCHES:
+            s.coefficient(k, branch)
+    assert sorted(calls) == ["add", "add", "canonicalize", "canonicalize"]
 
 
 def test_vertex_term_errors_match_the_reference():
@@ -101,6 +134,12 @@ def test_vertex_term_errors_match_the_reference():
         assert str(got.value) == str(want.value)
     with pytest.raises(InvariantError, match="unknown branch propagator"):
         vertex_term(*bad[0])
+    # a factor of the right rank that is no recursion monomial: the raw
+    # builder takes it, the join refuses it
+    unsealed = product(phi(0), phibar(0))
+    assert ref_vertex_term(phibar(0), unsealed, phi(0), GPSI)
+    with pytest.raises(InvariantError, match="recursion factor must be"):
+        vertex_term(phibar(0), unsealed, phi(0), GPSI)
 
 
 def test_order_5_monomials_that_are_not_fixed_points_keep_their_forms(series):

@@ -11,7 +11,7 @@ from sthirring.terms import (
     TermSum, canonical_key, canonicalize, grading, phi, phibar,
 )
 
-from helpers import expand_eager, mirror
+from helpers import expand_eager, mirror, ref_vertex_term
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def test_graph_statistics(series):
 
 @pytest.mark.parametrize("bad, message", [
     # a spinor-branch monomial where a cospinor one belongs
-    (vertex_term(phibar(0), phi(0), phi(0)), "has structure"),
+    (ref_vertex_term(phibar(0), phi(0), phi(0)), "has structure"),
     # a vertex with no trunk propagator
     (Term(1, Prod((Leaf(PHIBAR, 0), Gamma(1, 0, 2), Leaf(PHI, 2)))),
      "trunk/vertex mismatch"),
@@ -184,8 +184,8 @@ def test_convolve_composes_to_f1(series):
 
 
 @pytest.fixture(scope="module")
-def eager5():
-    return expand_eager(5)
+def eager6():
+    return expand_eager(6)
 
 
 def _read_orders(K):
@@ -201,16 +201,26 @@ def _read_orders(K):
 
 @pytest.mark.parametrize("order", ["spinor first", "cospinor first",
                                    "top first"])
-def test_lazy_series_matches_eager_reference(eager5, order):
+def test_lazy_series_matches_eager_reference(eager6, order):
     """Whatever order the coefficients are read in, each equals the eager
     double loop's term for term, key for key and in insertion order."""
-    spinor, cospinor = eager5
+    spinor, cospinor = eager6
     ref = {SPINOR: spinor, COSPINOR: cospinor}
     for K in range(6):
         s = expand(K)
         for k, branch in _read_orders(K)[order]:
             got = s.coefficient(k, branch)
             assert list(got._data.items()) == list(ref[branch][k]._data.items())
+
+
+def test_order_6_matches_eager_reference(eager6):
+    """F_6 of both branches, joined from canonical factors, equals the
+    canonical forms of the raw monomials key for key."""
+    s = expand(6)
+    for branch, ref in zip((SPINOR, COSPINOR), eager6):
+        got = s.coefficient(6, branch)
+        assert len(got) == 1428
+        assert list(got._data.items()) == list(ref[6]._data.items())
 
 
 @pytest.fixture
