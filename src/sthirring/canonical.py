@@ -13,7 +13,6 @@ a key that determines the form, and lists them in serialization order.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import groupby, permutations, product as iproduct
 from math import factorial
 
@@ -52,9 +51,11 @@ def tie_orders(items, shapes: list, link: str) -> list[tuple]:
 class KeyedSum:
     """Exact linear combination of frozen items with a `coeff` field, merged
     by canonical key.  Subclasses define `add`, which canonicalizes its
-    argument once and passes the result to `_merge` under its key.  When the
-    key is not the serialization itself, `_serial(key)` gives it; `entries`
-    orders by serialization and keeps that order until the next merge."""
+    argument once and passes the result to `_merge` under its key.  A merge
+    copies the held item's `__dict__`, fields and cached attributes alike,
+    with the summed coefficient.  When the key is not the serialization
+    itself, `_serial(key)` gives it; `entries` orders by serialization and
+    keeps that order until the next merge."""
 
     def __init__(self, items=()):
         self._data: dict = {}
@@ -76,7 +77,9 @@ class KeyedSum:
         if c == 0:
             del self._data[key]
         else:
-            self._data[key] = replace(cur, coeff=c)
+            merged = object.__new__(cur.__class__)
+            merged.__dict__.update(cur.__dict__, coeff=c)
+            self._data[key] = merged
 
     def entries(self) -> list:
         """The items in serialization order."""

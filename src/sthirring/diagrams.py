@@ -18,7 +18,9 @@ stored as nested tuples per tensor slot:
 The root point of each tensor slot is never counted as a vertex.  Each
 contracted pair collapses its two leaf endpoints to a single point carrying
 one stem per side, which is exactly the accounting that makes a maximally
-contracted order-k graph have 2k+1 points and 3k+1 propagator edges.
+contracted order-k graph have 2k+1 points and 3k+1 propagator edges.  That
+is the rule `to_graph` implements, and power counting reads its counts off
+that graph (`graph_counts`).
 
 Canonical forms sort vertex children by shape, resolve runs that stay tied
 through shared pair ids by a small permutation search for the layout with
@@ -139,42 +141,6 @@ def vertex_join(kind: str, parts) -> Diagram:
         kids.extend(rename_pair_ids(d.slots[0], lambda p: p + off))
         coeff *= d.coeff
     return Diagram(((("conv", kind, tuple(kids)),),), coeff)
-
-
-# --------------------------------------------------------------------------
-# counting (power-counting view)
-# --------------------------------------------------------------------------
-
-def graph_counts(diag: Diagram) -> dict:
-    """Site and propagator-edge counts with the root(s) excluded.
-
-    vertices: nested interaction points; points: collapse points of
-    contracted pairs plus free-leaf endpoints; edges: trunk propagators
-    plus two stems per contracted pair and one per free leaf.
-    """
-    vertices = frees = loops = 0
-    seen_pairs = set()
-    stack = list(diag.slots)
-    while stack:
-        for ch in stack.pop():
-            tag = ch[0]
-            if tag == "conv":
-                vertices += 1
-                stack.append(ch[2])
-            elif tag == "pair":
-                seen_pairs.add(ch[1])
-            elif tag == "qloop" or tag == "ctloop":
-                loops += 1
-            elif tag == "free":
-                frees += 1
-    pairs = len(seen_pairs) + loops
-    return {
-        "vertices": vertices,
-        "pair_points": pairs,
-        "free_points": frees,
-        "N": vertices + pairs + frees,
-        "L": vertices + 2 * pairs + frees,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -312,7 +278,7 @@ class DeformedSum(KeyedSum):
 
 
 # --------------------------------------------------------------------------
-# explicit graph view, DOT and JSON export
+# explicit graph view, its counts, DOT and JSON export
 # --------------------------------------------------------------------------
 
 def to_graph(diag: Diagram) -> dict:
@@ -372,6 +338,24 @@ def _graph_children(children, here: str, g: dict, pairs: dict) -> None:
             g["tags"].append(("argport", here))
         else:  # pragma: no cover
             raise InvariantError(f"unknown child kind {kind!r}")
+
+
+def graph_counts(diag: Diagram) -> dict:
+    """Site and propagator-edge counts of `to_graph`'s view of diag.
+
+    vertices, pair_points and free_points count its vertex, pairpoint
+    and leafpoint sites, N all three (roots are not counted); L counts
+    its G_psi and G_psi_bar edges, trunks and stems (the Q, Q_tilde and
+    DeltaDiag markers are not propagators).
+    """
+    g = to_graph(diag)
+    kinds = [kind for _, kind in g["sites"]]
+    counts = {"vertices": kinds.count("vertex"),
+              "pair_points": kinds.count("pairpoint"),
+              "free_points": kinds.count("leafpoint")}
+    counts["N"] = sum(counts.values())
+    counts["L"] = sum(typ in (GPSI, GPSIBAR) for typ, _, _ in g["edges"])
+    return counts
 
 
 _DOT_STYLE = {

@@ -77,8 +77,8 @@ def check_linearity(rng: random.Random, trials: int) -> dict:
 
 def check_convolve_commutation(rng: random.Random, trials: int) -> dict:
     s = _series()
-    failures = done = 0
-    while done < trials:
+    failures = 0
+    for _ in range(trials):
         k = rng.randint(0, 3)
         branch = rng.choice(("spinor", "cospinor"))
         t = rng.choice(s.coefficient(k, branch).terms())
@@ -87,7 +87,6 @@ def check_convolve_commutation(rng: random.Random, trials: int) -> dict:
         rhs = gamma_Q_convolved(kind, TermSum([t]))
         if lhs != rhs:
             failures += 1
-        done += 1
     return {"name": "convolve_commutation", "trials": trials, "failures": failures}
 
 
@@ -132,7 +131,7 @@ def check_canonical_stability(rng: random.Random, trials: int) -> dict:
         rng.shuffle(shuffled)
         mapping = dict(zip(ids, shuffled))
         renamed = Term(t.coeff, rename_indices(node, mapping.__getitem__))
-        if canonical_key(canonicalize(renamed)) != key:
+        if canonical_key(renamed) != key:
             failures += 1
     return {"name": "canonical_stability", "trials": trials, "failures": failures}
 

@@ -26,8 +26,9 @@ The `ref_*` functions are the walk-per-question forms of fast paths in
 the package, kept as their oracles: `ref_canonicalize` re-emits a
 product child's subtree for each shape and candidate serialization and
 renames the ordered tree in a second pass, `ref_graph_counts`
-counts over `iter_children`, and `ref_diagram_for_matching` halves the
-coefficient once per tagged coincident pair.  `ref_vertex_term` is the
+counts the skeleton's children over `iter_children` (the check of the
+graph view that `graph_counts` counts), and `ref_diagram_for_matching`
+halves the coefficient once per tagged coincident pair.  `ref_vertex_term` is the
 raw builder of a recursion monomial, which shifts the factors' index
 ranges apart and wires in the gamma pair, asking each renamed factor for
 its top and free indices walk by walk: its `canonicalize` is the oracle
@@ -549,7 +550,9 @@ def ref_vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
 
 
 def ref_graph_counts(diag: Diagram) -> dict:
-    """`diagrams.graph_counts` over `iter_children`."""
+    """`diagrams.graph_counts` over `iter_children`: each conv a vertex
+    and a trunk, each pair id or coincident loop a point and two stems,
+    each free leaf a point and a stem."""
     vertices = frees = loops = 0
     seen_pairs = set()
     for ch, _ in iter_children(diag):

@@ -304,6 +304,13 @@ def test_benchmark_digests_agree_with_the_manifest():
                                   "stdout_sha256": digest}
 
 
+def test_deep_checks_have_one_digest_each():
+    """tests/deep_checks.py, the order-5 checks that take minutes, reads
+    tests/deep_manifest.json; this runs none of them."""
+    from deep_checks import CHECKS, MANIFEST as DEEP
+    assert sorted(CHECKS) == sorted(json.loads(DEEP.read_text()))
+
+
 @pytest.mark.parametrize("argv, flags", [
     ("expand", "--order"),
     ("expect", "--order"),

@@ -1,8 +1,9 @@
 """Each one-walk fast path of the series census against its walk-per-question
 reference in `helpers`: term canonicalization, `vertex_term` (against the
-canonical form of the raw monomial), `graph_counts`, power counting's
-census counts and the coefficient of a matching's diagram; and that the
-symbolic layers leave no reference cycle behind a call."""
+canonical form of the raw monomial), power counting's census counts and
+the coefficient of a matching's diagram; `graph_counts`, which counts the
+exported graph of `to_graph`, against a count over the skeleton; and that
+the symbolic layers leave no reference cycle behind a call."""
 
 import gc
 import random
@@ -115,6 +116,31 @@ def test_building_the_series_canonicalizes_only_order_zero(monkeypatch):
         for branch in BRANCHES:
             s.coefficient(k, branch)
     assert sorted(calls) == ["add", "add", "canonicalize", "canonicalize"]
+
+
+def test_a_merged_entry_keeps_its_key(monkeypatch):
+    """A merge sums the coefficient into the entry held, with what that
+    entry caches: the merged Term's `_key` is its key in the sum, so a
+    merged factor enters `vertex_term` with no second canonicalize."""
+    (key, merged), = TermSum([phi(0), phi(0)])._data.items()
+    assert (merged.coeff, merged._key) == (2, key)
+    s = expand(1)
+    ta, tc = (s.coefficient(0, b).terms()[0] for b in (COSPINOR, SPINOR))
+    f1, = s.coefficient(1, SPINOR).terms()
+    twice = TermSum()
+    twice.add_keyed(f1)
+    twice.add_keyed(f1)
+    (key, merged), = twice._data.items()
+    assert merged._key == key == f1._key
+    want = vertex_term(ta, f1, tc, GPSI)
+
+    def refused(t):
+        raise AssertionError("a keyed factor canonicalized again")
+
+    monkeypatch.setattr(terms, "canonicalize", refused)
+    got = vertex_term(ta, merged, tc, GPSI)
+    assert (got.node, got._key, got.coeff) == (want.node, want._key,
+                                               2 * want.coeff)
 
 
 def test_vertex_term_errors_match_the_reference():
@@ -323,12 +349,20 @@ def test_graph_counts_match_the_reference(series):
     drawn = [properties.random_term(rng) for _ in range(20)]
     sums = [gamma_Q(series.coefficient(3, b)) for b in BRANCHES]
     sums += [gamma_Q(TermSum([t])) for t in drawn]
+    # operator diagrams carry an argument port; two-point diagrams have a
+    # root per slot
+    sums += [h.ops for h in extract_counterterms(series, 3).values()]
+    sums += [ds for a, b in ((SPINOR, COSPINOR), (COSPINOR, SPINOR))
+             for ds in two_point(series, a, b, 3).values()]
     kinds = set()
+    slots = set()
     for ds in sums:
         for d in ds.diagrams():
             assert graph_counts(d) == ref_graph_counts(d)
             kinds |= {ch[0] for ch, _ in iter_children(d)}
-    assert {"qloop", "ctloop", "pair", "free", "conv"} <= kinds
+            slots.add(len(d.slots))
+    assert kinds == {"qloop", "ctloop", "pair", "free", "conv", "argport"}
+    assert slots == {1, 2}
 
 
 def test_census_counts_match_every_maximal_diagram(series):
