@@ -12,18 +12,19 @@ kept as an explicit Q/Q_tilde loop with a DeltaDiag marker.
 
 `pairing_diagram(t, ps, qs)` builds the unmerged diagram of one pairing;
 power counting's spot check and the DOT export (no pairs) take theirs
-from it.  The sums (the local map `gamma_Q` of a `TermSum`, expectation
-values and two-point functions) deform one pairing per orbit of the leaf
-permutations that stay inside a run (leaves of one species at one vertex,
-adjacent in the canonical tree), scaled by the orbit size
-(`orbit_matchings`).  A `TermSum` holds each term in canonical
-form, where the Phi leaves of a vertex are adjacent siblings, and so are
-its PhiBar leaves, since the children of a product are sorted by shape.
-Such a permutation therefore keeps which end of every pair comes first,
-and with it the Q/Q_tilde label, the vertex, the tag and the 1/2 weight.
-The diagrams of one orbit differ only in sibling order, which
-canonicalization forgets.  Swapping identical convolved subtrees would
-flip Q and Q_tilde, so those stay apart.
+from it.  The sums (`gamma_Q` of a `TermSum`, expectation values and
+two-point functions) walk each leaf census once, with the summed
+coefficient of the terms that share it (`census_sums`), and deform one
+pairing per orbit of the leaf permutations that stay inside a run (leaves
+of one species at one vertex, adjacent in the canonical tree), scaled by
+the orbit size (`orbit_matchings`).  A `TermSum` holds each term in
+canonical form, where the Phi leaves of a vertex are adjacent siblings,
+and so are its PhiBar leaves, since the children of a product are sorted
+by shape.  Such a permutation therefore keeps which end of every pair
+comes first, and with it the Q/Q_tilde label, the vertex, the tag and the
+1/2 weight.  The diagrams of one orbit differ only in sibling order,
+which canonicalization forgets.  Swapping identical convolved subtrees
+would flip Q and Q_tilde, so those stay apart.
 
 Counterterm naming follows the branch structure of the cubic vertex: a
 vertex whose factors carry a majority of spinor lines tags as Ctilde, a
@@ -87,11 +88,14 @@ class LeafInfo:
     tag: str            # counterterm name used if a coincident pair is tagged
 
 
-def _vertex_profile(children):
-    """(has_gamma, tag name) from the factor polarities at one vertex."""
-    has_gamma = any(isinstance(c, Gamma) for c in children)
+def _vertex_profile(node):
+    """(has_gamma, tag name) from the factor polarities at the vertex of a
+    product; any other node is no gamma-wired vertex."""
+    if not isinstance(node, Prod):
+        return False, CTILDE
+    has_gamma = any(isinstance(c, Gamma) for c in node.children)
     up = down = 0
-    for c in children:
+    for c in node.children:
         if isinstance(c, Leaf):
             up, down = (up + 1, down) if c.species == PHI else (up, down + 1)
         elif isinstance(c, Conv):
@@ -110,13 +114,8 @@ def _collect(node, path, vertex, taggable, tag, template, leaves):
     elif isinstance(node, Conv):
         sub: list = []
         inner_vertex = path + ("c",)
-        if isinstance(node.inner, Prod):
-            has_gamma, name = _vertex_profile(node.inner.children)
-            _collect(node.inner, inner_vertex, inner_vertex, has_gamma, name,
-                     sub, leaves)
-        else:
-            _collect(node.inner, inner_vertex, inner_vertex, False, CTILDE,
-                     sub, leaves)
+        _collect(node.inner, inner_vertex, inner_vertex,
+                 *_vertex_profile(node.inner), sub, leaves)
         template.append(("conv", node.kind, tuple(sub)))
     elif isinstance(node, Prod):
         for i, c in enumerate(node.children):
@@ -133,11 +132,21 @@ def term_census(*slots: Term):
     leaves: list = []
     for s, t in enumerate(slots):
         template: list = []
-        has_gamma, name = (_vertex_profile(t.node.children)
-                           if isinstance(t.node, Prod) else (False, CTILDE))
-        _collect(t.node, (s,), (s,), has_gamma, name, template, leaves)
+        _collect(t.node, (s,), (s,), *_vertex_profile(t.node), template,
+                 leaves)
         templates.append(tuple(template))
-    return tuple(templates), leaves
+    return tuple(templates), tuple(leaves)
+
+
+def census_sums(slot_tuples) -> dict:
+    """{`term_census`: summed coefficient} of tuples of canonical terms,
+    one per tensor slot, each with the product of its terms' coefficients
+    (with the census, all an orbit walk reads); zero sums are dropped."""
+    sums: dict = {}
+    for slots in slot_tuples:
+        census = term_census(*slots)
+        sums[census] = sums.get(census, 0) + prod(t.coeff for t in slots)
+    return {census: c for census, c in sums.items() if c}
 
 
 # --------------------------------------------------------------------------
@@ -301,26 +310,23 @@ def pairing_diagram(t: Term, ps=(), qs=()) -> Diagram:
                                  leaves, matching, 1)
 
 
-def _orbit_contractions(*slots: Term, complete=False):
-    """One Diagram per orbit of the pairings of the census of `slots` (one
-    canonical term per tensor slot) under the leaf permutations inside
-    each run, scaled by the orbit size.  With `complete`, only the
-    pairings of every leaf: none, and no orbit walked, unless the census
-    has as many Phi leaves as PhiBar leaves."""
-    templates, leaves = term_census(*slots)
-    runs = leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
-    if complete and sum(map(len, runs[0])) != sum(map(len, runs[1])):
-        return
-    halvings = _halvings(prod(t.coeff for t in slots), leaves)
-    for matching, size in orbit_matchings(*runs, complete):
-        yield _diagram_for_matching(halvings, templates, leaves, matching,
-                                    size)
+def _orbit_contractions(slot_tuples, complete=False):
+    """One Diagram per orbit of the pairings of each census of `census_sums`,
+    its summed coefficient times the orbit size; with `complete`, only the
+    pairings of every leaf, and none unless the Phi and PhiBar counts agree."""
+    for (templates, leaves), coeff in census_sums(slot_tuples).items():
+        runs = leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
+        if complete and sum(map(len, runs[0])) != sum(map(len, runs[1])):
+            continue
+        halvings = _halvings(coeff, leaves)
+        for m, size in orbit_matchings(*runs, complete):
+            yield _diagram_for_matching(halvings, templates, leaves, m, size)
 
 
 def gamma_Q(s: TermSum) -> DeformedSum:
     """Local deformation: the sum over all partial leaf pairings of each
     term of s, in the canonical form the sum holds it in."""
-    return DeformedSum(d for t in s for d in _orbit_contractions(t))
+    return DeformedSum(_orbit_contractions((t,) for t in s))
 
 
 def gamma_Q_convolved(kind: str, s: TermSum) -> DeformedSum:
@@ -336,31 +342,22 @@ def expectation_report(series: PerturbativeSeries, k: int,
                        branch: str = SPINOR) -> tuple[DeformedSum, int]:
     """(surviving diagrams, number of contraction patterns examined); only
     complete pairings are built, the others are counted from the grading."""
-    ds = DeformedSum()
-    examined = 0
-    for t in series.coefficient(k, branch):
-        g = grading(t)
-        examined += sum(contraction_count(g.r, g.r_bar, j)
-                        for j in range(min(g.r, g.r_bar) + 1))
-        for d in _orbit_contractions(t, complete=True):
-            ds.add(d)
-    return ds, examined
+    terms = series.coefficient(k, branch)
+    ds = DeformedSum(_orbit_contractions(((t,) for t in terms), True))
+    return ds, sum(contraction_count(g.r, g.r_bar, j)
+                   for g in map(grading, terms)
+                   for j in range(min(g.r, g.r_bar) + 1))
 
 
 def two_point(series: PerturbativeSeries, branch_a: str, branch_b: str,
               K: int) -> dict[int, DeformedSum]:
     """Order by order, the complete pairings of the two-slot census of
     every monomial pair t_a (x) t_b, t_a in F^a_k1 and t_b in F^b_(k-k1)."""
-    out = {}
-    for k in range(K + 1):
-        ds = DeformedSum()
-        for k1 in range(k + 1):
-            for ta in series.coefficient(k1, branch_a):
-                for tb in series.coefficient(k - k1, branch_b):
-                    for d in _orbit_contractions(ta, tb, complete=True):
-                        ds.add(d)
-        out[k] = ds
-    return out
+    return {k: DeformedSum(_orbit_contractions((
+        (ta, tb) for k1 in range(k + 1)
+        for ta in series.coefficient(k1, branch_a)
+        for tb in series.coefficient(k - k1, branch_b)), True))
+        for k in range(K + 1)}
 
 
 # --------------------------------------------------------------------------

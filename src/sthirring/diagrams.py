@@ -41,9 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import prod
 
 from .canonical import KeyedSum, tie_orders, within_budget
 from .errors import InvariantError
@@ -147,35 +148,35 @@ def vertex_join(kind: str, parts) -> Diagram:
 # canonical form
 # --------------------------------------------------------------------------
 
-def _serialize(slots, naming: dict) -> str:
+def _serialize(slots) -> str:
     """Left-to-right serialization; pair names assigned on first occurrence."""
     tokens: list = []
+    naming: dict = {}
     for body in slots:
-        _serialize_children(body, naming, tokens)
+        _tokens(body, naming, tokens)
         tokens.append(";")
     return "".join(tokens)
 
 
-def _serialize_children(children, naming: dict, tokens: list) -> None:
+def _tokens(children, naming: dict, tokens: list) -> None:
     for ch in children:
         if ch[0] == "pair":
-            pid = ch[1]
-            if pid not in naming:
-                naming[pid] = f"p{len(naming)}"
-            tokens.append(f"x[{naming[pid]},{ch[2]},{ch[3]}]")
+            if (name := naming.get(ch[1])) is None:
+                name = naming[ch[1]] = f"p{len(naming)}"
+            tokens.append(f"x[{name},{ch[2]},{ch[3]}],")
         elif ch[0] == "conv":
             tokens.append(f"T[{ch[1]}](")
-            _serialize_children(ch[2], naming, tokens)
-            tokens.append(")")
+            _tokens(ch[2], naming, tokens)
+            tokens.append("),")
         else:
-            tokens.append(repr(ch))
-        tokens.append(",")
+            tokens.append(_leaf_text(ch) + ",")
 
 
-_LAYOUT_MEMO = 256
+# the repr of a child that is neither a pair nor a conv; there are few
+_leaf_text = cache(repr)
 
 
-@lru_cache(maxsize=_LAYOUT_MEMO)
+@lru_cache(maxsize=256)
 def _layouts(children) -> tuple[str, tuple]:
     """(shape, layouts) of the children of one vertex.
 
@@ -190,59 +191,63 @@ def _layouts(children) -> tuple[str, tuple]:
     identical subtrees, so its one order is fixed), and with each conv
     interior in each of its own layouts.  A vertex with no such run whose
     children have one layout each has one layout, its children sorted by
-    shape, and builds no candidates.  Shapes are built bottom-up from the
-    interiors' shapes, once per call; calls are memoized on the children
-    tuple, since subtrees repeat across the matchings of a term.
+    shape, and builds no candidates.
     """
     shapes = []
     options = []
-    single = True
     for ch in children:
         if ch[0] == "conv":
             inner, lays = _layouts(ch[2])
             shapes.append(f"T[{ch[1]}]({inner})")
             options.append([("conv", ch[1], lay) for lay in lays])
-            single = single and len(lays) == 1
         else:
-            shapes.append(f"x[{ch[2]},{ch[3]}]" if ch[0] == "pair" else repr(ch))
+            shapes.append(f"x[{ch[2]},{ch[3]}]" if ch[0] == "pair"
+                          else _leaf_text(ch))
             options.append((ch,))
     order = sorted(range(len(children)), key=shapes.__getitem__)
-    shape = ",".join(shapes[i] for i in order)
-    tied = any(shapes[a] == shapes[b] and "x[" in shapes[a]
-               for a, b in zip(order, order[1:]))
-    if single and not tied:
+    ordered = [shapes[i] for i in order]
+    prev = tied = None
+    for sh in ordered:
+        if sh == prev and "x[" in sh:
+            tied = True
+        prev = sh
+    shape = ",".join(ordered)
+    orders = tie_orders(range(len(shapes)), shapes, "x[") if tied else [order]
+    n = len(orders) * prod(map(len, options))
+    if n == 1:
         return shape, (tuple(options[i][0] for i in order),)
-    bound = 1
-    for opts in options:
-        bound = within_budget(bound * len(opts))
-    if tied:
-        orders = tie_orders(range(len(children)), shapes, "x[")
-        within_budget(bound * len(orders))
-    else:
-        orders = [order]
-    layouts = tuple(tuple(kids[i] for i in o)
-                    for kids in iproduct(*options) for o in orders)
-    return shape, layouts
+    within_budget(n)
+    return shape, tuple(tuple(kids[i] for i in o)
+                        for kids in iproduct(*options) for o in orders)
 
 
 def canonicalize(diag: Diagram) -> Diagram:
-    """Minimal-serialization layout with pair ids renumbered 0,1,2,...
-
-    A diagram with one layout needs no serialization.  Pair ids are
-    renumbered in the order the serialization names them, in the walk
-    that builds the output."""
-    per_slot = [_layouts(body)[1] for body in diag.slots]
-    total = 1
-    for opts in per_slot:
-        total = within_budget(total * len(opts))
-    if total == 1:
-        slots = [opts[0] for opts in per_slot]
+    """Minimal-serialization layout with pair ids renumbered 0,1,2,... in
+    the order the serialization names them, by the walk that builds the
+    output.  A diagram with one layout is not serialized."""
+    if len(diag.slots) == 1 and len(lays := _layouts(diag.slots[0])[1]) == 1:
+        slots = lays
     else:
-        slots = min(iproduct(*per_slot), key=lambda s: _serialize(s, {}))
+        per_slot = [_layouts(body)[1] for body in diag.slots]
+        within_budget(prod(map(len, per_slot)))
+        slots = min(iproduct(*per_slot), key=_serialize)
     naming: dict = {}
-    renamed = (rename_pair_ids(b, lambda p: naming.setdefault(p, len(naming)))
-               for b in slots)
-    return Diagram(tuple(renamed), diag.coeff)
+    return Diagram(tuple(_renumbered(b, naming) for b in slots), diag.coeff)
+
+
+def _renumbered(children, naming: dict) -> tuple:
+    """children with each pair id p renumbered naming[p], new ids next."""
+    out = []
+    for ch in children:
+        if ch[0] == "pair":
+            if (p := naming.get(ch[1])) is None:
+                p = naming[ch[1]] = len(naming)
+            out.append(("pair", p, ch[2], ch[3]))
+        elif ch[0] == "conv":
+            out.append(("conv", ch[1], _renumbered(ch[2], naming)))
+        else:
+            out.append(ch)
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -259,9 +264,7 @@ class DeformedSum(KeyedSum):
         c = canonicalize(d)
         self._merge(c.slots, c)
 
-    @staticmethod
-    def _serial(slots) -> str:
-        return _serialize(slots, {})
+    _serial = staticmethod(_serialize)
 
     def extend(self, other: "DeformedSum", scale=1) -> None:
         """Add scale * other.  Every entry of other is already canonical

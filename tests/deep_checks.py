@@ -1,20 +1,24 @@
-"""Run the deep checks, the order-5 command lines that tier-1 leaves out.
+"""Run the deep checks, the order-5 runs that tier-1 leaves out.
 
     python tests/deep_checks.py [--out REPORT.json]
     python tests/deep_checks.py --record
 
-Each check runs one command line of CHECKS in its own process, with the
-package from `src/`, hashes its stdout as it streams and compares the
-sha256, the stderr and the exit code with `tests/deep_manifest.json`;
-the check's reader reads the same output for the invariants it names
-(H_1..H_5 even with a zero residual, for `counterterms --order 5`).  The
-run prints a report, and writes it to REPORT.json too, with each check's
-wall time and peak RSS (the ru_maxrss of its process) and whether it
-held; it exits 1 unless every check held.  `--record` rewrites the
-digest file from the package as it stands instead: re-record only for a
-change of output that is meant, and review the diff of the digest file
-with it.  pytest does not collect this file, so the checks (about 80 s
-in all, and 175 MB in the largest process) stay out of the tier-1 time.
+Each check runs in its own process, with the package from `src/`: a
+command line of the CLI, or a probe of this file (`--probe NAME`, see
+PROBES), which checks Gamma_Q(F_5) against the test oracles.  The run
+hashes the check's stdout as it streams and compares the sha256, the
+stderr and the exit code with `tests/deep_manifest.json`; the check's
+reader reads the same output for the invariants it names (H_1..H_5 even
+with a zero residual, for `counterterms --order 5`), and a probe writes
+the problems it finds to stderr and exits 1.  The run prints a report,
+and writes it to REPORT.json too, with each check's wall time and peak
+RSS (the ru_maxrss of its process) and whether it held; it exits 1
+unless every check held.  `--record` rewrites the digest file from the
+package as it stands instead: re-record only for a change of output that
+is meant, and review the diff of the digest file with it.  pytest does
+not collect this file, so the checks (about 90 s in all on a 2-vCPU
+host, and about 180 MB in the largest process) stay out of the tier-1
+time.
 """
 
 import argparse
@@ -65,18 +69,84 @@ def digest_only(lines) -> list[str]:
     return []
 
 
-# check name (its command line) -> the reader of its stdout lines, which
-# returns the problems it finds
+def gamma_against_the_walk_per_term(write) -> list[str]:
+    """Write Gamma_Q(F_5) of the spinor branch, one line per diagram (its
+    key and coefficient) in key order; a problem unless the walk with one
+    orbit walk per term gives the same keys and coefficients."""
+    from sthirring.deformation import gamma_Q
+    from sthirring.diagrams import DeformedSum
+    from sthirring.perturbation import SPINOR, expand
+    from helpers import ref_gamma_Q
+
+    f5 = expand(5).coefficient(5, SPINOR)
+    got = gamma_Q(f5)
+    for d in got:
+        write(f"{DeformedSum._serial(d.slots)} {d.coeff}\n")
+    want = ref_gamma_Q(f5)
+    if [(d.slots, d.coeff) for d in got] != [(d.slots, d.coeff) for d in want]:
+        return ["Gamma_Q(F_5) differs from the walk per term"]
+    return []
+
+
+SAMPLE_EVERY = 50
+
+
+def brute_force_sample(write) -> list[str]:
+    """Canonicalize every SAMPLE_EVERY-th orbit representative of the
+    walk per term of the spinor F_5 (5,342 of 267,075) cold (the layout
+    memo cleared before each), then warm; write each one's key and
+    coefficient, and the number with more than one layout.  A problem
+    for each form that differs from the brute-force reference's."""
+    from sthirring import diagrams
+    from sthirring.diagrams import DeformedSum
+    from sthirring.perturbation import SPINOR, expand
+    from helpers import per_term_walk, ref_canonical
+
+    f5 = expand(5).coefficient(5, SPINOR)
+    sample = [d for i, d in enumerate(d for t in f5 for d in per_term_walk(t))
+              if i % SAMPLE_EVERY == 0]
+    want = [ref_canonical(d)[1] for d in sample]
+    problems = []
+    tied = 0
+    for warm in (False, True):
+        diagrams._layouts.cache_clear()
+        for i, d in enumerate(sample):
+            if not warm:
+                diagrams._layouts.cache_clear()
+                tied += len(diagrams._layouts(d.slots[0])[1]) > 1
+            got = diagrams.canonicalize(d).slots
+            if got != want[i]:
+                problems.append(f"sample {i} ({'warm' if warm else 'cold'}) "
+                                f"differs from the brute-force form")
+            elif not warm:
+                write(f"{DeformedSum._serial(got)} {d.coeff}\n")
+    write(f"{len(sample)} sampled, {tied} with more than one layout\n")
+    return problems
+
+
+# probe name -> the function that writes its lines and returns its problems
+PROBES = {
+    "probe: Gamma_Q(F_5) against the walk per term":
+        gamma_against_the_walk_per_term,
+    "probe: brute-force canonical forms of a Gamma_Q(F_5) sample":
+        brute_force_sample,
+}
+
+# check name (a probe's name, or a command line of the CLI) -> the reader
+# of its stdout lines, which returns the problems it finds
 CHECKS = {
     "counterterms --order 5": counterterm_flags,
     **{f"correlate --order 5 --branches {b}": digest_only
        for b in _BRANCH_PAIRS},
+    **dict.fromkeys(PROBES, digest_only),
 }
 
 
-def run_check(argv: str, reader) -> dict:
-    """Run one command line in a fresh process: its stdout digest, stderr,
-    exit code, wall time, peak RSS and the reader's problems."""
+def run_check(name: str, reader) -> dict:
+    """Run one check in a fresh process: its stdout digest, stderr, exit
+    code, wall time, peak RSS and the reader's problems."""
+    argv = ([str(HERE / "deep_checks.py"), "--probe", name] if name in PROBES
+            else ["-m", "sthirring.cli", *name.split()])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     digest = hashlib.sha256()
@@ -88,8 +158,7 @@ def run_check(argv: str, reader) -> dict:
 
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "sthirring.cli",
-                                 *argv.split()],
+        proc = subprocess.Popen([sys.executable, *argv],
                                 stdout=subprocess.PIPE, stderr=err, env=env)
         with proc.stdout:
             problems = reader(hashed(proc.stdout))
@@ -114,7 +183,13 @@ def main(args=None) -> int:
     ap.add_argument("--record", action="store_true",
                     help="rewrite the digest file instead of checking it")
     ap.add_argument("--out", type=Path, help="also write the report here")
+    ap.add_argument("--probe", choices=PROBES,
+                    help="run this probe in this process instead")
     opts = ap.parse_args(args)
+    if opts.probe:
+        problems = PROBES[opts.probe](sys.stdout.write)
+        sys.stderr.writelines(f"{p}\n" for p in problems)
+        return 1 if problems else 0
     pinned = {} if opts.record else json.loads(MANIFEST.read_text())
     report = {"python": platform.python_version(), "checks": {}}
     for name, reader in CHECKS.items():

@@ -27,21 +27,30 @@ the package, kept as their oracles: `ref_canonicalize` re-emits a
 product child's subtree for each shape and candidate serialization and
 renames the ordered tree in a second pass, `ref_graph_counts`
 counts the skeleton's children over `iter_children` (the check of the
-graph view that `graph_counts` counts), and `ref_diagram_for_matching`
-halves the coefficient once per tagged coincident pair.  `ref_vertex_term` is the
-raw builder of a recursion monomial, which shifts the factors' index
-ranges apart and wires in the gamma pair, asking each renamed factor for
-its top and free indices walk by walk: its `canonicalize` is the oracle
-of `terms.vertex_term`, which joins the canonical monomial from the
-canonical factors.  `run_argv` runs one command line in-process, for the
-digest manifest.
+graph view that `graph_counts` counts), `ref_diagram_for_matching`
+halves the coefficient once per tagged coincident pair,
+`ref_gamma_Q`, `ref_expectation_report` and `ref_two_point` walk the
+orbits of each term or monomial pair on its own (`per_term_walk`), the
+references for the walk once per leaf census, and `ref_canonical` is the
+brute-force canonicalizer, which recomputes every subtree shape for each
+layout combination (`ref_layouts`) and serializes every candidate.
+`ref_vertex_term` is the raw builder of a recursion monomial, which
+shifts the factors' index ranges apart and wires in the gamma pair,
+asking each renamed factor for its top and free indices walk by walk:
+its `canonicalize` is the oracle of `terms.vertex_term`, which joins the
+canonical monomial from the canonical factors.  `run_argv` runs one
+command line in-process, for the digest manifest.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations, product as iproduct
+from math import prod
 
 from sthirring import diagrams
-from sthirring.deformation import _diagram_for_matching, _halvings, term_census
+from sthirring.deformation import (
+    _diagram_for_matching, _halvings, contraction_count, leaf_runs,
+    orbit_matchings, term_census,
+)
 from sthirring.diagrams import (
     DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
     replace_at, to_graph,
@@ -187,7 +196,7 @@ def deformedsum_to_json(ds: DeformedSum, origin: str, order: int) -> dict:
 def canonical_key(diag: Diagram) -> str:
     """The serialization of the canonical form; equal exactly for
     isomorphic diagrams."""
-    return diagrams._serialize(diagrams.canonicalize(diag).slots, {})
+    return diagrams._serialize(diagrams.canonicalize(diag).slots)
 
 
 def partial_matchings(phis, phibars):
@@ -602,3 +611,122 @@ def ref_diagram_for_matching(coeff, templates, leaves, matching) -> Diagram:
             pid += 1
     return Diagram(tuple(_ref_instantiate(tpl, roles) for tpl in templates),
                    coeff * weight)
+
+
+def per_term_walk(*slots: Term, complete=False):
+    """The orbit walk of the census of one canonical term per tensor slot
+    on its own, with the product of their coefficients: the diagrams the
+    sums handed to `DeformedSum.add` before the terms that share a census
+    were walked together.  With `complete`, only the pairings of every
+    leaf."""
+    templates, leaves = term_census(*slots)
+    runs = leaf_runs(leaves, PHI), leaf_runs(leaves, PHIBAR)
+    if complete and sum(map(len, runs[0])) != sum(map(len, runs[1])):
+        return
+    halvings = _halvings(prod(t.coeff for t in slots), leaves)
+    for matching, size in orbit_matchings(*runs, complete):
+        yield _diagram_for_matching(halvings, templates, leaves, matching,
+                                    size)
+
+
+def ref_gamma_Q(s: TermSum) -> DeformedSum:
+    """`deformation.gamma_Q` with one orbit walk per term."""
+    return DeformedSum(d for t in s for d in per_term_walk(t))
+
+
+def ref_expectation_report(series, k: int, branch: str):
+    """`deformation.expectation_report` with one orbit walk per monomial."""
+    ds = DeformedSum()
+    examined = 0
+    for t in series.coefficient(k, branch):
+        g = grading(t)
+        examined += sum(contraction_count(g.r, g.r_bar, j)
+                        for j in range(min(g.r, g.r_bar) + 1))
+        for d in per_term_walk(t, complete=True):
+            ds.add(d)
+    return ds, examined
+
+
+def ref_two_point(series, branch_a: str, branch_b: str, K: int) -> dict:
+    """`deformation.two_point` with one orbit walk per monomial pair."""
+    out = {}
+    for k in range(K + 1):
+        ds = DeformedSum()
+        for k1 in range(k + 1):
+            for ta in series.coefficient(k1, branch_a):
+                for tb in series.coefficient(k - k1, branch_b):
+                    for d in per_term_walk(ta, tb, complete=True):
+                        ds.add(d)
+        out[k] = ds
+    return out
+
+
+# the brute-force reference canonicalizer: every subtree shape recomputed
+# for every layout combination, and every candidate serialized
+
+def _ref_shape(ch):
+    if ch[0] == "pair":
+        return f"x[{ch[2]},{ch[3]}]"
+    if ch[0] == "conv":
+        inner = ",".join(sorted(_ref_shape(k) for k in ch[2]))
+        return f"T[{ch[1]}]({inner})"
+    return repr(ch)
+
+
+def _ref_tie_orders(items, shapes):
+    order = sorted(range(len(items)), key=shapes.__getitem__)
+    options = []
+    for shape, run in groupby(order, key=shapes.__getitem__):
+        run = [items[i] for i in run]
+        options.append(list(permutations(run)) if len(run) > 1 and "x[" in shape
+                       else [run])
+    return [tuple(x for run in combo for x in run) for combo in iproduct(*options)]
+
+
+def ref_layouts(children):
+    """Every candidate layout of a vertex's children, nested convs too."""
+    expanded = []
+    for ch in children:
+        if ch[0] == "conv":
+            expanded.append([("conv", ch[1], lay) for lay in ref_layouts(ch[2])])
+        else:
+            expanded.append([ch])
+    out = []
+    for kids in iproduct(*expanded):
+        out.extend(_ref_tie_orders(kids, [_ref_shape(c) for c in kids]))
+    return out
+
+
+def _ref_serialize(slots, naming):
+    tokens = []
+
+    def emit(children):
+        for ch in children:
+            if ch[0] == "pair":
+                naming.setdefault(ch[1], f"p{len(naming)}")
+                tokens.append(f"x[{naming[ch[1]]},{ch[2]},{ch[3]}]")
+            elif ch[0] == "conv":
+                tokens.append(f"T[{ch[1]}](")
+                emit(ch[2])
+                tokens.append(")")
+            else:
+                tokens.append(repr(ch))
+            tokens.append(",")
+
+    for body in slots:
+        emit(body)
+        tokens.append(";")
+    return "".join(tokens)
+
+
+def ref_canonical(diag: Diagram) -> tuple[str, tuple]:
+    """(key, slots) of the minimal serialization over every layout."""
+    best = None
+    for slots in iproduct(*[ref_layouts(body) for body in diag.slots]):
+        naming = {}
+        key = _ref_serialize(slots, naming)
+        if best is None or key < best[0]:
+            best = (key, slots, naming)
+    key, slots, naming = best
+    rank = {old: r for r, old in enumerate(naming)}
+    return key, tuple(rename_pair_ids(b, rank.__getitem__) for b in slots)

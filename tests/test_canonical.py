@@ -17,7 +17,6 @@ idempotent and blind to child order and pair names.
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import groupby, permutations, product as iproduct
 
 import networkx as nx
 import pytest
@@ -35,6 +34,7 @@ from sthirring.terms import GPSI, GPSIBAR, PHI, PHIBAR
 
 from helpers import (
     all_contractions, bullet_cross, canonical_key, iter_children,
+    ref_canonical, ref_gamma_Q, ref_layouts,
 )
 
 NODE_MATCH = categorical_node_match("label", None)
@@ -123,75 +123,8 @@ def test_diagram_keys_match_isomorphism_oracle():
 
 
 # --------------------------------------------------------------------------
-# brute-force reference canonicalizer
+# the brute-force reference canonicalizer (`helpers.ref_canonical`)
 # --------------------------------------------------------------------------
-
-def _ref_shape(ch):
-    if ch[0] == "pair":
-        return f"x[{ch[2]},{ch[3]}]"
-    if ch[0] == "conv":
-        inner = ",".join(sorted(_ref_shape(k) for k in ch[2]))
-        return f"T[{ch[1]}]({inner})"
-    return repr(ch)
-
-
-def _ref_tie_orders(items, shapes):
-    order = sorted(range(len(items)), key=shapes.__getitem__)
-    options = []
-    for shape, run in groupby(order, key=shapes.__getitem__):
-        run = [items[i] for i in run]
-        options.append(list(permutations(run)) if len(run) > 1 and "x[" in shape
-                       else [run])
-    return [tuple(x for run in combo for x in run) for combo in iproduct(*options)]
-
-
-def _ref_layouts(children):
-    expanded = []
-    for ch in children:
-        if ch[0] == "conv":
-            expanded.append([("conv", ch[1], lay) for lay in _ref_layouts(ch[2])])
-        else:
-            expanded.append([ch])
-    out = []
-    for kids in iproduct(*expanded):
-        out.extend(_ref_tie_orders(kids, [_ref_shape(c) for c in kids]))
-    return out
-
-
-def _ref_serialize(slots, naming):
-    tokens = []
-
-    def emit(children):
-        for ch in children:
-            if ch[0] == "pair":
-                naming.setdefault(ch[1], f"p{len(naming)}")
-                tokens.append(f"x[{naming[ch[1]]},{ch[2]},{ch[3]}]")
-            elif ch[0] == "conv":
-                tokens.append(f"T[{ch[1]}](")
-                emit(ch[2])
-                tokens.append(")")
-            else:
-                tokens.append(repr(ch))
-            tokens.append(",")
-
-    for body in slots:
-        emit(body)
-        tokens.append(";")
-    return "".join(tokens)
-
-
-def _ref_canonical(diag):
-    """(key, slots) of the minimal serialization over every layout."""
-    best = None
-    for slots in iproduct(*[_ref_layouts(body) for body in diag.slots]):
-        naming = {}
-        key = _ref_serialize(slots, naming)
-        if best is None or key < best[0]:
-            best = (key, slots, naming)
-    key, slots, naming = best
-    rank = {old: r for r, old in enumerate(naming)}
-    return key, tuple(diagrams.rename_pair_ids(b, rank.__getitem__) for b in slots)
-
 
 def _recorded_adds(monkeypatch, fn):
     """Every diagram handed to DeformedSum.add while fn runs."""
@@ -241,9 +174,9 @@ def test_fast_canonicalizer_matches_brute_force(monkeypatch):
     assert any(len(d.slots) == 2 for d in inputs)
     assert any(ch[0] == "argport" for d in inputs
                for ch, _ in iter_children(d))
-    want = [_ref_canonical(d) for d in inputs]
+    want = [ref_canonical(d) for d in inputs]
     # the search, not only the one-layout path, is exercised
-    searched = [d for d in inputs if any(len(_ref_layouts(b)) > 1 for b in d.slots)]
+    searched = [d for d in inputs if any(len(ref_layouts(b)) > 1 for b in d.slots)]
     assert len(searched) > 1000
 
     # cold: every diagram starts from an empty layout memo
@@ -262,12 +195,14 @@ def test_fast_canonicalizer_matches_brute_force(monkeypatch):
 
 
 def test_fast_canonicalizer_matches_brute_force_at_order_4(monkeypatch):
-    """Every orbit representative Gamma_Q(F_4) adds on the spinor branch, a
-    quarter of them with more than one layout, cold and warm."""
+    """Every orbit representative of each spinor F_4 monomial, as the walk
+    with one orbit walk per term adds them (gamma_Q, which walks each leaf
+    census once, adds 2,496), a quarter of them with more than one
+    layout, cold and warm."""
     f4 = expand(4).coefficient(4, SPINOR)
-    inputs = _recorded_adds(monkeypatch, lambda: gamma_Q(f4))
+    inputs = _recorded_adds(monkeypatch, lambda: ref_gamma_Q(f4))
     assert len(inputs) == 8727
-    want = [_ref_canonical(d) for d in inputs]
+    want = [ref_canonical(d) for d in inputs]
     tied = 0
     for d, (key, slots) in zip(inputs, want):
         diagrams._layouts.cache_clear()
@@ -339,7 +274,7 @@ def _shuffled(children, rng, rename):
 def test_canonical_form_of_drawn_diagrams(d, rng):
     """The brute-force representative; idempotent; and unchanged when every
     vertex's children are shuffled and the pair ids renamed."""
-    key, slots = _ref_canonical(d)
+    key, slots = ref_canonical(d)
     c = canonicalize(d)
     assert c.slots == slots and c.coeff == d.coeff
     assert canonical_key(d) == key

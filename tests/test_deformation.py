@@ -6,8 +6,9 @@ import pytest
 
 from sthirring.deformation import (
     CountertermOperator,
-    _pointwise_cubic, apply_operator, brute_force_contractions,
-    contraction_count, expectation_report, extract_counterterms,
+    _orbit_contractions, _pointwise_cubic, apply_operator,
+    brute_force_contractions, census_sums, contraction_count,
+    expectation_report, extract_counterterms,
     gamma_Q, gamma_Q_convolved, leaf_runs, orbit_matchings,
     term_census, two_point,
 )
@@ -27,7 +28,8 @@ from sthirring.terms import (
 from helpers import (
     all_contractions, bullet_cross, canonical_key, deformedsum_from_json,
     deformedsum_to_json, diagram_from_json, diagram_to_json, iter_children,
-    partial_matchings,
+    partial_matchings, per_term_walk, ref_expectation_report, ref_gamma_Q,
+    ref_two_point,
 )
 
 
@@ -606,3 +608,98 @@ def test_extend_equals_adding_each_entry(series):
     cancelled = DeformedSum(b.diagrams())
     cancelled.extend(b, scale=-1)
     assert cancelled.is_zero()
+
+
+# --------------------------------------------------------------------------
+# one orbit walk per leaf census
+# --------------------------------------------------------------------------
+
+def _entries(ds):
+    return [(d.slots, d.coeff) for d in ds]
+
+
+def test_gamma_Q_matches_the_walk_per_term(series):
+    """gamma_Q walks each leaf census once with the summed coefficient of
+    its terms; the reference walks every term on its own.  Keys and
+    coefficients agree on F_0..F_4 of both branches."""
+    for branch in (SPINOR, COSPINOR):
+        for k in range(5):
+            s = series.coefficient(k, branch)
+            assert _entries(gamma_Q(s)) == _entries(ref_gamma_Q(s))
+
+
+def test_two_point_matches_the_walk_per_monomial_pair(series):
+    for a in (SPINOR, COSPINOR):
+        for b in (SPINOR, COSPINOR):
+            got, want = two_point(series, a, b, 3), ref_two_point(series, a, b, 3)
+            assert sorted(got) == sorted(want) == [0, 1, 2, 3]
+            for k in got:
+                assert _entries(got[k]) == _entries(want[k])
+            assert (len(got[3]) > 0) == (a != b)
+
+
+def test_expectation_matches_the_walk_per_monomial(series):
+    for branch in (SPINOR, COSPINOR):
+        for k in range(5):
+            ds, examined = expectation_report(series, k, branch)
+            ref, ref_examined = ref_expectation_report(series, k, branch)
+            assert _entries(ds) == _entries(ref) and examined == ref_examined
+
+
+def _f2_monomial(coeff, g1, g2):
+    """G_psi * [(G_psi * [phi phi phibar g g]) phi phibar g1 g2]: an F_2
+    monomial with its outer gamma pair g1, g2 given."""
+    inner = Conv(GPSI, 2, 3, Prod((Leaf(PHI, 4), Leaf(PHI, 5), Leaf(PHIBAR, 6),
+                                   Gamma(7, 6, 4), Gamma(7, 3, 5))))
+    return Term(Fraction(coeff), Conv(GPSI, 0, 1, Prod(
+        (inner, Leaf(PHI, 8), Leaf(PHIBAR, 9), g1, g2))))
+
+
+def test_terms_that_share_a_census_are_walked_once_with_their_sum():
+    """Two distinct terms that differ only in how the outer gamma pair is
+    wired share a leaf census; their coefficients are summed before the
+    one walk, and a sum that cancels walks nothing."""
+    for ca, cb in ((3, -3), (2, 5)):
+        s = TermSum([_f2_monomial(ca, Gamma(10, 9, 2), Gamma(10, 1, 8)),
+                     _f2_monomial(cb, Gamma(10, 9, 8), Gamma(10, 1, 2))])
+        ta, tb = s
+        assert len(s) == 2 and term_census(ta) == term_census(tb)
+        sums = census_sums((t,) for t in s)
+        assert list(sums.values()) == ([ta.coeff + tb.coeff] if ca + cb else [])
+        got = gamma_Q(s)
+        assert _entries(got) == _entries(ref_gamma_Q(s))
+        assert got.is_zero() == (ca + cb == 0)
+        walked = sum(1 for _ in _orbit_contractions((t,) for t in s))
+        assert walked == (0 if ca + cb == 0 else
+                          sum(1 for _ in per_term_walk(ta)))
+
+
+def test_terms_whose_censuses_differ_only_in_tagging_stay_apart():
+    """phi phibar with and without a gamma pair wiring them: the same
+    leaves at the same vertex, but only the wired pair is tagged.  With
+    opposite coefficients the uncontracted diagrams cancel, and both
+    loops stay."""
+    s = TermSum([Term(Fraction(1), Prod((Leaf(PHI, 0), Leaf(PHIBAR, 1)))),
+                 Term(Fraction(-1), Prod((Leaf(PHI, 0), Leaf(PHIBAR, 1),
+                                          Gamma(2, 1, 0))))])
+    assert len(census_sums((t,) for t in s)) == 2
+    assert _entries(gamma_Q(s)) == _entries(ref_gamma_Q(s)) == [
+        (((("ctloop", "Ctilde"),),), Fraction(-1, 2)),
+        (((("qloop", "Q"),),), Fraction(1))]
+
+
+def test_census_group_counts():
+    """F_1..F_5 have 1/2/6/19/67 leaf censuses on both branches (for
+    1/3/12/55/273 monomials), no census sum cancels, and the orbits walked
+    through F_4 fall from 2/21/363/8,727 to 2/13/159/2,496."""
+    series = expand(5)
+    for branch in (SPINOR, COSPINOR):
+        coeffs = [series.coefficient(k, branch) for k in range(1, 6)]
+        assert [len(f) for f in coeffs] == [1, 3, 12, 55, 273]
+        assert [len({term_census(t) for t in f}) for f in coeffs] == \
+            [len(census_sums((t,) for t in f)) for f in coeffs] == \
+            [1, 2, 6, 19, 67]
+        walks = [(sum(1 for _ in _orbit_contractions((t,) for t in f)),
+                  sum(1 for t in f for _ in per_term_walk(t)))
+                 for f in coeffs[:4]]
+        assert walks == [(2, 2), (13, 21), (159, 363), (2496, 8727)]
