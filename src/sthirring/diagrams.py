@@ -224,12 +224,12 @@ def _layouts(children) -> tuple[str, tuple]:
 def canonicalize(diag: Diagram) -> Diagram:
     """Minimal-serialization layout with pair ids renumbered 0,1,2,... in
     the order the serialization names them, by the walk that builds the
-    output.  A diagram with one layout is not serialized."""
-    if len(diag.slots) == 1 and len(lays := _layouts(diag.slots[0])[1]) == 1:
-        slots = lays
+    output.  A diagram whose slots have one layout each is not serialized."""
+    per_slot = [_layouts(body)[1] for body in diag.slots]
+    if (count := prod(map(len, per_slot))) == 1:
+        slots = [lays[0] for lays in per_slot]
     else:
-        per_slot = [_layouts(body)[1] for body in diag.slots]
-        within_budget(prod(map(len, per_slot)))
+        within_budget(count)
         slots = min(iproduct(*per_slot), key=_serialize)
     naming: dict = {}
     return Diagram(tuple(_renumbered(b, naming) for b in slots), diag.coeff)

@@ -16,16 +16,21 @@ oracle, integrates f directly over [-m, m] by the tanh-sinh rule
 
 For d = 2 the scalar Green function of (-Laplace + m^2) is the modified
 Bessel kernel K_0(m r)/(2 pi), logarithmic at m = 0; it is validated
-against a convolution identity with an analytic bump Laplacian rather than
-asserted.  The convolution is a polar rule over the bump's support disk:
-centred at the evaluation point, with r = R(theta) u^2 absorbing the
-r log r singularity, Gauss-Legendre in u and the periodic trapezoid rule
-in theta.  All three fixed rules run at two resolutions and raise
-NumericalError unless the two agree (a NaN never agrees).  The first-order
-Dirac kernel built from the Green function scales like 1/r, matching the
-d-1 scaling degree that drives the power counting.  K_0 and K_1 come from
+against a convolution identity rather than asserted, with the source
+(-Laplace + m^2) f of the bump evaluated in one pass from its closed form.
+The convolution is a polar rule over the bump's support disk: centred at
+the evaluation point, with r = R(theta) u^2 absorbing the r log r
+singularity, Gauss-Legendre in u and the periodic trapezoid rule in theta.
+All three fixed rules run at two resolutions and raise NumericalError
+unless the two agree (a NaN never agrees).  The first-order Dirac kernel
+built from the Green function scales like 1/r, matching the d-1 scaling
+degree that drives the power counting.  K_0 and K_1 come from
 `bessel_k01`: the power series for x <= 2 and the trapezoid rule on the
-integral representation above it (Abramowitz & Stegun 9.6.13 and 9.6.24).
+integral representation above it (Abramowitz & Stegun 9.6.13 and 9.6.24);
+the Green function takes K_0 alone by the same steps.  The Gauss-Legendre
+rules are built by Newton's method on the Legendre recurrence
+(`_gauss_legendre`), in O(n^2) operations where an eigenvalue solver
+takes O(n^3).
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from functools import cache
 from math import factorial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import clifford
 from .errors import NumericalError, UsageError
@@ -111,22 +115,6 @@ class TestFunction:
         lo = tuple(c - self.radius for c in self.center)
         hi = tuple(c + self.radius for c in self.center)
         return lo, hi
-
-    def laplacian(self, x):
-        """Analytic Laplacian; g(s) = exp(-1/(1-s)) in s = t^2 gives
-        Lap f = A * (4 s g'' + 2 dim g') / r^2."""
-        raw = self._t2(np.asarray(x, dtype=float))
-        scalar_input = np.asarray(raw).ndim == 0
-        t2 = np.atleast_1d(raw)
-        out = np.zeros_like(t2)
-        inside = t2 < 1.0
-        s = t2[inside]
-        g = np.exp(-1.0 / (1.0 - s))
-        gp = -g / (1.0 - s) ** 2
-        gpp = g * (1.0 / (1.0 - s) ** 4 - 2.0 / (1.0 - s) ** 3)
-        out[inside] = self.amplitude * (4.0 * s * gpp + 2.0 * self.dim * gp) \
-            / self.radius ** 2
-        return float(out[0]) if scalar_input else out
 
 
 def theta(x) -> float:
@@ -204,7 +192,7 @@ def _radial_green(m: float, r):
     (-Laplace + m^2) on the plane, at distance r > 0, elementwise on
     arrays."""
     if m > 0:
-        return bessel_k01(m * r)[0] / (2.0 * np.pi)
+        return _bessel_k(m * r, False)[0] / (2.0 * np.pi)
     return -np.log(r) / (2.0 * np.pi)
 
 
@@ -244,22 +232,30 @@ def bessel_k01(x):
     is within about 1e-14 relative of the Cephes library's k0/k1 on
     [1e-10, 700].
     """
+    return _bessel_k(x, True)
+
+
+def _bessel_k(x, with_k1: bool) -> tuple:
+    """(K_0(x),), or (K_0(x), K_1(x)) when with_k1, by the series and
+    trapezoid rules of `bessel_k01`; K_0 takes the same steps either way."""
     x = np.asarray(x, dtype=float)
     flat = np.atleast_1d(x).ravel()
-    k0, k1 = np.empty_like(flat), np.empty_like(flat)
+    out = np.empty((1 + with_k1, flat.size))
     small = flat <= 2.0
     if small.any():  # skip an empty branch: scalar calls are frequent
         s = flat[small]
         q = s * s / 4.0
-        acc = np.empty((4, s.size))
-        acc[:] = _K_SERIES[-1]
-        for row in _K_SERIES[-2::-1]:  # Horner in q, four series at once
+        series = _K_SERIES[:, :2 * len(out)]  # K_0 reads the first two
+        acc = np.empty((2 * len(out), s.size))
+        acc[:] = series[-1]
+        for row in series[-2::-1]:  # Horner in q, all the series at once
             acc *= q
             acc += row
-        i0, a0, j1, a1 = acc
         log_term = np.log(s / 2.0) + _EULER_GAMMA
-        k0[small] = a0 - log_term * i0
-        k1[small] = 1.0 / s + (s / 2.0) * (log_term * j1 - a1 / 2.0)
+        out[0, small] = acc[1] - log_term * acc[0]
+        if with_k1:
+            out[1, small] = 1.0 / s + (s / 2.0) * (log_term * acc[2]
+                                                   - acc[3] / 2.0)
     if not small.all():
         b = flat[~small][:, None]
         t_max = np.arccosh(1.0 + 45.0 / b)
@@ -268,19 +264,63 @@ def bessel_k01(x):
         e = np.exp(-2.0 * b * np.sinh(t / 2.0) ** 2)
         e[:, [0, -1]] *= 0.5
         scale = np.exp(-b[:, 0]) * t_max[:, 0] / _K_TRAPEZOID_NODES
-        k0[~small] = scale * e.sum(axis=1)
-        k1[~small] = scale * (e * np.cosh(t)).sum(axis=1)
-    return k0.reshape(x.shape)[()], k1.reshape(x.shape)[()]
+        out[0, ~small] = scale * e.sum(axis=1)
+        if with_k1:
+            out[1, ~small] = scale * (e * np.cosh(t)).sum(axis=1)
+    return tuple(k.reshape(x.shape)[()] for k in out)
 
 
 @cache
 def _gauss_legendre(n: int):
     """Nodes and weights (read-only arrays) of the n-point Gauss-Legendre
-    rule on [0, 1], built once per n and shared."""
-    t, w = leggauss(n)
-    u, w = (t + 1.0) / 2.0, w / 2.0
+    rule on [0, 1], built once per n and shared.
+
+    The nodes are the roots of P_n on [-1, 1], mapped to u = (1 + x)/2.
+    Newton's method on the three-term recurrence finds the ceil(n/2)
+    nonnegative roots at once, from Tricomi's estimate
+    x_k = (1 - (n-1)/(8 n^3)) cos(pi (4k-1)/(4n+2)), in O(n^2) operations
+    (Hale & Townsend 2013); the negative roots follow by symmetry, and an
+    odd rule's middle node is 0 exactly.  Steps run in double precision
+    until the largest one is below 1e-6/n, which leaves each root within
+    about 1e-13; a last step in extended precision (np.longdouble) then
+    polishes the roots, and the nodes and the weights
+    w = 1/((1 - x^2) P_n'(x)^2) are rounded to double from there.  Where
+    np.longdouble is double, the last step is one more ordinary step.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(
+        np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0
+    while True:
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if n * np.max(np.abs(step)) <= 1e-6:
+            break
+    x = x.astype(np.longdouble)
+    p, dp = _legendre(n, x)
+    step = p / dp
+    # P_n' at the polished root, to first order: P_n'' from Legendre's
+    # equation (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n
+    dp -= step * (2 * x * dp - n * (n + 1) * p) / ((1 - x) * (1 + x))
+    x -= step
+    w = 1 / ((1 - x) * (1 + x) * dp * dp)
+    h = n // 2  # the nonnegative roots descend; the first h have mirrors
+    u = np.concatenate(((1 - x[:h]) / 2, ((1 + x) / 2)[::-1])).astype(float)
+    w = np.concatenate((w[:h], w[::-1])).astype(float)
     u.flags.writeable = w.flags.writeable = False
     return u, w
+
+
+def _legendre(n: int, x: np.ndarray):
+    """(P_n(x), P_n'(x)) for x in (-1, 1) by the recurrence
+    P_{j+1} = ((2j+1) x P_j - j P_{j-1})/(j+1), in the precision of x."""
+    j = np.arange(1, n, dtype=x.dtype)
+    p0, p1 = np.ones_like(x), x
+    for a, b in zip((2 * j + 1) / (j + 1), j / (j + 1)):
+        p0, p1 = p1, a * x * p1 - b * p0
+    return p1, n * (x * p1 - p0) / ((x - 1) * (x + 1))
 
 
 def _polar_origin(f: TestFunction, x: np.ndarray):
@@ -311,6 +351,24 @@ def polar_mass_limit(f: TestFunction, x) -> float:
     reach = f.radius + float(np.hypot(d[0], d[1]))
     u1 = _gauss_legendre(GREEN_2D_NODES[0])[0][0]
     return float(np.sqrt(QUAD_TOL_2D / abs(f.amplitude)) / (reach * u1 * u1))
+
+
+def _bump_source(f: TestFunction, y, m: float):
+    """(-Laplace + m^2) f at the points y, in one pass over f's formula.
+
+    With s = t^2, v = 1/(1 - s) and g(s) = exp(-v), f = A g, and the
+    Laplacian in dim dimensions is A (4 s g'' + 2 dim g') / r^2, where
+    g' = -v^2 g and g'' = v^3 (v - 2) g; so
+    (-Laplace + m^2) f = A g (m^2 + 2 v^2 (dim - 2 s v (v - 2)) / r^2).
+    """
+    s = f._t2(y)
+    out = np.zeros_like(s)
+    inside = s < 1.0
+    s = s[inside]
+    v = 1.0 / (1.0 - s)
+    out[inside] = f.amplitude * np.exp(-v) * (
+        m * m + 2.0 * v * v * (f.dim - 2.0 * s * v * (v - 2.0)) / f.radius ** 2)
+    return out
 
 
 def greens_identity_residual(params: KernelParams, f: TestFunction,
@@ -347,7 +405,7 @@ def greens_identity_residual(params: KernelParams, f: TestFunction,
             R = np.where(b > 0.0, gap / (root + b), root - b)[:, None]
             r = R * u ** 2
             y = origin + r[..., None] * e[:, None, :]
-            src = -f.laplacian(y) + m * m * f(y)
+            src = _bump_source(f, y, m)
             # x - y = offset - r e, exactly r e when centred at x
             dist = np.hypot(offset[0] - r * e[:, :1], offset[1] - r * e[:, 1:])
             jacobian = 2.0 * R * R * u ** 3  # r dr = 2 R^2 u^3 du

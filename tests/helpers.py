@@ -39,12 +39,17 @@ shifts the factors' index ranges apart and wires in the gamma pair,
 asking each renamed factor for its top and free indices walk by walk:
 its `canonicalize` is the oracle of `terms.vertex_term`, which joins the
 canonical monomial from the canonical factors.  `run_argv` runs one
-command line in-process, for the digest manifest.
+command line in-process, for the digest manifest.  `bump_laplacian` is
+the analytic Laplacian of a `kernels.TestFunction` bump, written term by
+term from g(s) = exp(-1/(1-s)) and its derivatives: the oracle of the
+one-pass source (-Laplace + m^2) f of the d = 2 Green identity.
 """
 
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product as iproduct
 from math import prod
+
+import numpy as np
 
 from sthirring import diagrams
 from sthirring.deformation import (
@@ -730,3 +735,20 @@ def ref_canonical(diag: Diagram) -> tuple[str, tuple]:
     key, slots, naming = best
     rank = {old: r for r, old in enumerate(naming)}
     return key, tuple(rename_pair_ids(b, rank.__getitem__) for b in slots)
+
+
+def bump_laplacian(f, x):
+    """Analytic Laplacian of the bump f; g(s) = exp(-1/(1-s)) in s = t^2
+    gives Lap f = A * (4 s g'' + 2 dim g') / r^2."""
+    raw = f._t2(np.asarray(x, dtype=float))
+    scalar_input = np.asarray(raw).ndim == 0
+    t2 = np.atleast_1d(raw)
+    out = np.zeros_like(t2)
+    inside = t2 < 1.0
+    s = t2[inside]
+    g = np.exp(-1.0 / (1.0 - s))
+    gp = -g / (1.0 - s) ** 2
+    gpp = g * (1.0 / (1.0 - s) ** 4 - 2.0 / (1.0 - s) ** 3)
+    out[inside] = f.amplitude * (4.0 * s * gpp + 2.0 * f.dim * gp) \
+        / f.radius ** 2
+    return float(out[0]) if scalar_input else out

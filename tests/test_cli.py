@@ -97,22 +97,38 @@ def test_kernel_check_d1_at_mass_2_seed_8():
     assert json.loads(out)["pass"] is True
 
 
-def test_kernel_check_runs_without_scipy():
-    # scipy costs most of a command's start-up; only the tests use it
-    script = """
+def _loaded_after_kernel_checks(module, argvs):
+    """Whether `module` is in sys.modules after `import sthirring.cli` and
+    the `kernel-check` runs of argvs, in a fresh interpreter."""
+    script = f"""
 import io, sys
 from contextlib import redirect_stdout
 from sthirring.cli import main
-for argv in (["--dim", "1", "--seed", "7"], ["--dim", "2", "--mass", "1"],
-             ["--dim", "2", "--mass", "0"]):
+for argv in {argvs!r}:
     with redirect_stdout(io.StringIO()):
         assert main(["kernel-check", *argv]) == 0, argv
-print("scipy" in sys.modules)
+print({module!r} in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout in ("True\n", "False\n"), proc.stdout
+    return proc.stdout == "True\n"
+
+
+def test_kernel_check_runs_without_scipy():
+    # scipy costs most of a command's start-up; only the tests use it
+    assert not _loaded_after_kernel_checks("scipy", [
+        ["--dim", "1", "--seed", "7"], ["--dim", "2", "--mass", "1"],
+        ["--dim", "2", "--mass", "0"]])
+
+
+def test_kernel_check_runs_without_numpy_polynomial():
+    # the Gauss-Legendre rules are built by Newton's method, not by
+    # numpy.polynomial's eigenvalue solver; these are the benchmark's jobs
+    assert not _loaded_after_kernel_checks("numpy.polynomial", [
+        ["--dim", "1", "--mass", "1.0", "--trials", "20", "--seed", "3"],
+        ["--dim", "2", "--mass", "1.0"], ["--dim", "2", "--mass", "0.0"]])
 
 
 def test_counterterms_order_2():

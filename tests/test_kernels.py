@@ -11,6 +11,8 @@ from sthirring.kernels import (
     propagator_1d, q_kernel_1d, scaling_degree_probe, theta,
 )
 
+from helpers import bump_laplacian
+
 
 def green_2d(p, x):
     """The d=2 Green function at one point x != 0."""
@@ -48,6 +50,68 @@ def test_gauss_legendre_rules_are_built_once():
     with pytest.raises(ValueError):
         u[0] = 0.0
     assert abs(w.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [*range(1, 81), 128, 256, 512])
+def test_gauss_legendre_matches_leggauss(n):
+    from numpy.polynomial.legendre import leggauss
+    u, w = kernels._gauss_legendre(n)
+    t, wt = leggauss(n)
+    assert u.shape == w.shape == (n,)
+    assert np.max(np.abs(u - (t + 1.0) / 2.0)) <= 2e-16
+    # leggauss's own weights are off by up to 3e-15 here, see below
+    assert np.max(np.abs(w - wt / 2.0)) <= 5e-15
+    assert np.all(np.diff(u) > 0) and np.all(w > 0)
+    assert np.max(np.abs(u + u[::-1] - 1.0)) <= 2.3e-16
+    assert np.array_equal(w, w[::-1])
+    if n % 2:
+        assert u[n // 2] == 0.5
+
+
+def _mp_gauss_legendre(n, start):
+    """The n-point rule on [0, 1] to 40 digits: two Newton steps in
+    mpmath from the double-precision nodes `start` on [-1, 1], each root's
+    weight 1/((1 - x^2) P_n'(x)^2) taken at the second step's start, and
+    the negative roots from the positive ones."""
+    import mpmath
+    with mpmath.workdps(40):
+        roots, weights = [], []
+        for x in map(mpmath.mpf, start[n // 2:]):
+            for _ in range(2):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            roots.append(x)
+            weights.append(1 / ((1 - x * x) * dp * dp))
+        u = ([(1 - x) / 2 for x in roots[::-1][:n // 2]]
+             + [(1 + x) / 2 for x in roots])
+        w = weights[::-1][:n // 2] + weights
+    return u, w
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
+def test_gauss_legendre_is_no_less_accurate_than_leggauss(n):
+    """Against a 40-digit rule, the worst node and the worst weight of
+    the Newton rule are off by no more than those of leggauss (mapped to
+    [0, 1]).  The extended-precision polish rounds them from well below
+    double's resolution, where leggauss's weights are off by up to 2.8e-15."""
+    import mpmath
+    from numpy.polynomial.legendre import leggauss
+    t, wt = leggauss(n)
+    u_ref, w_ref = _mp_gauss_legendre(n, t)
+
+    def worst(got, want):
+        return float(max(abs(mpmath.mpf(float(g)) - v)
+                         for g, v in zip(got, want)))
+
+    u, w = kernels._gauss_legendre(n)
+    ours = worst(u, u_ref), worst(w, w_ref)
+    theirs = worst((t + 1.0) / 2.0, u_ref), worst(wt / 2.0, w_ref)
+    assert ours[0] <= theirs[0] and ours[1] <= theirs[1]
+    # half a unit in the last place of a node in [0.5, 1) is 5.55e-17
+    assert ours[0] <= 5.6e-17 and ours[1] <= 2e-17
 
 
 def test_q_kernel_inside_support():
@@ -151,6 +215,23 @@ def test_bessel_k01_matches_scipy():
     assert np.array_equal(bessel_k01(grid)[1], k1[:12].reshape(3, 4))
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 30.0])
+def test_green_function_takes_k0_of_bessel_k01_bit_for_bit(m):
+    """The Green function computes K_0 alone, by the same steps."""
+    r = np.geomspace(1e-6, 60.0, 241) / m  # m r from 1e-6 to 60
+    r = np.append(r, [2.0 / m, np.nextafter(2.0, 3.0) / m])  # x near 2
+    assert np.any(m * r <= 2.0) and np.any(m * r > 2.0)
+    want = bessel_k01(m * r)[0] / (2.0 * np.pi)
+    assert np.array_equal(kernels._radial_green(m, r), want)
+    grid = r[:240].reshape(12, 20)
+    assert np.array_equal(kernels._radial_green(m, grid),
+                          want[:240].reshape(12, 20))
+    for v in r[::20]:
+        got = kernels._radial_green(m, float(v))
+        assert np.ndim(got) == 0
+        assert got == bessel_k01(m * float(v))[0] / (2.0 * np.pi)
+
+
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
 def test_d2_kernels_match_scipy_built_references(m):
     from scipy import special
@@ -179,13 +260,33 @@ def test_bump_smooth_support():
 
 
 def test_bump_laplacian_matches_finite_differences():
+    # the Green identity's source at m = 0 is minus the bump's Laplacian
     f = TestFunction((0.1, -0.2), 0.5, 1.3)
     h = 1e-5
     for pt in [(0.15, -0.1), (0.0, 0.0), (0.3, -0.3)]:
         x, y = pt
         num = (f((x + h, y)) + f((x - h, y)) + f((x, y + h)) + f((x, y - h))
                - 4 * f((x, y))) / h ** 2
-        assert abs(num - f.laplacian(pt)) < 1e-4
+        assert abs(num + kernels._bump_source(f, np.array(pt), 0.0)) < 1e-4
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("f", [TestFunction((0.1, -0.2), 0.5, 1.3),
+                               TestFunction((0.4,), 0.3, 0.7)],
+                         ids=["2d", "1d"])
+def test_bump_source_matches_the_analytic_laplacian(f, m):
+    rng = np.random.default_rng(5)
+    lo, hi = (np.asarray(b) - 0.1 for b in f.support())  # some points outside
+    y = rng.uniform(lo, hi + 0.2, size=(50, 40, f.dim))
+    y[0, 0] = f.center
+    y[0, 1] = np.add(f.center, np.eye(f.dim)[0] * f.radius)  # on the edge
+    if f.dim == 1:
+        y = y[..., 0]  # a 1d bump takes bare coordinates
+    want = -bump_laplacian(f, y) + m * m * f(y)
+    got = kernels._bump_source(f, y, m)
+    assert got.shape == want.shape == (50, 40)
+    assert np.all(got[f(y) == 0.0] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0])
