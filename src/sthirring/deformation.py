@@ -45,13 +45,17 @@ F_k monomial, and every same-branch pair) has no complete pairing, and
 no orbit of it is walked; an expectation counts its partial pairings
 from each monomial's grading.
 
-H_k is read off the order-k defect of the renormalized equation; that
-same sum, less H_k's insertion on F_0, is kept as H_k's residual.  So a
-zero residual mostly checks the strip-and-graft round trip.  The content
-is that every defect diagram has operator form (InvariantError
-otherwise), that H_k is even, and that H_1 = Ctilde.  Each tag names one
-fixed extension of its coincident kernel; the renormalization freedom to
-shift that choice is not represented.
+H_k is read off the order-k defect of the renormalized equation:
+Gamma_Q(F_k) less the pointwise cubic and the H_1..H_{k-1} insertions.  By
+Wick factorization of the cubic vertex, that cubic is the part of
+Gamma_Q(F_k) whose every pair stays inside one factor of the top vertex,
+so the defect starts from the entries with a pair across two factors, and
+the cospinor branch is never deformed.  That sum, less H_k's insertion on
+F_0, is kept as H_k's residual.  So a zero residual mostly checks the
+strip-and-graft round trip.  The content is that every defect diagram has
+operator form (InvariantError otherwise), that H_k is even, and that H_1 =
+Ctilde.  Each tag names one fixed extension of its coincident kernel; the
+renormalization freedom to shift that choice is not represented.
 """
 
 from __future__ import annotations
@@ -61,11 +65,11 @@ from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 from .diagrams import (
-    DeformedSum, Diagram, convolved, free_leaves, max_pair_id, rename_pair_ids,
-    replace_at, vertex_join,
+    DeformedSum, Diagram, convolved, free_leaves, max_pair_id, pair_ids,
+    rename_pair_ids, replace_at,
 )
 from .errors import InvariantError, UsageError
-from .perturbation import COSPINOR, SPINOR, PerturbativeSeries
+from .perturbation import SPINOR, PerturbativeSeries
 from .terms import (
     GPSI, PHI, PHIBAR,
     Conv, Gamma, Leaf, Prod, Term, TermSum, grading,
@@ -430,33 +434,27 @@ def _strip_and_mark(defect: DeformedSum) -> DeformedSum:
     return ops
 
 
-def _pointwise_cubic(gf_bar, gf, k: int) -> DeformedSum:
-    """Order-k part of G_psi * [(PsiBar g Psi) g Psi] with pointwise products
-    of the already-deformed coefficients (no cross contractions)."""
-    ds = DeformedSum()
-    for k1 in range(k):
-        for k2 in range(k - k1):
-            k3 = k - 1 - k1 - k2
-            for da in gf_bar[k1]:
-                for db in gf[k2]:
-                    for dc in gf[k3]:
-                        ds.add(vertex_join(GPSI, [da, db, dc]))
-    return ds
+def _crosses_factors(d: Diagram) -> bool:
+    """Whether d, a diagram of Gamma_Q(F_k) with k >= 1, pairs leaves of two
+    factors of its top vertex: a qloop or ctloop there (a factor F_0 or
+    Ft_0 is one leaf), or a child of it that holds one end of a pair."""
+    (top,), = d.slots
+    return any(ch[0] in ("qloop", "ctloop")
+               or len(ids := pair_ids((ch,))) != 2 * len(set(ids))
+               for ch in top[2])
 
 
 def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, CountertermOperator]:
     """The operators H_k making the renormalized equation hold through K,
-    each read off the order-k defect (Gamma(F_k) minus the pointwise cubic
-    and the H_1..H_{k-1} insertions) that becomes its residual."""
+    each read off the order-k defect that becomes its residual: the part of
+    Gamma(F_k) with a pair across two factors of the top vertex (the rest is
+    the pointwise cubic) minus the H_1..H_{k-1} insertions."""
     if K > series.max_order:
         raise UsageError("K above series order")
     gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(K + 1)}
-    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(K)}
     H: dict[int, CountertermOperator] = {}
     for k in range(1, K + 1):
-        defect = DeformedSum()
-        defect.extend(gf[k])
-        defect.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
+        defect = gf[k].part(_crosses_factors)
         for j in range(1, k):
             _subtract_insertions(defect, H[j].ops, gf[k - j])
         H[k] = CountertermOperator(_strip_and_mark(defect), defect)

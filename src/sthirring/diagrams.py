@@ -110,38 +110,25 @@ def rename_pair_ids(children, f):
     return tuple(out)
 
 
-def _pair_ids(children):
+def pair_ids(children) -> list:
+    """The pair id of every pair end among children, convs descended."""
     ids = []
     for ch in children:
         if ch[0] == "pair":
             ids.append(ch[1])
         elif ch[0] == "conv":
-            ids.extend(_pair_ids(ch[2]))
+            ids.extend(pair_ids(ch[2]))
     return ids
 
 
 def max_pair_id(diag: Diagram) -> int:
-    return max((p for body in diag.slots for p in _pair_ids(body)), default=-1)
+    return max((p for body in diag.slots for p in pair_ids(body)), default=-1)
 
 
 def convolved(kind: str, diag: Diagram) -> Diagram:
     if len(diag.slots) != 1:
         raise InvariantError("convolution applies to single-slot diagrams")
     return Diagram(((("conv", kind, diag.slots[0]),),), diag.coeff)
-
-
-def vertex_join(kind: str, parts) -> Diagram:
-    """Pointwise product of single-slot diagrams at a new vertex, wrapped
-    in the branch propagator.  No cross contractions are introduced."""
-    kids = []
-    coeff = Fraction(1)
-    for d in parts:
-        if len(d.slots) != 1:
-            raise InvariantError("vertex join needs single-slot diagrams")
-        off = max(_pair_ids(kids), default=-1) + 1
-        kids.extend(rename_pair_ids(d.slots[0], lambda p: p + off))
-        coeff *= d.coeff
-    return Diagram(((("conv", kind, tuple(kids)),),), coeff)
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +260,13 @@ class DeformedSum(KeyedSum):
             return
         for key, d in list(other._data.items()):
             self._merge(key, d.scaled(scale))
+
+    def part(self, keep) -> "DeformedSum":
+        """The entries that keep accepts, held under their keys here, so
+        none is canonicalized again and none is sorted."""
+        out = DeformedSum()
+        out._data = {key: d for key, d in self._data.items() if keep(d)}
+        return out
 
     diagrams = KeyedSum.entries
 

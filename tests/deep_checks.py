@@ -88,6 +88,33 @@ def gamma_against_the_walk_per_term(write) -> list[str]:
     return []
 
 
+def factor_local_part_against_the_cubic(write) -> list[str]:
+    """Write the pointwise cubic at order 5, built by the test helper from
+    Gamma_Q of F_0..F_4 on both branches, one line per diagram (its key
+    and coefficient) in key order, then the sizes of both sides; a problem
+    unless the entries of Gamma_Q(F_5) that `extract_counterterms` leaves
+    out of the defect (no pair across two factors of the top vertex) are
+    these keys with these coefficients."""
+    from sthirring.deformation import _crosses_factors, gamma_Q
+    from sthirring.diagrams import DeformedSum
+    from sthirring.perturbation import COSPINOR, SPINOR, expand
+    from helpers import pointwise_cubic
+
+    series = expand(5)
+    gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(6)}
+    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(5)}
+    want = pointwise_cubic(gf_bar, gf, 5)
+    for d in want:
+        write(f"{DeformedSum._serial(d.slots)} {d.coeff}\n")
+    got = [d for d in gf[5] if not _crosses_factors(d)]
+    write(f"{len(got)} factor-local entries of Gamma_Q(F_5), "
+          f"{len(want)} of the pointwise cubic\n")
+    if [(d.slots, d.coeff) for d in got] != [(d.slots, d.coeff) for d in want]:
+        return ["the factor-local part of Gamma_Q(F_5) differs from the "
+                "pointwise cubic"]
+    return []
+
+
 SAMPLE_EVERY = 50
 
 
@@ -130,6 +157,8 @@ PROBES = {
         gamma_against_the_walk_per_term,
     "probe: brute-force canonical forms of a Gamma_Q(F_5) sample":
         brute_force_sample,
+    "probe: factor-local part of Gamma_Q(F_5) against the pointwise cubic":
+        factor_local_part_against_the_cubic,
 }
 
 # check name (a probe's name, or a command line of the CLI) -> the reader

@@ -10,6 +10,10 @@ writers of `terms` and `diagrams` emit straight from the objects
 `canonical_key` spells a diagram's canonical form,
 `bullet_cross` is the reference two-point construction (it pairs the free
 leaves of two already-deformed diagrams across their tensor slots),
+`pointwise_cubic` joins the already-deformed coefficients of the cubic
+recursion at a new vertex (`vertex_join`), with no pair across the
+factors (the reference for the part of Gamma_Q(F_k) that
+`extract_counterterms` leaves out of the order-k defect),
 `expand_eager` builds both branches of the series order by order from
 `ref_vertex_term` and `TermSum.add`, the reference for the series that
 builds each coefficient on first read and each monomial in canonical
@@ -57,8 +61,8 @@ from sthirring.deformation import (
     orbit_matchings, term_census,
 )
 from sthirring.diagrams import (
-    DeformedSum, Diagram, free_leaves, max_pair_id, rename_pair_ids,
-    replace_at, to_graph,
+    DeformedSum, Diagram, free_leaves, max_pair_id, pair_ids,
+    rename_pair_ids, replace_at, to_graph,
 )
 from sthirring.canonical import tie_orders
 from sthirring.errors import InvariantError
@@ -296,6 +300,34 @@ def bullet_cross(da: Diagram, db: Diagram) -> list[Diagram]:
                 pid += 1
             out.append(d)
     return out
+
+
+def vertex_join(kind: str, parts) -> Diagram:
+    """Pointwise product of single-slot diagrams at a new vertex, wrapped
+    in the branch propagator.  No cross contractions are introduced."""
+    kids = []
+    coeff = Fraction(1)
+    for d in parts:
+        if len(d.slots) != 1:
+            raise InvariantError("vertex join needs single-slot diagrams")
+        off = max(pair_ids(kids), default=-1) + 1
+        kids.extend(rename_pair_ids(d.slots[0], lambda p: p + off))
+        coeff *= d.coeff
+    return Diagram(((("conv", kind, tuple(kids)),),), coeff)
+
+
+def pointwise_cubic(gf_bar, gf, k: int) -> DeformedSum:
+    """Order-k part of G_psi * [(PsiBar g Psi) g Psi] with pointwise products
+    of the already-deformed coefficients (no cross contractions)."""
+    ds = DeformedSum()
+    for k1 in range(k):
+        for k2 in range(k - k1):
+            k3 = k - 1 - k1 - k2
+            for da in gf_bar[k1]:
+                for db in gf[k2]:
+                    for dc in gf[k3]:
+                        ds.add(vertex_join(GPSI, [da, db, dc]))
+    return ds
 
 
 def expand_eager(K: int) -> tuple[dict[int, TermSum], dict[int, TermSum]]:

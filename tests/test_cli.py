@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from sthirring.cli import build_parser, main
+from sthirring.diagrams import graph_counts
 from sthirring.perturbation import expand
+from sthirring.terms import grading
 
 from helpers import run_argv, term_from_json
 
@@ -393,9 +395,9 @@ def test_permutation_budget_overflow_is_a_usage_error(monkeypatch, capsys):
 
 def test_counterterms_deform_each_coefficient_once(monkeypatch):
     """Extraction and the residuals share one gamma_Q of each of F_0..F_3
-    on the spinor branch and of F_0..F_2 on the cospinor branch (the
-    pointwise cubic reads the cospinor coefficients below the top order
-    only)."""
+    on the spinor branch, and deform no cospinor coefficient: each defect
+    is the part of Gamma_Q(F_k) with a pair across two factors, and no
+    pointwise cubic is built."""
     from sthirring import deformation
     calls = []
     real = deformation.gamma_Q
@@ -407,24 +409,26 @@ def test_counterterms_deform_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(deformation, "gamma_Q", counting)
     rc, out = run_cli("counterterms", "--order", "3")
     assert rc == 0 and json.loads(out)["orders"]["3"]["residual_zero"]
-    assert len(calls) == 7
+    assert len(calls) == 4
+    assert all(g.r == g.r_bar + 1 for s in calls for g in map(grading, s))
 
 
 def test_counterterms_build_each_defect_once(monkeypatch):
-    """One pointwise cubic per order: the residual of H_k is the defect H_k
-    was read off, not a second build of it."""
+    """One defect per order, each H_k read off it once: the residual of
+    H_k is the defect H_k was read off, not a second build of it.  The
+    order of a defect is the number of vertices of each of its diagrams."""
     from sthirring import deformation
     calls = []
-    real = deformation._pointwise_cubic
+    real = deformation._strip_and_mark
 
-    def counting(gf_bar, gf, k):
-        calls.append(k)
-        return real(gf_bar, gf, k)
+    def counting(defect):
+        calls.append({graph_counts(d)["vertices"] for d in defect})
+        return real(defect)
 
-    monkeypatch.setattr(deformation, "_pointwise_cubic", counting)
+    monkeypatch.setattr(deformation, "_strip_and_mark", counting)
     rc, out = run_cli("counterterms", "--order", "3")
     assert rc == 0 and json.loads(out)["orders"]["3"]["residual_zero"]
-    assert calls == [1, 2, 3]
+    assert calls == [{1}, {2}, {3}]
 
 
 def test_kernel_check_fails_closed_on_nan():

@@ -6,7 +6,7 @@ import pytest
 
 from sthirring.deformation import (
     CountertermOperator,
-    _orbit_contractions, _pointwise_cubic, apply_operator,
+    _crosses_factors, _orbit_contractions, apply_operator,
     brute_force_contractions, census_sums, contraction_count,
     expectation_report, extract_counterterms,
     gamma_Q, gamma_Q_convolved, leaf_runs, orbit_matchings,
@@ -14,7 +14,7 @@ from sthirring.deformation import (
 )
 from sthirring.diagrams import (
     DeformedSum, Diagram, canonicalize as canonicalize_diagram, convolved,
-    free_leaves, graph_counts, to_dot, to_graph,
+    free_leaves, graph_counts, pair_ids, to_dot, to_graph,
 )
 from sthirring.errors import UsageError
 from sthirring.perturbation import COSPINOR, SPINOR, expand
@@ -28,8 +28,8 @@ from sthirring.terms import (
 from helpers import (
     all_contractions, bullet_cross, canonical_key, deformedsum_from_json,
     deformedsum_to_json, diagram_from_json, diagram_to_json, iter_children,
-    partial_matchings, per_term_walk, ref_expectation_report, ref_gamma_Q,
-    ref_two_point,
+    partial_matchings, per_term_walk, pointwise_cubic, ref_expectation_report,
+    ref_gamma_Q, ref_two_point,
 )
 
 
@@ -246,12 +246,42 @@ def test_residual_matches_a_rebuilt_defect():
     for k in range(1, 4):
         defect = DeformedSum()
         defect.extend(gf[k])
-        defect.extend(_pointwise_cubic(gf_bar, gf, k), scale=-1)
+        defect.extend(pointwise_cubic(gf_bar, gf, k), scale=-1)
         for j in range(1, k):
             subtract_insertions(defect, j, k)
         assert not defect.is_zero()  # H_k has something to cancel
         subtract_insertions(defect, k, k)
         assert defect == H[k].residual
+
+
+def _factor_local(d) -> bool:
+    """No qloop or ctloop child at d's top vertex, and no pair id in two of
+    its children (a pair child there is a factor's one leaf)."""
+    (top,), = d.slots
+    seen: set = set()
+    for ch in top[2]:
+        ids = set(pair_ids((ch,)))
+        if ch[0] in ("qloop", "ctloop") or not seen.isdisjoint(ids):
+            return False
+        seen |= ids
+    return True
+
+
+def test_pointwise_cubic_is_the_factor_local_part_of_gamma(series):
+    """Wick factorization of the cubic vertex: the entries of Gamma_Q(F_k)
+    whose every pair stays inside one factor of the top vertex are the
+    pointwise cubic, key for key and coefficient for coefficient, and the
+    other entries are the sum that the order-k defect starts from."""
+    gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(5)}
+    gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(4)}
+    sizes = []
+    for k in range(1, 5):
+        local = DeformedSum(d for d in gf[k] if _factor_local(d))
+        rest = DeformedSum(d for d in gf[k] if not _factor_local(d))
+        assert local == pointwise_cubic(gf_bar, gf, k)
+        assert rest == gf[k].part(_crosses_factors) and not rest.is_zero()
+        sizes.append(len(local))
+    assert sizes == [1, 4, 33, 392]
 
 
 def test_operator_application_roundtrip(series):
@@ -581,12 +611,13 @@ def test_leaf_runs_group_each_vertex_in_canonical_terms(series):
 
 
 def test_deformed_entries_are_canonical_under_their_key(series):
-    """DeformedSum.extend merges entries without canonicalizing them again;
-    that needs every entry to be its own canonical form."""
+    """DeformedSum.extend and DeformedSum.part take entries without
+    canonicalizing them again; that needs every entry to be its own
+    canonical form."""
     gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(4)}
     gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(4)}
     sums = list(gf.values()) + list(gf_bar.values()) + \
-        [_pointwise_cubic(gf_bar, gf, k) for k in range(1, 4)]
+        [pointwise_cubic(gf_bar, gf, k) for k in range(1, 4)]
     checked = 0
     for ds in sums:
         for d in ds:
