@@ -36,6 +36,13 @@ def tie_orders(items, shapes: list, link: str) -> list[tuple]:
     run keeps its given order.  Returns one tuple per combination.
     """
     order = sorted(range(len(items)), key=shapes.__getitem__)
+    prev = None
+    for i in order:
+        if shapes[i] == prev and link in prev:
+            break
+        prev = shapes[i]
+    else:  # no tied run: the one order, with no product of options built
+        return [tuple([items[i] for i in order])]
     options = []
     total = 1
     for shape, run in groupby(order, key=shapes.__getitem__):

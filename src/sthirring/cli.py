@@ -336,7 +336,7 @@ def _cmd_counterterms(args) -> None:
     payload = {"orders": {}}
     for k, h in H.items():
         payload["orders"][str(k)] = {
-            "even": h.is_even(),
+            "even": h.even,
             "operators": h.ops.diagrams(),
             "residual_zero": h.residual.is_zero(),
         }

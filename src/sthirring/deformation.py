@@ -63,10 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial, prod
+from operator import invert
 
 from .diagrams import (
-    DeformedSum, Diagram, convolved, free_leaves, max_pair_id, pair_ids,
-    rename_pair_ids, replace_at,
+    DeformedSum, Diagram, convolved, free_leaves, pair_ids, rename_pair_ids,
+    replace_at,
 )
 from .errors import InvariantError, UsageError
 from .perturbation import SPINOR, PerturbativeSeries
@@ -375,20 +376,17 @@ class CountertermOperator:
 
     ops: DeformedSum
     residual: DeformedSum
-
-    def is_even(self) -> bool:
-        """Even polynomial field degree: all odd derivatives vanish at zero."""
-        return all(len(free_leaves(d)) % 2 == 0 for d in self.ops)
+    even: bool  # even field degree: all odd derivatives vanish at zero
 
 
 def apply_operator(op_diag: Diagram, u: Diagram) -> Diagram:
     """Graft u into the operator's argument slot (operator composition):
-    one pass over the operator splices u's children, their pair ids moved
-    past the operator's, in place of the argument port."""
+    one pass over the operator splices u's children, each pair id p moved
+    to ~p, in place of the argument port.  Pair ids are >= 0, so u's moved
+    ids are negative and none meets an id of the operator."""
     if len(u.slots) != 1:
         raise InvariantError("operator argument must be single-slot")
-    off = max_pair_id(op_diag) + 1
-    shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
+    shifted = rename_pair_ids(u.slots[0], invert)
     grafts = [_graft(body, shifted) for body in op_diag.slots]
     if not any(found for _, found in grafts):
         raise InvariantError("operator diagram has no argument slot")
@@ -457,9 +455,11 @@ def extract_counterterms(series: PerturbativeSeries, K: int) -> dict[int, Counte
         defect = gf[k].part(_crosses_factors)
         for j in range(1, k):
             _subtract_insertions(defect, H[j].ops, gf[k - j])
-        H[k] = CountertermOperator(_strip_and_mark(defect), defect)
-        if not H[k].is_even():
+        ops = _strip_and_mark(defect)
+        even = all(len(free_leaves(d)) % 2 == 0 for d in ops)
+        if not even:
             raise InvariantError(f"H_{k} has odd field degree")
+        H[k] = CountertermOperator(ops, defect, even)
         # in place: the defect becomes H[k].residual
         _subtract_insertions(defect, H[k].ops, gf[0])
     return H

@@ -23,15 +23,16 @@ is the rule `to_graph` implements, and power counting reads its counts off
 that graph (`graph_counts`).
 
 Canonical forms sort vertex children by shape, resolve runs that stay tied
-through shared pair ids by a small permutation search for the layout with
-the smallest serialization, then renumber pair ids by first occurrence; two
+through shared pair ids (`tie_orders` decides which runs those are) by a
+small permutation search for the layout with the smallest serialization,
+then renumber pair ids by first occurrence with `rename_pair_ids`; two
 contraction outcomes merge exactly when the typed multigraphs are
 isomorphic slot by slot.  Shapes are built once per subtree, bottom-up, and
 a subtree's layouts are memoized on its value, since subtrees repeat across
 the matchings of a term.  Most diagrams have one layout, since none of
 their vertices holds a tied run: each vertex then gives its children sorted
-by shape, with no candidates built, the diagram is not serialized, and the
-walk that builds the output renumbers its pair ids.  `DeformedSum.add`
+by shape, with no candidates built, and the diagram is not serialized
+before its pair ids are renumbered.  `DeformedSum.add`
 canonicalizes once and merges under the canonical slots, which are equal
 exactly when the keys (serializations) are; only the diagrams it keeps are
 serialized, to list them in key order.
@@ -39,10 +40,11 @@ serialized, to list them in key order.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import prod
 
@@ -121,10 +123,6 @@ def pair_ids(children) -> list:
     return ids
 
 
-def max_pair_id(diag: Diagram) -> int:
-    return max((p for body in diag.slots for p in pair_ids(body)), default=-1)
-
-
 def convolved(kind: str, diag: Diagram) -> Diagram:
     if len(diag.slots) != 1:
         raise InvariantError("convolution applies to single-slot diagrams")
@@ -191,18 +189,11 @@ def _layouts(children) -> tuple[str, tuple]:
             shapes.append(f"x[{ch[2]},{ch[3]}]" if ch[0] == "pair"
                           else _leaf_text(ch))
             options.append((ch,))
-    order = sorted(range(len(children)), key=shapes.__getitem__)
-    ordered = [shapes[i] for i in order]
-    prev = tied = None
-    for sh in ordered:
-        if sh == prev and "x[" in sh:
-            tied = True
-        prev = sh
-    shape = ",".join(ordered)
-    orders = tie_orders(range(len(shapes)), shapes, "x[") if tied else [order]
+    orders = tie_orders(range(len(shapes)), shapes, "x[")
+    shape = ",".join([shapes[i] for i in orders[0]])
     n = len(orders) * prod(map(len, options))
     if n == 1:
-        return shape, (tuple(options[i][0] for i in order),)
+        return shape, (tuple(options[i][0] for i in orders[0]),)
     within_budget(n)
     return shape, tuple(tuple(kids[i] for i in o)
                         for kids in iproduct(*options) for o in orders)
@@ -210,31 +201,16 @@ def _layouts(children) -> tuple[str, tuple]:
 
 def canonicalize(diag: Diagram) -> Diagram:
     """Minimal-serialization layout with pair ids renumbered 0,1,2,... in
-    the order the serialization names them, by the walk that builds the
-    output.  A diagram whose slots have one layout each is not serialized."""
+    the order the serialization names them.  A diagram whose slots have one
+    layout each is not serialized."""
     per_slot = [_layouts(body)[1] for body in diag.slots]
-    if (count := prod(map(len, per_slot))) == 1:
+    if (n := prod(map(len, per_slot))) == 1:
         slots = [lays[0] for lays in per_slot]
     else:
-        within_budget(count)
+        within_budget(n)
         slots = min(iproduct(*per_slot), key=_serialize)
-    naming: dict = {}
-    return Diagram(tuple(_renumbered(b, naming) for b in slots), diag.coeff)
-
-
-def _renumbered(children, naming: dict) -> tuple:
-    """children with each pair id p renumbered naming[p], new ids next."""
-    out = []
-    for ch in children:
-        if ch[0] == "pair":
-            if (p := naming.get(ch[1])) is None:
-                p = naming[ch[1]] = len(naming)
-            out.append(("pair", p, ch[2], ch[3]))
-        elif ch[0] == "conv":
-            out.append(("conv", ch[1], _renumbered(ch[2], naming)))
-        else:
-            out.append(ch)
-    return tuple(out)
+    rank = defaultdict(count().__next__).__getitem__  # p's first-seen rank
+    return Diagram(tuple(rename_pair_ids(b, rank) for b in slots), diag.coeff)
 
 
 # --------------------------------------------------------------------------

@@ -25,15 +25,16 @@ shared indices are resolved by brute-force permutation, taking the
 lexicographically smallest serialization.  Tied groups in this model are
 tiny (at most a few identical branches), so the search is cheap.  One walk
 of the input tree spells its serialization as pieces, with each index left
-unnamed, and records each subtree's span of pieces, each index's positions
-and the index census that `validate` checks.  A child's shape and a
-candidate order's serialization render slices of those pieces under their
-own namings, so no subtree is walked again.  The canonical tree has its
-indices renamed 0, 1, 2, ... in order of first occurrence, so the pass
-that orders the products also assigns those names, builds the renamed
-tree and spells its serialization, which is its key: `canonicalize`
-records it on the returned term and `TermSum.add` merges under it, with
-no second search and no second walk.
+unnamed, and records each subtree's span of pieces and each index's
+positions.  A child's shape and a candidate order's serialization render
+slices of those pieces under their own namings, so no subtree is walked
+again.  The canonical tree has its indices renamed 0, 1, 2, ... in order
+of first occurrence, so the pass that orders the products also assigns
+those names, builds the renamed tree and spells its serialization, which
+is its key: `canonicalize` records it on the returned term and
+`TermSum.add` merges under it, with no second search and no second
+serialization.  `index_occurrences` is the one table of each index slot's polarity and
+kind, and `canonicalize` validates the `index_census` it gives.
 
 The recursion puts every lower-order monomial, as a factor G * [...],
 into many higher-order ones.  Such a factor is sealed: each of its
@@ -294,55 +295,50 @@ def convolve(kind: str, t: Term) -> Term:
 # --------------------------------------------------------------------------
 
 def _walk(node: Node):
-    """(pieces, span, where, census) from one pre-order walk of node.
+    """(pieces, span, where) from one pre-order walk of node.
 
     pieces spell node's serialization with each index left as the index
     itself (every other piece is a str); span[id(n)] is the half-open
-    range of the pieces of subtree n, where[i] lists the pieces that hold
-    index i, and census is node's `index_census`."""
-    table = pieces, span, where, census = [], {}, {}, {}
-    _walk_node(node, pieces, span, where, census)
+    range of the pieces of subtree n, and where[i] lists the pieces that
+    hold index i."""
+    table = pieces, span, where = [], {}, {}
+    _walk_node(node, pieces, span, where)
     return table
 
 
-def _walk_index(i, pol, kind, pieces, where, census) -> None:
+def _walk_index(i, pieces, where) -> None:
     where.setdefault(i, []).append(len(pieces))
-    census.setdefault(i, []).append((pol, kind))
     pieces.append(i)
 
 
-def _walk_node(n, pieces, span, where, census) -> None:
+def _walk_node(n, pieces, span, where) -> None:
     """One step of `_walk`: a module-level function, so no closure cycle
     keeps the walk's tables alive after it returns."""
     lo = len(pieces)
     if isinstance(n, Leaf):
         pieces.append(f"L[{n.species},")
-        _walk_index(n.index, UP if n.species == PHI else DOWN, "spinor",
-                    pieces, where, census)
+        _walk_index(n.index, pieces, where)
         pieces.append("]")
     elif isinstance(n, Gamma):
         pieces.append("g[")
-        _walk_index(n.mu, 0, "vector", pieces, where, census)
+        _walk_index(n.mu, pieces, where)
         pieces.append(",")
-        _walk_index(n.row, UP, "spinor", pieces, where, census)
+        _walk_index(n.row, pieces, where)
         pieces.append(",")
-        _walk_index(n.col, DOWN, "spinor", pieces, where, census)
+        _walk_index(n.col, pieces, where)
         pieces.append("]")
     elif isinstance(n, Conv):
-        up_out = n.kind == GPSI
         pieces.append(f"C[{n.kind},")
-        _walk_index(n.out_index, UP if up_out else DOWN, "spinor",
-                    pieces, where, census)
+        _walk_index(n.out_index, pieces, where)
         pieces.append(",")
-        _walk_index(n.in_index, DOWN if up_out else UP, "spinor",
-                    pieces, where, census)
+        _walk_index(n.in_index, pieces, where)
         pieces.append("](")
-        _walk_node(n.inner, pieces, span, where, census)
+        _walk_node(n.inner, pieces, span, where)
         pieces.append(")")
     elif isinstance(n, Prod):
         pieces.append("P(")
         for c in n.children:
-            _walk_node(c, pieces, span, where, census)
+            _walk_node(c, pieces, span, where)
             pieces.append(",")
         pieces.append(")")
     else:
@@ -496,8 +492,8 @@ def _canon_conv(node: Conv, naming: dict, key: list, table) -> Conv:
 
 def canonicalize(t: Term) -> Term:
     """Canonical representative: sorted products, indices renamed 0,1,2,...
-    in order of first occurrence.  One walk of the input tree spells it
-    as pieces and checks its index census; each product's child shapes
+    in order of first occurrence, once its `index_census` validates.  One
+    walk of the input tree spells it as pieces; each product's child shapes
     and tie-break serializations render slices of those pieces, and one
     pass over the ordered tree names the indices, builds the renamed tree
     and records its serialization as `_key`.  That pass takes each sealed
@@ -505,10 +501,10 @@ def canonicalize(t: Term) -> Term:
     when it has met that shape in the same context before, with the same
     tree and text it would compute.  Nested products must already be in
     canonical child order (see the module docstring)."""
-    pieces, span, where, census = _walk(t.node)
-    validate(census)
+    table = _walk(t.node)
+    validate(index_census(t.node))
     key: list = []
-    node = _canon_node(t.node, {}, key, (pieces, span, where))
+    node = _canon_node(t.node, {}, key, table)
     out = Term(t.coeff, node)
     object.__setattr__(out, "_key", "".join(key))
     return out
@@ -578,7 +574,7 @@ def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
         if hit is None:
             part: list = []
             hit = _canon_node(node, dict(zip(range(-n, 0), range(n))), part,
-                              _walk(node)[:3], shape), part[0]
+                              _walk(node), shape), part[0]
         kids.append(hit[0])
         key.append(hit[1] + ",")
     out = Term(ta.coeff * tb.coeff * tc.coeff, Conv(kind, 0, 1, Prod(

@@ -7,7 +7,9 @@ writers of `terms` and `diagrams` emit straight from the objects
 (`json_default` hands them to json.dumps), the JSON readers invert them
 (so a test can show an export is lossless), `termsum_to_json` and
 `deformedsum_to_json` build a sum's export dicts up front,
-`canonical_key` spells a diagram's canonical form,
+`canonical_key` spells a diagram's canonical form, `max_pair_id` is the
+largest pair id of a diagram (a graft or tensor product shifts the other
+diagram's ids past it),
 `bullet_cross` is the reference two-point construction (it pairs the free
 leaves of two already-deformed diagrams across their tensor slots),
 `pointwise_cubic` joins the already-deformed coefficients of the cubic
@@ -61,8 +63,8 @@ from sthirring.deformation import (
     orbit_matchings, term_census,
 )
 from sthirring.diagrams import (
-    DeformedSum, Diagram, free_leaves, max_pair_id, pair_ids,
-    rename_pair_ids, replace_at, to_graph,
+    DeformedSum, Diagram, free_leaves, pair_ids, rename_pair_ids, replace_at,
+    to_graph,
 )
 from sthirring.canonical import tie_orders
 from sthirring.errors import InvariantError
@@ -261,6 +263,10 @@ def iter_children(diag: Diagram) -> list:
     for s, body in enumerate(diag.slots):
         walk(body, (s,))
     return out
+
+
+def max_pair_id(diag: Diagram) -> int:
+    return max((p for body in diag.slots for p in pair_ids(body)), default=-1)
 
 
 def tensor(a: Diagram, b: Diagram) -> Diagram:

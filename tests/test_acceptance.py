@@ -18,7 +18,7 @@ from sthirring.deformation import (
     brute_force_contractions, contraction_count, expectation_report,
     extract_counterterms, gamma_Q, two_point,
 )
-from sthirring.diagrams import DeformedSum, Diagram
+from sthirring.diagrams import DeformedSum, Diagram, free_leaves
 from sthirring.kernels import (
     KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
     greens_identity_residual, q_kernel_1d, scaling_degree_probe,
@@ -32,6 +32,7 @@ from sthirring.terms import (
     GPSI, GPSIBAR, PHI, PHIBAR, Conv, Gamma, Leaf, Prod, Term, TermSum,
 )
 
+from deep_checks import MANIFEST, counterterm_flags, run_check
 from helpers import mirror, run_argv
 
 
@@ -155,9 +156,9 @@ def test_criterion_6_counterterm_extraction(series):
         # H_1 = Ctilde: one operator, the tagged loop times its argument
         assert H[1].ops == DeformedSum([Diagram(
             ((("argport", PHI), ("ctloop", "Ctilde")),), Fraction(1))])
-        assert H[1].is_even() and H[2].is_even()
         for k in (1, 2):
-            assert H[k].residual.is_zero()
+            assert H[k].even and H[k].residual.is_zero()
+            assert all(len(free_leaves(d)) % 2 == 0 for d in H[k].ops)
 
 
 def test_criterion_7_power_counting(series):
@@ -226,3 +227,15 @@ def test_criterion_10_d2_green_identity():
         for m in (0.0, 1.0):  # the kernel-check case, for both masses
             assert greens_identity_residual(KernelParams(2, m), f,
                                             (0.3, -0.2)) <= 1e-6
+
+
+def test_criterion_11_counterterms_at_order_5():
+    """`counterterms --order 5` through the CLI, in a process of its own:
+    the stdout digest, stderr and exit code pinned in
+    `tests/deep_manifest.json`, and H_1..H_5 even with zero residuals."""
+    name = "counterterms --order 5"
+    with _Timer(11, "counterterms at order 5", 40.0):
+        got = run_check(name, counterterm_flags)
+        want = json.loads(MANIFEST.read_text())[name]
+        assert {field: got[field] for field in want} == want
+        assert got["problems"] == []

@@ -14,7 +14,7 @@ from sthirring.deformation import (
 )
 from sthirring.diagrams import (
     DeformedSum, Diagram, canonicalize as canonicalize_diagram, convolved,
-    free_leaves, graph_counts, pair_ids, to_dot, to_graph,
+    free_leaves, graph_counts, pair_ids, rename_pair_ids, to_dot, to_graph,
 )
 from sthirring.errors import UsageError
 from sthirring.perturbation import COSPINOR, SPINOR, expand
@@ -28,8 +28,8 @@ from sthirring.terms import (
 from helpers import (
     all_contractions, bullet_cross, canonical_key, deformedsum_from_json,
     deformedsum_to_json, diagram_from_json, diagram_to_json, iter_children,
-    partial_matchings, per_term_walk, pointwise_cubic, ref_expectation_report,
-    ref_gamma_Q, ref_two_point,
+    max_pair_id, partial_matchings, per_term_walk, pointwise_cubic,
+    ref_expectation_report, ref_gamma_Q, ref_two_point,
 )
 
 
@@ -209,7 +209,7 @@ def test_h1_is_ctilde(series):
 def test_counterterm_operators_even_through_order_2(series):
     H = extract_counterterms(series, 2)
     for k in (1, 2):
-        assert H[k].is_even()
+        assert H[k].even
         for d in H[k].ops:
             assert len(free_leaves(d)) % 2 == 0
 
@@ -224,7 +224,8 @@ def test_counterterms_even_with_zero_residual_through_order_4(series):
     H = extract_counterterms(series, 4)
     assert sorted(H) == [1, 2, 3, 4]
     for k, h in H.items():
-        assert h.is_even() and h.residual.is_zero()
+        assert h.even and h.residual.is_zero()
+        assert all(len(free_leaves(d)) % 2 == 0 for d in h.ops)
 
 
 def test_residual_matches_a_rebuilt_defect():
@@ -291,6 +292,43 @@ def test_operator_application_roundtrip(series):
     back = convolved(GPSI, apply_operator(h1, u))
     want = D((("conv", GPSI, (("ctloop", "Ctilde"), ("free", PHI))),))
     assert canonical_key(back) == canonical_key(want)
+
+
+def _graft_past(h, u):
+    """u grafted into h's argument port with u's pair ids shifted past
+    `max_pair_id(h)`: the reference for `apply_operator`'s p -> ~p."""
+    off = max_pair_id(h) + 1
+    shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
+
+    def splice(children):
+        out = []
+        for ch in children:
+            if ch[0] == "argport":
+                out += shifted
+            else:
+                out.append(("conv", ch[1], splice(ch[2]))
+                           if ch[0] == "conv" else ch)
+        return tuple(out)
+
+    return Diagram(tuple(map(splice, h.slots)), h.coeff * u.coeff)
+
+
+def test_graft_keeps_pair_ids_apart(series):
+    """Every operator of H_2 and H_3 that holds a pair, grafted onto every
+    diagram of Gamma_Q(F_1) and Gamma_Q(F_2) (F_1's has no pair, F_2's
+    has): each pair id of the graft occurs exactly twice, and the graft
+    canonicalizes as the one with the argument's ids shifted past the
+    operator's."""
+    H = extract_counterterms(series, 3)
+    ops = [h for k in (2, 3) for h in H[k].ops if pair_ids(h.slots[0])]
+    us = [u for k in (1, 2) for u in gamma_Q(series.coefficient(k, SPINOR))]
+    assert ops and any(pair_ids(u.slots[0]) for u in us)
+    for h in ops:
+        for u in us:
+            got = apply_operator(h, u)
+            ids = Counter(pair_ids(got.slots[0]))
+            assert set(ids.values()) <= {2}
+            assert canonical_key(got) == canonical_key(_graft_past(h, u))
 
 
 def test_diagram_json_roundtrip(series):
@@ -416,7 +454,8 @@ def test_two_point_second_order_runs(series):
 def test_renormalized_equation_closes_at_order_3():
     s = expand(3)
     H = extract_counterterms(s, 3)
-    assert len(H[3].ops) == 96 and H[3].is_even()
+    assert len(H[3].ops) == 96 and H[3].even
+    assert all(len(free_leaves(d)) % 2 == 0 for d in H[3].ops)
     assert H[3].residual.is_zero()
 
 
