@@ -15,6 +15,7 @@ resolves), 3 invariant violation, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import cache, partial
@@ -38,6 +39,11 @@ from .perturbation import COSPINOR, SPINOR, check_structure, expand
 from .power_counting import classify, sd_propagator
 from .properties import run_all
 from .terms import Term, term_json, to_tex
+
+# What the imports built (the interpreter's, numpy's and the package's
+# objects) moves to the permanent generation: no later collection scans it,
+# the ones at interpreter exit included.
+gc.freeze()
 
 THREADS_ENV = "STHIRRING_THREADS"
 
@@ -425,11 +431,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command argv names and return its exit code.  The parse and
+    the command run with the cyclic collector off: the engine makes no
+    reference cycles (the tests check that), so a collection would find
+    nothing but argparse's parsers.  The caller's collector state is put
+    back on the way out, on an error and on argparse's SystemExit too."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config")
+        known, _ = pre.parse_known_args(argv)
         # config values stay strings: argparse applies each option's `type`
         # to a string default, as it does to a flag
         config = _read_config(known.config) if known.config else None
@@ -453,6 +466,9 @@ def main(argv=None) -> int:
     except Error as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if enabled:
+            gc.enable()
     return 0
 
 

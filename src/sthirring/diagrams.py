@@ -161,6 +161,9 @@ def _tokens(children, naming: dict, tokens: list) -> None:
 _leaf_text = cache(repr)
 
 
+# 256 entries: over the adds of `counterterms --order 3`, an unbounded memo
+# finds 12 more hits in 1,431 lookups, and over those of order 4 it holds
+# 15,557 entries and runs slower; no memo runs about 10% slower at both.
 @lru_cache(maxsize=256)
 def _layouts(children) -> tuple[str, tuple]:
     """(shape, layouts) of the children of one vertex.

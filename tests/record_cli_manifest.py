@@ -23,7 +23,7 @@ _BRANCH_PAIRS = ("psi-psibar", "psibar-psi", "psi-psi", "psibar-psibar")
 
 ARGVS = sorted(set(
     _EXPAND
-    + [f"expect --order {k}" for k in range(6)]
+    + [f"expect --order {k}" for k in range(7)]
     + [f"correlate --order 3 --branches {b}" for b in _BRANCH_PAIRS]
     + [f"counterterms --order {k}" for k in range(1, 5)]
     + [f"power-count --dim {d} --max-order 4" for d in (1, 2, 3)]

@@ -9,6 +9,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ def test_criterion_4_vanishing_expectations(series):
             assert examined == sum(
                 contraction_count(k + 1, k, j) for j in range(k + 1)
             ) * len(series.coefficient(k, SPINOR))
+
+
+def test_criterion_4_expectation_at_order_6_through_the_cli():
+    """`expect --order 6 --format json`: the empty sum, counted over every
+    contraction pattern of the FC(6) = C(18, 6)/13 monomials of F_6, each
+    with 7 Phi and 6 Phi-bar leaves (sum over j of j! C(7, j) C(6, j))."""
+    with _Timer(4, "vanishing expectation at order 6", 60.0):
+        rc, out, err = run_argv("expect --order 6 --format json")
+        assert (rc, err) == (0, "")
+        report = json.loads(out)
+        monomials = comb(18, 6) // 13
+        patterns = sum(factorial(j) * comb(7, j) * comb(6, j)
+                       for j in range(7))
+        assert (monomials, patterns) == (1_428, 37_633)
+        assert report == {"order": 6, "branch": "psi", "value": "0",
+                          "surviving_diagrams": 0,
+                          "patterns_examined": monomials * patterns}
+        assert report["patterns_examined"] == 53_739_924
 
 
 def test_criterion_5_two_point_structure(series):

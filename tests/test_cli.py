@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from sthirring import cli
 from sthirring.cli import build_parser, main
 from sthirring.diagrams import graph_counts
 from sthirring.perturbation import expand
+from sthirring.properties import run_all
 from sthirring.terms import grading
 
 from helpers import run_argv, term_from_json
@@ -560,3 +563,76 @@ def test_non_utf8_config_is_a_usage_error(tmp_path, capsys):
     rc, out = run_cli("--config", str(cfg), "expect")
     assert (rc, out) == (2, "")
     assert capsys.readouterr().err.startswith("usage error: config file ")
+
+
+# The benchmark's command lines, at seed 3: `main` runs each of them, and
+# any other, with the cyclic collector off.
+_BENCH_ARGVS = [" ".join(argv).replace("{seed}", "3")
+                for jobs in json.loads((Path(__file__).parent.parent /
+                                        "perfbench" / "spec.json").read_text()
+                                       )["workloads"].values()
+                for argv in jobs]
+
+
+def _failing_trials(seed, trials):
+    """run_all's report with one failure more, so gamma-check exits 3."""
+    report = run_all(seed, trials=trials)
+    report["failures"] += 1
+    return report
+
+
+def _cyclic_garbage(argv):
+    """(exit code, objects the cyclic collector finds) after main(argv),
+    run with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        rc = run_argv(argv)[0]
+        return rc, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("argv, rc", [(a, 0) for a in _BENCH_ARGVS] + [
+    ("expand --order 3 --format json --output {tmp}/missing/out.json", 2),
+    ("gamma-check --seed 3 --trials 4", 3),
+    ("kernel-check --dim 1 --mass 1e300 --trials 2", 4),
+])
+def test_commands_leave_no_reference_cycles(argv, rc, tmp_path, monkeypatch):
+    """A command leaves the collector no more to find than its parse does
+    (argparse's parsers hold cycles): `main` runs it with the collector
+    off, so a cycle it made would live until the caller's next collection,
+    and in the command-line program until exit."""
+    assert len(_BENCH_ARGVS) == 8
+    argv = argv.format(tmp=tmp_path)
+    if rc == 3:
+        monkeypatch.setattr(cli, "run_all", _failing_trials)
+    got = _cyclic_garbage(argv)
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: None)
+    parse_only = _cyclic_garbage(argv)
+    assert got[0] == rc
+    assert got[1] <= parse_only[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, rc", [
+    ("expect --order 1", 0),
+    ("expect --order 7", 2),  # an Error, reported by main
+    ("expect --order 2 --format xml", 2),  # argparse's SystemExit
+])
+def test_main_restores_the_collector_state(argv, rc, enabled, monkeypatch):
+    frozen = gc.get_freeze_count()
+    seen = []
+    monkeypatch.setattr(
+        cli, "expand", lambda k: seen.append(gc.isenabled()) or expand(k))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_argv(argv)[0] == rc
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert gc.get_freeze_count() == frozen
+    # the command itself ran with the collector off
+    assert seen == ([] if "xml" in argv else [False])

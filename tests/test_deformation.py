@@ -228,23 +228,45 @@ def test_counterterms_even_with_zero_residual_through_order_4(series):
         assert all(len(free_leaves(d)) % 2 == 0 for d in h.ops)
 
 
+def _graft_past(h, u):
+    """u grafted into h's argument port with u's pair ids shifted past
+    `max_pair_id(h)`: the reference for `apply_operator`'s p -> ~p."""
+    off = max_pair_id(h) + 1
+    shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
+
+    def splice(children):
+        out = []
+        for ch in children:
+            if ch[0] == "argport":
+                out += shifted
+            else:
+                out.append(("conv", ch[1], splice(ch[2]))
+                           if ch[0] == "conv" else ch)
+        return tuple(out)
+
+    return Diagram(tuple(map(splice, h.slots)), h.coeff * u.coeff)
+
+
 def test_residual_matches_a_rebuilt_defect():
     """H[k].residual against the order-k defect rebuilt here from fresh
     deformations: Gamma(F_k) minus the pointwise cubic and every H_j
-    insertion, j <= k, each built with apply_operator."""
-    s = expand(3)
-    H = extract_counterterms(s, 3)
-    gf = {k: gamma_Q(s.coefficient(k, SPINOR)) for k in range(4)}
-    gf_bar = {k: gamma_Q(s.coefficient(k, COSPINOR)) for k in range(4)}
+    insertion, j <= k, each grafted by `_graft_past`, which shares no code
+    with apply_operator.  Through order 4, the first at which an operator
+    that holds a pair (of H_2) is grafted onto a diagram that holds one (of
+    Gamma_Q(F_2)), so a pair-id collision in the graft shows."""
+    s = expand(4)
+    H = extract_counterterms(s, 4)
+    gf = {k: gamma_Q(s.coefficient(k, SPINOR)) for k in range(5)}
+    gf_bar = {k: gamma_Q(s.coefficient(k, COSPINOR)) for k in range(5)}
 
     def subtract_insertions(defect, j, k):
         for h in H[j].ops:
             port = next(ch for ch, _ in iter_children(h) if ch[0] == "argport")
             source = gf if port[1] == PHI else gf_bar
             for du in source[k - j]:
-                defect.add(convolved(GPSI, apply_operator(h, du)).scaled(-1))
+                defect.add(convolved(GPSI, _graft_past(h, du)).scaled(-1))
 
-    for k in range(1, 4):
+    for k in range(1, 5):
         defect = DeformedSum()
         defect.extend(gf[k])
         defect.extend(pointwise_cubic(gf_bar, gf, k), scale=-1)
@@ -292,25 +314,6 @@ def test_operator_application_roundtrip(series):
     back = convolved(GPSI, apply_operator(h1, u))
     want = D((("conv", GPSI, (("ctloop", "Ctilde"), ("free", PHI))),))
     assert canonical_key(back) == canonical_key(want)
-
-
-def _graft_past(h, u):
-    """u grafted into h's argument port with u's pair ids shifted past
-    `max_pair_id(h)`: the reference for `apply_operator`'s p -> ~p."""
-    off = max_pair_id(h) + 1
-    shifted = rename_pair_ids(u.slots[0], lambda p: p + off)
-
-    def splice(children):
-        out = []
-        for ch in children:
-            if ch[0] == "argport":
-                out += shifted
-            else:
-                out.append(("conv", ch[1], splice(ch[2]))
-                           if ch[0] == "conv" else ch)
-        return tuple(out)
-
-    return Diagram(tuple(map(splice, h.slots)), h.coeff * u.coeff)
 
 
 def test_graft_keeps_pair_ids_apart(series):

@@ -3,23 +3,28 @@ reference in `helpers`: term canonicalization, `vertex_term` (against the
 canonical form of the raw monomial), power counting's census counts and
 the coefficient of a matching's diagram; `graph_counts`, which counts the
 exported graph of `to_graph`, against a count over the skeleton; and that
-the symbolic layers leave no reference cycle behind a call."""
+the symbolic and numerical layers leave no reference cycle behind a call."""
 
 import gc
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sthirring import properties, terms
+from sthirring import clifford, properties, terms
 from sthirring.canonical import _PERM_BUDGET
 from sthirring.cli import _stream_json
 from sthirring.deformation import (
-    _diagram_for_matching, _halvings, extract_counterterms, gamma_Q,
-    pairing_diagram, term_census, two_point,
+    _diagram_for_matching, _halvings, expectation_report,
+    extract_counterterms, gamma_Q, pairing_diagram, term_census, two_point,
 )
 from sthirring.diagrams import DeformedSum, graph_counts
 from sthirring.errors import InvariantError, UsageError
+from sthirring.kernels import (
+    KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
+    greens_identity_residual, q_kernel_1d, scaling_degree_probe,
+)
 from sthirring.perturbation import COSPINOR, SPINOR, expand, vertex_term
 from sthirring.power_counting import maximal_contractions
 from sthirring.terms import (
@@ -412,6 +417,8 @@ def _streamed(payload) -> list:
     return out
 
 
+_BUMP_1D = TestFunction((0.3,), 0.5, 1.0)
+_BUMP_2D = TestFunction((0.3, -0.2), 0.4, 1.0)
 _CALLS = {
     "coefficient(4)": lambda: expand(4).coefficient(4),
     "gamma_Q(F_3)": lambda: gamma_Q(expand(3).coefficient(3)),
@@ -422,6 +429,17 @@ _CALLS = {
     "_stream_json(F_3, gamma_Q(F_2))": lambda: _streamed(
         [expand(3).coefficient(3).terms(),
          gamma_Q(expand(2).coefficient(2)).diagrams()]),
+    "expectation_report(F_4)": lambda: expectation_report(expand(4), 4),
+    "q_kernel_1d, clipped_integral": lambda: [
+        q_kernel_1d(KernelParams(1, 1.0), _BUMP_1D),
+        clipped_integral(KernelParams(1, 1.0), _BUMP_1D)],
+    "greens_identity_residual": lambda: [greens_identity_residual(
+        KernelParams(2, 1.0), _BUMP_2D, _BUMP_2D.center)],
+    "scaling_degree_probe(dirac_kernel_2d)": lambda: scaling_degree_probe(
+        lambda x: dirac_kernel_2d(KernelParams(2, 1.0), x),
+        np.array([1.0, 0.7])),
+    "build_gamma_rep(4)": lambda: clifford.build_gamma_rep(4),
+    "properties.run_all(3, trials=4)": lambda: properties.run_all(3, trials=4),
 }
 
 
@@ -429,7 +447,10 @@ _CALLS = {
 def test_symbolic_calls_leave_no_reference_cycles(name):
     """A self-recursive closure makes a function-cell cycle on every call,
     which keeps the call's tables alive until the cyclic collector runs.
-    With the collector off, a call must leave it nothing to find."""
+    With the collector off, a call must leave it nothing to find: the CLI
+    runs every command with the collector off.  The calls reach each layer
+    a command does, the numerical kernels, the gamma matrices and the
+    property trials too."""
     gc.collect()
     gc.disable()
     try:
