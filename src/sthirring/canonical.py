@@ -8,7 +8,8 @@ ids) are searched by permutation.  `tie_orders` enumerates those candidate
 orders under one budget; a search past it is a `UsageError` (a resource
 limit, exit 2).
 `KeyedSum` is the exact linear combination that merges canonical forms under
-a key that determines the form, and lists them in serialization order.
+a key that determines the form.  It iterates in the order it holds them;
+only `entries` lists them in serialization order, for the writers.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ class KeyedSum:
     by canonical key.  Subclasses define `add`, which canonicalizes its
     argument once and passes the result to `_merge` under its key.  A merge
     copies the held item's `__dict__`, fields and cached attributes alike,
-    with the summed coefficient.  When the key is not the serialization
-    itself, `_serial(key)` gives it; `entries` orders by serialization and
-    keeps that order until the next merge."""
+    with the summed coefficient.  Iteration follows the order the items are
+    held in.  When the key is not the serialization itself, `_serial(key)`
+    gives it; `entries` sorts by serialization on every call."""
 
     def __init__(self, items=()):
         self._data: dict = {}
-        self._order: list | None = None
         for x in items:
             self.add(x)
 
@@ -75,7 +75,6 @@ class KeyedSum:
         return key
 
     def _merge(self, key, item) -> None:
-        self._order = None
         cur = self._data.get(key)
         if cur is None:
             self._data[key] = item
@@ -90,15 +89,13 @@ class KeyedSum:
 
     def entries(self) -> list:
         """The items in serialization order."""
-        if self._order is None:
-            self._order = sorted(self._data, key=self._serial)
-        return [self._data[k] for k in self._order]
+        return [self._data[k] for k in sorted(self._data, key=self._serial)]
 
     def __len__(self):
         return len(self._data)
 
     def __iter__(self):
-        return iter(self.entries())
+        return iter(self._data.values())
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -213,7 +213,7 @@ def _cmd_expand(args) -> None:
               args.output)
     else:  # dot: the uncontracted diagrams, isomorphic monomials merged
         ds = DeformedSum(pairing_diagram(t) for t in terms)
-        chunks = [to_dot(d, f"m{i}") for i, d in enumerate(ds)]
+        chunks = [to_dot(d, f"m{i}") for i, d in enumerate(ds.diagrams())]
         _emit("\n".join(chunks), args.output)
 
 
@@ -242,7 +242,7 @@ def _cmd_correlate(args) -> None:
     if args.format == "dot":
         chunks = []
         for k in range(args.order + 1):
-            chunks += [to_dot(d, f"o{k}_{i}") for i, d in enumerate(tp[k])]
+            chunks += [to_dot(d, f"o{k}_{i}") for i, d in enumerate(tp[k].diagrams())]
         _emit("\n".join(chunks), args.output)
     else:
         origin = f"two_point[{a},{b}]"

@@ -34,8 +34,8 @@ their vertices holds a tied run: each vertex then gives its children sorted
 by shape, with no candidates built, and the diagram is not serialized
 before its pair ids are renumbered.  `DeformedSum.add`
 canonicalizes once and merges under the canonical slots, which are equal
-exactly when the keys (serializations) are; only the diagrams it keeps are
-serialized, to list them in key order.
+exactly when the keys (serializations) are; a sum iterates as it is held,
+and only the diagrams a writer lists are serialized, to sort them by key.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def canonicalize(diag: Diagram) -> Diagram:
 
 class DeformedSum(KeyedSum):
     """Diagrams with exact coefficients, merged under their canonical slots
-    (equal exactly when the canonical keys are) and listed in key order."""
+    (equal exactly when the canonical keys are); `diagrams` lists by key."""
 
     def add(self, d: Diagram) -> None:
         if d.coeff == 0:

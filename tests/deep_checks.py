@@ -79,10 +79,10 @@ def gamma_against_the_walk_per_term(write) -> list[str]:
     from helpers import ref_gamma_Q
 
     f5 = expand(5).coefficient(5, SPINOR)
-    got = gamma_Q(f5)
+    got = gamma_Q(f5).diagrams()
     for d in got:
         write(f"{DeformedSum._serial(d.slots)} {d.coeff}\n")
-    want = ref_gamma_Q(f5)
+    want = ref_gamma_Q(f5).diagrams()
     if [(d.slots, d.coeff) for d in got] != [(d.slots, d.coeff) for d in want]:
         return ["Gamma_Q(F_5) differs from the walk per term"]
     return []
@@ -103,10 +103,10 @@ def factor_local_part_against_the_cubic(write) -> list[str]:
     series = expand(5)
     gf = {k: gamma_Q(series.coefficient(k, SPINOR)) for k in range(6)}
     gf_bar = {k: gamma_Q(series.coefficient(k, COSPINOR)) for k in range(5)}
-    want = pointwise_cubic(gf_bar, gf, 5)
+    want = pointwise_cubic(gf_bar, gf, 5).diagrams()
     for d in want:
         write(f"{DeformedSum._serial(d.slots)} {d.coeff}\n")
-    got = [d for d in gf[5] if not _crosses_factors(d)]
+    got = [d for d in gf[5].diagrams() if not _crosses_factors(d)]
     write(f"{len(got)} factor-local entries of Gamma_Q(F_5), "
           f"{len(want)} of the pointwise cubic\n")
     if [(d.slots, d.coeff) for d in got] != [(d.slots, d.coeff) for d in want]:
@@ -130,7 +130,8 @@ def brute_force_sample(write) -> list[str]:
     from helpers import per_term_walk, ref_canonical
 
     f5 = expand(5).coefficient(5, SPINOR)
-    sample = [d for i, d in enumerate(d for t in f5 for d in per_term_walk(t))
+    sample = [d for i, d in enumerate(d for t in f5.terms()
+                                      for d in per_term_walk(t))
               if i % SAMPLE_EVERY == 0]
     want = [ref_canonical(d)[1] for d in sample]
     problems = []

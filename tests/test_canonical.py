@@ -290,7 +290,7 @@ def test_deformed_sum_orders_and_merges_by_key():
     """Keys are the canonical slots; the listed order is the key order."""
     inputs = _oracle_inputs()
     ds = DeformedSum(inputs)
-    keys = [canonical_key(d) for d in ds]
+    keys = [canonical_key(d) for d in ds.diagrams()]
     assert keys == sorted(set(canonical_key(d) for d in inputs))
     total = defaultdict(Fraction)
     for d in inputs:

@@ -300,6 +300,22 @@ def test_golden_output_bytes(argv):
         MANIFEST[argv]["stdout_sha256"]
 
 
+def test_no_output_reads_the_order_a_sum_is_held_in(monkeypatch):
+    """Sums iterate in the order they hold their entries, which is not a
+    key order; only the writers list them by key.  So every manifest
+    command line gives the same bytes with each sum iterated backwards."""
+    from sthirring.canonical import KeyedSum
+    monkeypatch.setattr(KeyedSum, "__iter__",
+                        lambda self: reversed(self._data.values()))
+    moved = []
+    for argv in sorted(MANIFEST):
+        rc, out, err = run_argv(argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if {"rc": rc, "stderr": err, "stdout_sha256": digest} != MANIFEST[argv]:
+            moved.append(argv)
+    assert moved == []
+
+
 def test_manifest_covers_the_recorded_command_lines():
     from record_cli_manifest import ARGVS
     assert sorted(MANIFEST) == ARGVS

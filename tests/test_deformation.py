@@ -440,8 +440,8 @@ def test_two_point_matches_cross_deformation_reference():
             assert sorted(got) == sorted(want) == [0, 1, 2, 3]
             for k in range(4):
                 assert got[k] == want[k]
-                assert [(d.slots, d.coeff) for d in got[k]] == \
-                    [(d.slots, d.coeff) for d in want[k]]
+                assert [(d.slots, d.coeff) for d in got[k].diagrams()] == \
+                    [(d.slots, d.coeff) for d in want[k].diagrams()]
             if a != b:
                 assert len(got[3]) == 106
 
@@ -586,7 +586,8 @@ def test_orbit_deformation_matches_full_enumeration(series):
         got = gamma_Q(TermSum([t]))
         want = DeformedSum(all_contractions(held))
         assert got == want
-        assert [d.slots for d in got] == [d.slots for d in want]
+        assert [d.slots for d in got.diagrams()] == \
+            [d.slots for d in want.diagrams()]
 
 
 def test_orbit_sizes_count_every_pairing(series):
@@ -688,7 +689,7 @@ def test_extend_equals_adding_each_entry(series):
 # --------------------------------------------------------------------------
 
 def _entries(ds):
-    return [(d.slots, d.coeff) for d in ds]
+    return [(d.slots, d.coeff) for d in ds.diagrams()]
 
 
 def test_gamma_Q_matches_the_walk_per_term(series):

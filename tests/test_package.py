@@ -86,3 +86,18 @@ def test_every_private_module_level_name_is_read():
     somewhere in the package outside its own definition, so a helper or
     table that its last reader stopped using fails here."""
     assert _unread(_private_definitions) == []
+
+
+def test_only_the_writers_list_a_sum_in_key_order():
+    """A sum iterates as it holds its entries; listing them in key order
+    (`entries`, `TermSum.terms`, `DeformedSum.diagrams`) serializes each
+    one, and only an output needs that order.  So in the package only the
+    CLI's writers and gamma-check's seeded draws call a listing."""
+    package = Path(sthirring.__file__).parent
+    callers = Counter(
+        path.name for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("entries", "terms", "diagrams"))
+    assert sorted(callers) == ["cli.py", "properties.py"]
+    assert callers["properties.py"] == 3  # the seeded draws
