@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end.  It parses, runs and writes, and holds no
+numerics: kernel-check's trials and verdict are `kernels.kernel_check`,
+as gamma-check's are `properties.run_all`.
 
 Subcommands: expand, expect, correlate, power-count, kernel-check,
 gamma-check, counterterms.  A config file of `key = value` lines supplies
@@ -22,21 +24,15 @@ from functools import cache, partial
 from itertools import repeat
 from json import JSONEncoder
 
-import numpy as np
-
 from . import clifford
 from .deformation import (
     expectation_report, extract_counterterms, pairing_diagram, two_point,
 )
 from .diagrams import DeformedSum, Diagram, diagram_json, to_dot
 from .errors import Error, InvariantError, NumericalError, UsageError
-from .kernels import (
-    KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
-    greens_identity_residual, polar_mass_limit, q_kernel_1d,
-    scaling_degree_probe,
-)
+from .kernels import kernel_check
 from .perturbation import COSPINOR, SPINOR, check_structure, expand
-from .power_counting import classify, sd_propagator
+from .power_counting import classify
 from .properties import run_all
 from .terms import Term, term_json, to_tex
 
@@ -270,54 +266,10 @@ def _cmd_power_count(args) -> None:
         _emit("\n".join(lines), args.output)
 
 
-# an overflow becomes a NaN that the checks fail on; numpy's warnings
-# about it would only precede the error line on stderr
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_kernel_check(args) -> None:
-    import random
-    rng = random.Random(args.seed)
-    report: dict = {"dimension": args.dim, "mass": args.mass, "seed": args.seed}
-    if args.dim == 1:
-        params = KernelParams(1, args.mass)
-        trials = []
-        for _ in range(args.trials):
-            center = rng.uniform(-2 * args.mass, 2 * args.mass)
-            radius = rng.uniform(0.1, args.mass)
-            amp = rng.uniform(0.5, 2.0)
-            f = TestFunction((center,), radius, amp)
-            got = q_kernel_1d(params, f).real
-            want = clipped_integral(params, f)
-            # relative 1e-8 floored at the absolute quadrature tolerance
-            excess = abs(got - want) / max(1e-8 * abs(want), 1e-10)
-            trials.append({"center": center, "radius": radius,
-                           "amplitude": amp, "tolerance_fraction": excess})
-        # np.max, unlike max, carries a NaN through, and NaN <= 1 fails
-        worst = float(np.max([t["tolerance_fraction"] for t in trials],
-                             initial=0.0))
-        report["identity"] = "q_kernel == clipped integral over [-m, m]"
-        report["worst_tolerance_fraction"] = worst
-        report["trials"] = trials
-        ok = worst <= 1.0
-    else:
-        params = KernelParams(2, args.mass)
-        f = TestFunction((0.3, -0.2), 0.4, 1.0)
-        limit = polar_mass_limit(f, f.center)
-        if args.mass > limit:  # refused before any quadrature
-            raise UsageError(f"mass {args.mass:g} above {limit:.3g}, the "
-                             f"largest the 2d polar rule resolves")
-        res = greens_identity_residual(params, f, f.center)
-        # probe at r << 1/m, where the massive kernel still goes like 1/r
-        x0 = np.array([1.0, 0.7]) / max(1.0, args.mass)
-        probe = scaling_degree_probe(lambda x: dirac_kernel_2d(params, x), x0)
-        report["greens_identity_residual"] = res
-        report["dirac_scaling_degree"] = {
-            "estimate": probe.sd, "ci": [probe.ci_low, probe.ci_high],
-            "conclusive": probe.conclusive,
-        }
-        ok = bool(res <= 1e-6 and abs(probe.sd - sd_propagator(2)) <= 0.1)
-    report["pass"] = ok
+    report = kernel_check(args.dim, args.mass, args.trials, args.seed)
     _emit(report, args.output)
-    if not ok:
+    if not report["pass"]:
         raise NumericalError("kernel identity check failed")
 
 

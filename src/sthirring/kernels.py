@@ -30,11 +30,12 @@ integral representation above it (Abramowitz & Stegun 9.6.13 and 9.6.24);
 the Green function takes K_0 alone by the same steps.  The Gauss-Legendre
 rules are built by Newton's method on the Legendre recurrence
 (`_gauss_legendre`), in O(n^2) operations where an eigenvalue solver
-takes O(n^3).
+takes O(n^3).  `kernel_check` runs kernel-check: trials, report, verdict.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -134,7 +135,12 @@ def propagator_1d(params: KernelParams, x):
     return g, gbar
 
 
-def q_kernel_1d(params: KernelParams, f: TestFunction) -> complex:
+def _tol_1d(v: float) -> float:
+    """The 1-D rules' tolerance on v: relative 1e-8, floored at QUAD_TOL_1D."""
+    return max(QUAD_TOL_1D, 1e-8 * abs(v))
+
+
+def q_kernel_1d(params: KernelParams, f: TestFunction) -> float:
     """Coincident covariance applied to f: integral of G_psi G_psibar f.
 
     Equals the clipped integral of f over [-m, m] for the literal kernels.
@@ -153,10 +159,10 @@ def q_kernel_1d(params: KernelParams, f: TestFunction) -> complex:
         return float(np.sum((g * gbar).real * f(x) * widths * w))
 
     coarse, val = rule(Q_KERNEL_1D_NODES), rule(2 * Q_KERNEL_1D_NODES)
-    if not abs(val - coarse) <= max(QUAD_TOL_1D, abs(val) * 1e-8):
+    if not abs(val - coarse) <= _tol_1d(val):
         raise NumericalError(f"1d Gauss-Legendre rules disagree by "
                              f"{abs(val - coarse):g} on value {val:g}")
-    return complex(val)
+    return val
 
 
 def clipped_integral(params: KernelParams, f: TestFunction) -> float:
@@ -165,7 +171,7 @@ def clipped_integral(params: KernelParams, f: TestFunction) -> float:
     Uses the tanh-sinh rule on [a, b] = supp f intersected with [-m, m],
     x = (a+b)/2 + (b-a)/2 tanh(pi/2 sinh t), with the trapezoid rule in t
     at TANH_SINH_STEP and at half of it.  Raises NumericalError when the
-    two differ by more than max(QUAD_TOL_1D, 1e-8 |value|).
+    two differ by more than `_tol_1d` of the value.
     """
     (lo,), (hi,) = f.support()
     a, b = max(lo, -params.m), min(hi, params.m)
@@ -181,7 +187,7 @@ def clipped_integral(params: KernelParams, f: TestFunction) -> float:
         return float(half * h * np.sum(w * f(mid + half * np.tanh(s))))
 
     coarse, val = rule(TANH_SINH_STEP), rule(TANH_SINH_STEP / 2.0)
-    if not abs(val - coarse) <= max(QUAD_TOL_1D, abs(val) * 1e-8):
+    if not abs(val - coarse) <= _tol_1d(val):
         raise NumericalError(f"1d tanh-sinh rules disagree by "
                              f"{abs(val - coarse):g} on value {val:g}")
     return val
@@ -498,3 +504,47 @@ def scaling_degree_probe(evaluator, x0) -> ProbeResult:
     conclusive = spread <= 1e-12 or r2 > 0.98
     return ProbeResult(float(sd), float(sd - half), float(sd + half),
                        bool(conclusive), r2)
+
+
+# an overflow is a NaN the checks fail on; warnings would only clutter stderr
+@np.errstate(over="ignore", invalid="ignore")
+def kernel_check(dim: int, mass: float, trials: int, seed: int) -> dict:
+    """The kernel-check report with its "pass" verdict: at d = 1 `trials`
+    seeded bumps hold the 1-D identity, at d = 2 one bump the Green identity
+    and the Dirac kernel the scaling degree d - 1.  A mass past
+    `polar_mass_limit` is refused before any quadrature."""
+    params = KernelParams(dim, mass)
+    report: dict = {"dimension": dim, "mass": mass, "seed": seed}
+    if dim == 1:
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(trials):
+            center = rng.uniform(-2 * mass, 2 * mass)
+            radius, amp = rng.uniform(0.1, mass), rng.uniform(0.5, 2.0)
+            f = TestFunction((center,), radius, amp)
+            got, want = q_kernel_1d(params, f), clipped_integral(params, f)
+            rows.append({"center": center, "radius": radius, "amplitude": amp,
+                         "tolerance_fraction": abs(got - want) / _tol_1d(want)})
+        # np.max, unlike max, carries a NaN through, and NaN <= 1 fails
+        worst = float(np.max([t["tolerance_fraction"] for t in rows],
+                             initial=0.0))
+        report.update(identity="q_kernel == clipped integral over [-m, m]",
+                      worst_tolerance_fraction=worst, trials=rows)
+        report["pass"] = worst <= 1.0
+    else:
+        f = TestFunction((0.3, -0.2), 0.4, 1.0)
+        limit = polar_mass_limit(f, f.center)
+        if mass > limit:  # refused before any quadrature
+            raise UsageError(f"mass {mass:g} above {limit:.3g}, the "
+                             f"largest the 2d polar rule resolves")
+        res = greens_identity_residual(params, f, f.center)
+        # probe at r << 1/m, where the massive kernel still goes like 1/r
+        x0 = np.array([1.0, 0.7]) / max(1.0, mass)
+        probe = scaling_degree_probe(lambda x: dirac_kernel_2d(params, x), x0)
+        report["greens_identity_residual"] = res
+        report["dirac_scaling_degree"] = {
+            "estimate": probe.sd, "ci": [probe.ci_low, probe.ci_high],
+            "conclusive": probe.conclusive,
+        }
+        report["pass"] = bool(res <= 1e-6 and abs(probe.sd - (dim - 1)) <= 0.1)
+    return report

@@ -481,9 +481,9 @@ def test_kernel_check_d2_refuses_unresolvable_mass_before_work(monkeypatch,
                                                               capsys):
     """Past the polar rule's resolution the command is a usage error, and
     no quadrature runs first."""
-    from sthirring import cli
+    from sthirring import kernels
     calls = []
-    monkeypatch.setattr(cli, "greens_identity_residual",
+    monkeypatch.setattr(kernels, "greens_identity_residual",
                         lambda *a: calls.append(a))
     rc, out = run_cli("kernel-check", "--dim", "2", "--mass", "1e5")
     assert (rc, out, calls) == (2, "", [])
@@ -492,8 +492,8 @@ def test_kernel_check_d2_refuses_unresolvable_mass_before_work(monkeypatch,
 
 def test_kernel_check_d2_failure_reports_false(monkeypatch):
     import numpy as np
-    from sthirring import cli
-    monkeypatch.setattr(cli, "greens_identity_residual",
+    from sthirring import kernels
+    monkeypatch.setattr(kernels, "greens_identity_residual",
                         lambda params, f, x: np.float64(1.0))
     rc, out = run_cli("kernel-check", "--dim", "2")
     assert rc == 4

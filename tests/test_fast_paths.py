@@ -23,7 +23,7 @@ from sthirring.diagrams import DeformedSum, graph_counts
 from sthirring.errors import InvariantError, UsageError
 from sthirring.kernels import (
     KernelParams, TestFunction, clipped_integral, dirac_kernel_2d,
-    greens_identity_residual, q_kernel_1d, scaling_degree_probe,
+    greens_identity_residual, kernel_check, q_kernel_1d, scaling_degree_probe,
 )
 from sthirring.perturbation import COSPINOR, SPINOR, expand, vertex_term
 from sthirring.power_counting import maximal_contractions
@@ -439,6 +439,8 @@ _CALLS = {
     "scaling_degree_probe(dirac_kernel_2d)": lambda: scaling_degree_probe(
         lambda x: dirac_kernel_2d(KernelParams(2, 1.0), x),
         np.array([1.0, 0.7])),
+    "kernel_check(d=1)": lambda: kernel_check(1, 1.0, 20, 3),
+    "kernel_check(d=2)": lambda: kernel_check(2, 1.0, 20, 0),
     "build_gamma_rep(4)": lambda: clifford.build_gamma_rep(4),
     "properties.run_all(3, trials=4)": lambda: properties.run_all(3, trials=4),
 }

@@ -101,3 +101,21 @@ def test_only_the_writers_list_a_sum_in_key_order():
         and node.func.attr in ("entries", "terms", "diagrams"))
     assert sorted(callers) == ["cli.py", "properties.py"]
     assert callers["properties.py"] == 3  # the seeded draws
+
+
+def test_the_cli_holds_no_numerics():
+    """kernel-check's trials, tolerances and verdict live in `kernels`, as
+    gamma-check's live in `properties`: `cli` imports no numpy and takes
+    one name, the command's entry point, from `kernels`."""
+    tree = ast.parse((Path(sthirring.__file__).parent / "cli.py").read_text())
+    modules, from_kernels = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            if node.level == 1 and node.module == "kernels":
+                from_kernels += [a.name for a in node.names]
+    assert "argparse" in modules  # the scan saw the imports
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert from_kernels == ["kernel_check"]
