@@ -8,8 +8,9 @@ defaults to the subcommands with an option of that name; flags override
 them.  The same configuration and seed give the same output bytes.  Exit
 codes: 0 success, else that of the `errors` class raised: 2 usage error
 (an unreadable, non-UTF-8 or malformed config file, a config value its
-flag would refuse, an unwritable output file, a bad STHIRRING_THREADS, or
-a resource limit: an order above the ceiling, a canonical-form search
+flag would refuse, an unwritable output file, a bad STHIRRING_THREADS, a
+--trials at kernel-check --dim 2, which runs one fixed bump, or a
+resource limit: an order above the ceiling, a canonical-form search
 past its budget, or a kernel-check mass past what the polar rule
 resolves), 3 invariant violation, 4 numerical failure.
 """
@@ -267,7 +268,11 @@ def _cmd_power_count(args) -> None:
 
 
 def _cmd_kernel_check(args) -> None:
-    report = kernel_check(args.dim, args.mass, args.trials, args.seed)
+    if args.dim == 2 and args.trials is not None:  # one fixed bump at d = 2
+        raise UsageError("--trials applies to kernel-check --dim 1 only "
+                         "(flag or config entry)")
+    trials = 20 if args.trials is None else args.trials
+    report = kernel_check(args.dim, args.mass, trials, args.seed)
     _emit(report, args.output)
     if not report["pass"]:
         raise NumericalError("kernel identity check failed")
@@ -363,7 +368,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("kernel-check", help="numerical kernel identities")
     sp.add_argument("--dim", type=int, choices=(1, 2))
     sp.add_argument("--mass", type=float, default=1.0)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=int)
     sp.add_argument("--format", choices=("json",), default="json")
     common(sp, _cmd_kernel_check, "dim")
 
@@ -411,7 +416,7 @@ def main(argv=None) -> int:
                 raise UsageError(
                     f"config value {dest} = {getattr(args, dest)!r} is not "
                     f"one of {', '.join(map(str, choices))}")
-        if getattr(args, "trials", 0) < 0:
+        if (getattr(args, "trials", None) or 0) < 0:
             raise UsageError("--trials must be >= 0")
         _threads()
         args.fn(args)

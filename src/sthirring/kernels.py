@@ -17,10 +17,13 @@ oracle, integrates f directly over [-m, m] by the tanh-sinh rule
 For d = 2 the scalar Green function of (-Laplace + m^2) is the modified
 Bessel kernel K_0(m r)/(2 pi), logarithmic at m = 0; it is validated
 against a convolution identity rather than asserted, with the source
-(-Laplace + m^2) f of the bump evaluated in one pass from its closed form.
+(-Laplace + m^2) f of the bump taken from its closed form in 1/(1 - t^2).
 The convolution is a polar rule over the bump's support disk: centred at
 the evaluation point, with r = R(theta) u^2 absorbing the r log r
 singularity, Gauss-Legendre in u and the periodic trapezoid rule in theta.
+It runs on (angle x radial node) grids of scalars, with 1 - t^2 and
+|x - y| written in R(theta) and r (no cancellation near the edge), so no
+array of points is built.
 All three fixed rules run at two resolutions and raise NumericalError
 unless the two agree (a NaN never agrees).  The first-order Dirac kernel
 built from the Green function scales like 1/r, matching the d-1 scaling
@@ -330,14 +333,13 @@ def _legendre(n: int, x: np.ndarray):
 
 
 def _polar_origin(f: TestFunction, x: np.ndarray):
-    """(origin o, o - centre, radius^2 - |o - centre|^2) of the polar rule:
-    o is x when x lies inside the bump's support disk, else the centre."""
-    centre = np.asarray(f.center)
-    d = x - centre
+    """(o - centre, radius^2 - |o - centre|^2) for the polar rule's origin
+    o: x when x lies inside the bump's support disk, else the centre."""
+    d = x - np.asarray(f.center)
     gap = f.radius ** 2 - float(d @ d)
     if gap <= 0.0:  # x outside the support (or on its edge)
-        return centre, np.zeros(2), f.radius ** 2
-    return x, d, gap
+        return np.zeros(2), f.radius ** 2
+    return d, gap
 
 
 def polar_mass_limit(f: TestFunction, x) -> float:
@@ -351,30 +353,61 @@ def polar_mass_limit(f: TestFunction, x) -> float:
     A (m r_1)^2, A the bump's amplitude (as m^2, as R^2 and as n_r^-8).
     So the rules can agree only while A (m r_1)^2 <= QUAD_TOL_2D.  For the
     bump of radius 0.4 at its centre, with A = 1, that is m <= 3.3e4; the
-    two rules begin to disagree past m = 5.9e4.
+    two rules begin to disagree past m = 5.9e4.  A = 0 resolves every mass.
     """
-    _, d, _ = _polar_origin(f, np.asarray(x, dtype=float))
+    if f.amplitude == 0.0:
+        return np.inf
+    d, _ = _polar_origin(f, np.asarray(x, dtype=float))
     reach = f.radius + float(np.hypot(d[0], d[1]))
     u1 = _gauss_legendre(GREEN_2D_NODES[0])[0][0]
     return float(np.sqrt(QUAD_TOL_2D / abs(f.amplitude)) / (reach * u1 * u1))
 
 
-def _bump_source(f: TestFunction, y, m: float):
-    """(-Laplace + m^2) f at the points y, in one pass over f's formula.
+def _bump_source(f: TestFunction, v, m: float):
+    """(-Laplace + m^2) f inside f's support, given v = 1/(1 - t^2).
 
-    With s = t^2, v = 1/(1 - s) and g(s) = exp(-v), f = A g, and the
-    Laplacian in dim dimensions is A (4 s g'' + 2 dim g') / r^2, where
-    g' = -v^2 g and g'' = v^3 (v - 2) g; so
-    (-Laplace + m^2) f = A g (m^2 + 2 v^2 (dim - 2 s v (v - 2)) / r^2).
+    With s = t^2 and g(s) = exp(-v), f = A g, and the Laplacian in dim
+    dimensions is A (4 s g'' + 2 dim g') / rho^2, rho the bump's radius,
+    where g' = -v^2 g and g'' = v^3 (v - 2) g; as s v = v - 1,
+    (-Laplace + m^2) f = A g (m^2 + 2 v^2 (dim - 2 (v - 1)(v - 2)) / rho^2).
     """
-    s = f._t2(y)
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    s = s[inside]
-    v = 1.0 / (1.0 - s)
-    out[inside] = f.amplitude * np.exp(-v) * (
-        m * m + 2.0 * v * v * (f.dim - 2.0 * s * v * (v - 2.0)) / f.radius ** 2)
-    return out
+    return f.amplitude * np.exp(-v) * (m * m + 2.0 * v * v * (
+        f.dim - 2.0 * (v - 1.0) * (v - 2.0)) / f.radius ** 2)
+
+
+def _polar_integral(params: KernelParams, f: TestFunction, x: np.ndarray,
+                    n_r: int, n_theta: int):
+    """int G(x-y) (-Lap + m^2) f(y) dy by the polar rule of
+    `greens_identity_residual`, n_r nodes in u and n_theta in theta, on
+    (angle, radial node) grids of scalars: no point y is formed.
+
+    With d = o - centre, b = e.d and r = R u^2, where R (R + 2b) = gap,
+    rho^2 - |d + r e|^2 = (R - r)(R + r + 2b); so 1 - t^2 is
+    (1 - u^2)(gap + R^2 u^2)/rho^2, positive with no cancellation up to
+    the edge.  |x - y| is r when o is x, else |x - o - r e|.
+    """
+    d, gap = _polar_origin(f, x)
+    off = x - np.asarray(f.center) - d  # x - o: zero when o is x
+    u, w = _gauss_legendre(n_r)
+    u2 = u * u
+    weight = 2.0 * u2 * u * w  # r dr = 2 R^2 u^3 du, R^2 taken per angle
+    total = 0.0
+    for start in range(0, n_theta, _ANGLE_CHUNK):
+        theta = (2.0 * np.pi / n_theta) * np.arange(
+            start, min(start + _ANGLE_CHUNK, n_theta))
+        c, s = np.cos(theta), np.sin(theta)
+        b = c * d[0] + s * d[1]
+        root = np.sqrt(b * b + gap)
+        # positive root of R^2 + 2bR - gap, without cancellation
+        R = np.where(b > 0.0, gap / (root + b), root - b)
+        r = R[:, None] * u2
+        v = f.radius ** 2 / ((1.0 - u2) * (gap + R[:, None] * r))
+        if off.any():  # |off - r e|^2 = |off|^2 - r (2 e.off - r)
+            eo = (c * off[0] + s * off[1])[:, None]
+            r = np.sqrt(off @ off - r * (2.0 * eo - r))
+        g = _radial_green(params.m, r) * _bump_source(f, v, params.m)
+        total += (g @ weight) @ (R * R)
+    return total * (2.0 * np.pi / n_theta)
 
 
 def greens_identity_residual(params: KernelParams, f: TestFunction,
@@ -394,32 +427,9 @@ def greens_identity_residual(params: KernelParams, f: TestFunction,
     if params.d != 2 or f.dim != 2:
         raise UsageError("needs d = 2 data")
     x = np.asarray(x, dtype=float)
-    origin, d, gap = _polar_origin(f, x)
-    offset = x - origin
-    m = params.m
-
-    def rule(n_r, n_theta):
-        u, w = _gauss_legendre(n_r)
-        total = 0.0
-        for start in range(0, n_theta, _ANGLE_CHUNK):
-            theta = (2.0 * np.pi / n_theta) * np.arange(
-                start, min(start + _ANGLE_CHUNK, n_theta))
-            e = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
-            b = e @ d
-            root = np.sqrt(b * b + gap)
-            # positive root of R^2 + 2bR - gap, without cancellation
-            R = np.where(b > 0.0, gap / (root + b), root - b)[:, None]
-            r = R * u ** 2
-            y = origin + r[..., None] * e[:, None, :]
-            src = _bump_source(f, y, m)
-            # x - y = offset - r e, exactly r e when centred at x
-            dist = np.hypot(offset[0] - r * e[:, :1], offset[1] - r * e[:, 1:])
-            jacobian = 2.0 * R * R * u ** 3  # r dr = 2 R^2 u^3 du
-            total += np.sum(_radial_green(m, dist) * src * jacobian * w)
-        return total * (2.0 * np.pi / n_theta)
-
     n_r, n_theta = GREEN_2D_NODES
-    coarse, val = rule(n_r, n_theta), rule(2 * n_r, 2 * n_theta)
+    coarse = _polar_integral(params, f, x, n_r, n_theta)
+    val = _polar_integral(params, f, x, 2 * n_r, 2 * n_theta)
     if not abs(val - coarse) <= QUAD_TOL_2D:
         raise NumericalError(
             f"2d polar rules disagree by {abs(val - coarse):g}")

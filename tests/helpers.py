@@ -49,6 +49,10 @@ command line in-process, for the digest manifest.  `bump_laplacian` is
 the analytic Laplacian of a `kernels.TestFunction` bump, written term by
 term from g(s) = exp(-1/(1-s)) and its derivatives: the oracle of the
 one-pass source (-Laplace + m^2) f of the d = 2 Green identity.
+`ref_polar_integral` is that identity's polar rule point by point: it
+builds every node y, takes the source from `bump_laplacian` and f(y) and
+the distance by hypot, the oracle of `kernels._polar_integral`, which
+works on grids of scalars.
 """
 
 from fractions import Fraction
@@ -57,7 +61,7 @@ from math import prod
 
 import numpy as np
 
-from sthirring import diagrams
+from sthirring import diagrams, kernels
 from sthirring.deformation import (
     _diagram_for_matching, _halvings, contraction_count, leaf_runs,
     orbit_matchings, term_census,
@@ -790,3 +794,30 @@ def bump_laplacian(f, x):
     out[inside] = f.amplitude * (4.0 * s * gpp + 2.0 * f.dim * gp) \
         / f.radius ** 2
     return float(out[0]) if scalar_input else out
+
+
+def ref_polar_integral(params, f, x, n_r, n_theta):
+    """int G(x-y) (-Lap + m^2) f(y) dy by the polar rule of
+    `kernels.greens_identity_residual` at every node y = o + r e(theta),
+    r = R(theta) u^2, with the origin o at x inside the support disk and at
+    the centre outside it; the source is -bump_laplacian + m^2 f at y."""
+    x = np.asarray(x, dtype=float)
+    centre = np.asarray(f.center)
+    origin, d = x, x - centre
+    gap = f.radius ** 2 - float(d @ d)
+    if gap <= 0.0:
+        origin, d, gap = centre, np.zeros(2), f.radius ** 2
+    offset = x - origin
+    u, w = kernels._gauss_legendre(n_r)
+    theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
+    e = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
+    b = e @ d
+    root = np.sqrt(b * b + gap)
+    R = np.where(b > 0.0, gap / (root + b), root - b)[:, None]
+    r = R * u ** 2
+    y = origin + r[..., None] * e[:, None, :]
+    src = params.m ** 2 * f(y) - bump_laplacian(f, y)
+    dist = np.hypot(offset[0] - r * e[:, :1], offset[1] - r * e[:, 1:])
+    jacobian = 2.0 * R * R * u ** 3  # r dr = 2 R^2 u^3 du
+    total = np.sum(kernels._radial_green(params.m, dist) * src * jacobian * w)
+    return total * (2.0 * np.pi / n_theta)

@@ -75,6 +75,7 @@ ARGVS = sorted(set(
         "gamma-check --trials -2",
         "kernel-check --dim 1 --mass 0",
         "kernel-check --dim 2 --mass 1e5",
+        "kernel-check --dim 2 --trials 5",
         # usage errors that argparse reports: a usage block and one line
         "expand --order 2 --format xml",
         "correlate --order 1 --branches psi-chi",

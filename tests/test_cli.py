@@ -325,10 +325,10 @@ def test_manifest_covers_the_recorded_command_lines():
                         "power-count", "gamma-check", "kernel-check"}
     empty = hashlib.sha256(b"").hexdigest()
     errors = [e for e in MANIFEST.values() if e["rc"] != 0]
-    assert len(errors) == 12
+    assert len(errors) == 13
     assert all(e["rc"] == 2 and e["stdout_sha256"] == empty for e in errors)
-    # 10 that main reports in one line, 2 that argparse reports
-    assert sum(e["stderr"].startswith("usage error: ") for e in errors) == 10
+    # 11 that main reports in one line, 2 that argparse reports
+    assert sum(e["stderr"].startswith("usage error: ") for e in errors) == 11
     assert sum(e["stderr"].startswith("usage: sthirring ") for e in errors) == 2
 
 
@@ -488,6 +488,23 @@ def test_kernel_check_d2_refuses_unresolvable_mass_before_work(monkeypatch,
     rc, out = run_cli("kernel-check", "--dim", "2", "--mass", "1e5")
     assert (rc, out, calls) == (2, "", [])
     assert capsys.readouterr().err.startswith("usage error: mass 100000 ")
+
+
+def test_kernel_check_d2_refuses_trials_from_a_config_entry(tmp_path,
+                                                          capsys):
+    """The d = 2 check runs one fixed bump, so a --trials from a config
+    entry is refused as the flag is; at d = 1 it sets the trials."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 3\n")
+    assert run_cli("--config", str(cfg), "kernel-check", "--dim", "2") == \
+        (2, "")
+    assert capsys.readouterr().err == ("usage error: --trials applies to "
+                                       "kernel-check --dim 1 only (flag or "
+                                       "config entry)\n")
+    rc, out = run_cli("--config", str(cfg), "kernel-check", "--dim", "1")
+    assert rc == 0 and len(json.loads(out)["trials"]) == 3
+    rc, out = run_cli("kernel-check", "--dim", "1")
+    assert rc == 0 and len(json.loads(out)["trials"]) == 20
 
 
 def test_kernel_check_d2_failure_reports_false(monkeypatch):

@@ -11,7 +11,7 @@ from sthirring.kernels import (
     propagator_1d, q_kernel_1d, scaling_degree_probe, theta,
 )
 
-from helpers import bump_laplacian
+from helpers import bump_laplacian, ref_polar_integral
 
 
 def green_2d(p, x):
@@ -267,7 +267,8 @@ def test_bump_laplacian_matches_finite_differences():
         x, y = pt
         num = (f((x + h, y)) + f((x - h, y)) + f((x, y + h)) + f((x, y - h))
                - 4 * f((x, y))) / h ** 2
-        assert abs(num + kernels._bump_source(f, np.array(pt), 0.0)) < 1e-4
+        v = 1.0 / (1.0 - f._t2(np.array(pt)))  # each pt is inside f's support
+        assert abs(num + kernels._bump_source(f, v, 0.0)) < 1e-4
 
 
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0])
@@ -283,10 +284,13 @@ def test_bump_source_matches_the_analytic_laplacian(f, m):
     if f.dim == 1:
         y = y[..., 0]  # a 1d bump takes bare coordinates
     want = -bump_laplacian(f, y) + m * m * f(y)
-    got = kernels._bump_source(f, y, m)
-    assert got.shape == want.shape == (50, 40)
-    assert np.all(got[f(y) == 0.0] == 0.0)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    s = f._t2(y)
+    inside = s < 1.0  # the source takes v = 1/(1 - t^2) inside the support
+    got = kernels._bump_source(f, 1.0 / (1.0 - s[inside]), m)
+    assert want.shape == (50, 40) and got.shape == (np.sum(inside),)
+    assert np.all(want[~inside] == 0.0)
+    assert np.all(got[f(y)[inside] == 0.0] == 0.0)
+    assert np.max(np.abs(got - want[inside])) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0])
@@ -327,6 +331,43 @@ def test_polar_mass_limit_is_near_where_the_rules_part():
         greens_identity_residual(KernelParams(2, 4 * m), f, f.center)
     wide = TestFunction((0.3, -0.2), 0.8, 1.0)
     assert polar_mass_limit(wide, f.center) == pytest.approx(m / 2)
+
+
+# Each polar integral gives f(x) from parts about as large as the bump's
+# peak A/e (near the edge and outside, f(x) is 1.6e-9 and 0), so the
+# integrals are compared on the scale of that peak.
+@pytest.mark.parametrize("x", [
+    (0.3, -0.2), (0.32, -0.18), (0.45, -0.1), (0.69, -0.2), (0.9, 0.4),
+], ids=["centre", "near-centre", "off-centre", "near-edge", "outside"])
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0, "limit"])
+def test_polar_integral_matches_the_per_point_reference(m, x):
+    f = TestFunction((0.3, -0.2), 0.4, 1.0)
+    x = np.array(x)
+    p = KernelParams(2, polar_mass_limit(f, x) if m == "limit" else m)
+    n_r, n_theta = kernels.GREEN_2D_NODES
+    for k in (1, 2):  # both resolutions of greens_identity_residual
+        got = kernels._polar_integral(p, f, x, k * n_r, k * n_theta)
+        want = ref_polar_integral(p, f, x, k * n_r, k * n_theta)
+        assert abs(got - want) <= 1e-13 * f(f.center)
+
+
+def test_a_zero_bump_is_resolved_at_every_mass():
+    f = TestFunction((0.0, 0.0), 0.4, 0.0)
+    assert polar_mass_limit(f, (0.0, 0.0)) == np.inf
+    assert greens_identity_residual(KernelParams(2, 1e9), f, (0.1, 0.0)) == 0
+
+
+def test_d2_kernel_check_peak_memory_is_bounded():
+    """_ANGLE_CHUNK bounds the polar rule's arrays: the traced peak of the
+    d = 2 check stays within 1.25 MB (about 0.81 MB in chunks of 32)."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        kernels.kernel_check(2, 1.0, 20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25e6
 
 
 def test_green_identity_rules_disagreeing_raise(monkeypatch):
