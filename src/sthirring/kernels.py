@@ -23,7 +23,8 @@ the evaluation point, with r = R(theta) u^2 absorbing the r log r
 singularity, Gauss-Legendre in u and the periodic trapezoid rule in theta.
 It runs on (angle x radial node) grids of scalars, with 1 - t^2 and
 |x - y| written in R(theta) and r (no cancellation near the edge), so no
-array of points is built.
+array of points is built; at the centre nothing depends on theta, and one
+angle is exact.
 All three fixed rules run at two resolutions and raise NumericalError
 unless the two agree (a NaN never agrees).  The first-order Dirac kernel
 built from the Green function scales like 1/r, matching the d-1 scaling
@@ -251,8 +252,11 @@ def _bessel_k(x, with_k1: bool) -> tuple:
     flat = np.atleast_1d(x).ravel()
     out = np.empty((1 + with_k1, flat.size))
     small = flat <= 2.0
-    if small.any():  # skip an empty branch: scalar calls are frequent
-        s = flat[small]
+    # a branch that takes every x runs on flat itself: no gather, no scatter
+    lo, hi = ((slice(None), None) if small.all() else
+              (None, slice(None)) if not small.any() else (small, ~small))
+    if lo is not None:
+        s = flat[lo]
         q = s * s / 4.0
         series = _K_SERIES[:, :2 * len(out)]  # K_0 reads the first two
         acc = np.empty((2 * len(out), s.size))
@@ -261,21 +265,21 @@ def _bessel_k(x, with_k1: bool) -> tuple:
             acc *= q
             acc += row
         log_term = np.log(s / 2.0) + _EULER_GAMMA
-        out[0, small] = acc[1] - log_term * acc[0]
+        out[0, lo] = acc[1] - log_term * acc[0]
         if with_k1:
-            out[1, small] = 1.0 / s + (s / 2.0) * (log_term * acc[2]
-                                                   - acc[3] / 2.0)
-    if not small.all():
-        b = flat[~small][:, None]
+            out[1, lo] = 1.0 / s + (s / 2.0) * (log_term * acc[2]
+                                                - acc[3] / 2.0)
+    if hi is not None:
+        b = flat[hi][:, None]
         t_max = np.arccosh(1.0 + 45.0 / b)
         t = t_max * (np.arange(_K_TRAPEZOID_NODES + 1) / _K_TRAPEZOID_NODES)
         # exp(-x cosh t) = exp(-x) exp(-2x sinh^2(t/2)), cancellation-free
         e = np.exp(-2.0 * b * np.sinh(t / 2.0) ** 2)
         e[:, [0, -1]] *= 0.5
         scale = np.exp(-b[:, 0]) * t_max[:, 0] / _K_TRAPEZOID_NODES
-        out[0, ~small] = scale * e.sum(axis=1)
+        out[0, hi] = scale * e.sum(axis=1)
         if with_k1:
-            out[1, ~small] = scale * (e * np.cosh(t)).sum(axis=1)
+            out[1, hi] = scale * (e * np.cosh(t)).sum(axis=1)
     return tuple(k.reshape(x.shape)[()] for k in out)
 
 
@@ -384,10 +388,14 @@ def _polar_integral(params: KernelParams, f: TestFunction, x: np.ndarray,
     With d = o - centre, b = e.d and r = R u^2, where R (R + 2b) = gap,
     rho^2 - |d + r e|^2 = (R - r)(R + r + 2b); so 1 - t^2 is
     (1 - u^2)(gap + R^2 u^2)/rho^2, positive with no cancellation up to
-    the edge.  |x - y| is r when o is x, else |x - o - r e|.
+    the edge.  |x - y| is r when o is x, else |x - o - r e|.  At the centre
+    (d = off = 0) R = rho and b = 0 for every theta, so each angle gives
+    the same row and the trapezoid sum is 2 pi times that one row.
     """
     d, gap = _polar_origin(f, x)
     off = x - np.asarray(f.center) - d  # x - o: zero when o is x
+    if not (d.any() or off.any()):
+        n_theta = 1
     u, w = _gauss_legendre(n_r)
     u2 = u * u
     weight = 2.0 * u2 * u * w  # r dr = 2 R^2 u^3 du, R^2 taken per angle
@@ -420,9 +428,10 @@ def greens_identity_residual(params: KernelParams, f: TestFunction,
     r = R u^2 turns the r log r behaviour of r G(r) at r = 0 into
     u^3 log u, which Gauss-Legendre in u integrates to high order.
     Otherwise o is the bump's centre and the kernel is smooth on the disk.
-    Theta uses the periodic trapezoid rule.  Raises NumericalError when the
-    rule at GREEN_2D_NODES and at twice as many nodes per axis disagree by
-    more than QUAD_TOL_2D.
+    Theta uses the periodic trapezoid rule, on one angle when x is the
+    centre, where the integrand does not depend on theta.  Raises
+    NumericalError when the rule at GREEN_2D_NODES and at twice as many
+    nodes per axis disagree by more than QUAD_TOL_2D.
     """
     if params.d != 2 or f.dim != 2:
         raise UsageError("needs d = 2 data")

@@ -215,6 +215,20 @@ def test_bessel_k01_matches_scipy():
     assert np.array_equal(bessel_k01(grid)[1], k1[:12].reshape(3, 4))
 
 
+def test_bessel_k01_on_arrays_equals_one_at_a_time_bit_for_bit():
+    """An array in one branch runs that branch on the whole array, an
+    array across x = 2 runs each branch on its part; neither moves a bit."""
+    above_2 = np.nextafter(2.0, 3.0)
+    for x in (np.geomspace(1e-10, 2.0, 257),     # the series alone
+              np.geomspace(above_2, 700.0, 257),  # the trapezoid rule alone
+              np.geomspace(1e-3, 50.0, 513)):    # both
+        k0, k1 = bessel_k01(x)
+        one = np.array([bessel_k01(float(v)) for v in x])
+        assert np.array_equal(k0, one[:, 0]) and np.array_equal(k1, one[:, 1])
+        grid = x[:256].reshape(16, 16)
+        assert np.array_equal(bessel_k01(grid)[0], k0[:256].reshape(16, 16))
+
+
 @pytest.mark.parametrize("m", [0.5, 1.0, 30.0])
 def test_green_function_takes_k0_of_bessel_k01_bit_for_bit(m):
     """The Green function computes K_0 alone, by the same steps."""
@@ -358,16 +372,46 @@ def test_a_zero_bump_is_resolved_at_every_mass():
 
 
 def test_d2_kernel_check_peak_memory_is_bounded():
-    """_ANGLE_CHUNK bounds the polar rule's arrays: the traced peak of the
-    d = 2 check stays within 1.25 MB (about 0.81 MB in chunks of 32)."""
+    """_ANGLE_CHUNK bounds the polar rule's arrays: off the centre the
+    traced peak of the Green identity stays within 1.25 MB (about 0.74 MB
+    in chunks of 32).  The d = 2 check, at the centre, runs one angle row
+    and stays within 0.25 MB (about 0.04 MB)."""
     import tracemalloc
-    tracemalloc.start()
-    try:
-        kernels.kernel_check(2, 1.0, 20, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25e6
+    f = TestFunction((0.3, -0.2), 0.4, 1.0)
+    for run, bound in [
+        (lambda: kernels.kernel_check(2, 1.0, 20, 0), 0.25e6),
+        (lambda: greens_identity_residual(KernelParams(2, 1.0), f,
+                                          (0.45, -0.1)), 1.25e6),
+    ]:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_polar_rule_evaluates_one_angle_row_at_the_centre(monkeypatch, m):
+    """At the bump's centre each resolution evaluates the Green function on
+    n_r radial nodes; at any other point, on all n_r * n_theta nodes."""
+    sizes = []
+    real = kernels._radial_green
+
+    def counting(mass, r):
+        sizes.append(np.size(r))
+        return real(mass, r)
+
+    monkeypatch.setattr(kernels, "_radial_green", counting)
+    f = TestFunction((0.3, -0.2), 0.4, 1.0)
+    n_r, n_theta = kernels.GREEN_2D_NODES
+    for x, per_angle in [(f.center, False), ((0.45, -0.1), True)]:
+        for k in (1, 2):  # both resolutions of greens_identity_residual
+            sizes.clear()
+            kernels._polar_integral(KernelParams(2, m), f, np.array(x),
+                                    k * n_r, k * n_theta)
+            assert sum(sizes) == k * n_r * (k * n_theta if per_angle else 1)
 
 
 def test_green_identity_rules_disagreeing_raise(monkeypatch):
