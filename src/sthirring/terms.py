@@ -38,20 +38,19 @@ kind, and `canonicalize` validates the `index_census` it gives.
 
 The recursion puts every lower-order monomial, as a factor G * [...],
 into many higher-order ones.  Such a factor is sealed: each of its
-indices but the propagator's outer one occurs only inside it.  The
-canonical form of a sealed subtree depends only on its input shape, on
-how many indices are named before it and on the name of its outer index,
-so one bounded memo keeps its renamed tree and serialization under those
-three; each factor is ordered once per such context, not once per
-monomial and enclosing product, and the monomials share its tree.  The
-input shape is the child shape that orders the factor in its product,
-where each of its indices but the outer one has a local name.  Only
-factors of products enter the memo.  `vertex_term` joins each monomial
-from its three canonical factors with no raw tree: a factor's shape is
-its key respelled, once per factor.  A second `canonicalize` pass moves
-a few monomials of order 5 and up, so the series merges each under the
-key the join returns.  An unsealed subtree, nested in d products, is
-still rendered for the shapes of each of them.
+indices but the propagator's outer one occurs only inside it, so its
+canonical form in a product depends only on its shape (its text with
+the outer index unnamed and the others local) and on how many indices
+are named before it.  `vertex_term` joins each monomial from its three
+factors with no raw tree and keeps the placed result on it: its tree,
+text and size, and its parts, the factors as they sit inside it.
+Placing a factor behind n names looks up (n, shape) in one memo and, on
+a miss, joins the factor's own parts there, so each factor is ordered
+once per offset and the monomials share its tree; a factor that no join
+built (a leaf, or `canonicalize` of a monomial) is ordered by
+`_canon_node`.  The recursion alone fills the memo; `canonicalize` keeps
+none.  A second `canonicalize` pass moves a few monomials of order 5 and
+up, so the series merges each under the key the join returns.
 
 Precondition: the form is canonical only when every product nested
 below the outermost one already has its children in canonical order: a
@@ -355,50 +354,39 @@ def _render(table, node: Node, name) -> str:
                     for p in pieces[lo:hi]])
 
 
-def _child_shape(child: Node, table, naming: dict) -> tuple:
-    """(shape, sealed): the order key for a product child, and whether the
-    child is a sealed Conv subtree.
+def _child_shape(child: Node, table, naming: dict) -> str:
+    """The order key for a product child.
 
     Indices already named in the enclosing context keep their names; indices
     local to the child get positional names; indices linking to siblings
     (or free elsewhere) are reduced to link/free markers so that the key is
     independent of sibling identity.  Whether an index is local is read
     off the positions of its pieces, so naming the child walks nothing.
-    The child is sealed when it is a Conv in which every index but
-    out_index is local; every recursion factor G * [...] is.
     """
     where = table[2]
     lo, hi = table[1][id(child)]
-    out = child.out_index if child.__class__ is Conv else None
-    sealed = out is not None
     local = {}
 
     def name(idx):
-        nonlocal sealed
         r = naming.get(idx)
+        if r is not None:
+            return f"@i{r}"
         at = where[idx]
-        if r is None and len(at) == 2:
+        if len(at) == 2:
             p, q = at
             if lo <= p < hi and lo <= q < hi:
                 if idx not in local:
                     local[idx] = f"l{len(local)}"
                 return local[idx]
-        if idx != out:
-            sealed = False
-        if r is not None:
-            return f"@i{r}"
         return "*FREE*" if len(at) == 1 else "*LINK*"
 
-    return _render(table, child, name), sealed
+    return _render(table, child, name)
 
 
 def _order_prod(kids: tuple, naming: dict, table) -> tuple:
-    """Canonical order of a product's children under the current naming,
-    as (child, shape) pairs; shape is the child's `_child_shape` if it is
-    sealed, else None."""
-    shaped = [_child_shape(c, table, naming) for c in kids]
-    items = [(c, s if ok else None) for c, (s, ok) in zip(kids, shaped)]
-    orders = tie_orders(items, [s for s, _ in shaped], "*LINK*")
+    """Canonical order of a product's children under the current naming."""
+    orders = tie_orders(kids, [_child_shape(c, table, naming) for c in kids],
+                        "*LINK*")
     if len(orders) == 1:
         return orders[0]
 
@@ -408,7 +396,7 @@ def _order_prod(kids: tuple, naming: dict, table) -> tuple:
         def name(idx):
             return f"i{_rank(names, idx)}"
 
-        return "".join([_render(table, c, name) + "," for c, _ in cand])
+        return "".join([_render(table, c, name) + "," for c in cand])
 
     return min(orders, key=serialization)
 
@@ -421,44 +409,10 @@ def _rank(naming: dict, idx) -> int:
     return r
 
 
-_SEALED_MEMO = 8192
-
-# memo key -> (canonical node, serialization) of a sealed Conv child of a
-# product; holds at most _SEALED_MEMO entries (1,066 once F_6 of both
-# branches is built), and past that stores no more
-_sealed: dict = {}
-
-
-def _canon_node(node: Node, naming: dict, key: list, table,
-                shape: str | None = None) -> Node:
+def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
     """node with its products ordered and its indices renamed by first
     occurrence into naming; appends the serialization of the result to
-    key.  shape is node's `_child_shape` when node is a sealed Conv child
-    of a product.  Such a subtree reads naming only through len(naming)
-    and the rank of its out_index, so `_sealed` holds its result under
-    its shape and those two."""
-    if isinstance(node, Conv):
-        if shape is None:
-            return _canon_conv(node, naming, key, table)
-        memo = f"{len(naming)} {naming.get(node.out_index)} {shape}"
-        hit = _sealed.get(memo)
-        if hit is not None:
-            # out_index comes first and the other indices occur nowhere
-            # else, so naming them in slice order advances naming as the
-            # full pass would
-            pieces, span, _ = table
-            lo, hi = span[id(node)]
-            for p in pieces[lo:hi]:
-                if p.__class__ is not str:
-                    _rank(naming, p)
-            key.append(hit[1])
-            return hit[0]
-        mark = len(key)
-        out = _canon_conv(node, naming, key, table)
-        key[mark:] = ["".join(key[mark:])]
-        if len(_sealed) < _SEALED_MEMO:
-            _sealed[memo] = out, key[mark]
-        return out
+    key."""
     if isinstance(node, Leaf):
         i = _rank(naming, node.index)
         key.append(f"L[{node.species},i{i}]")
@@ -469,25 +423,22 @@ def _canon_node(node: Node, naming: dict, key: list, table,
         col = _rank(naming, node.col)
         key.append(f"g[i{mu},i{row},i{col}]")
         return Gamma(mu, row, col)
+    if isinstance(node, Conv):
+        out = _rank(naming, node.out_index)
+        inn = _rank(naming, node.in_index)
+        key.append(f"C[{node.kind},i{out},i{inn}](")
+        inner = _canon_node(node.inner, naming, key, table)
+        key.append(")")
+        return Conv(node.kind, out, inn, inner)
     if isinstance(node, Prod):
         key.append("P(")
         kids = []
-        for c, shape in _order_prod(_flatten(node.children), naming, table):
-            kids.append(_canon_node(c, naming, key, table, shape))
+        for c in _order_prod(_flatten(node.children), naming, table):
+            kids.append(_canon_node(c, naming, key, table))
             key.append(",")
         key.append(")")
         return Prod(tuple(kids))
     raise TypeError(node)  # pragma: no cover
-
-
-def _canon_conv(node: Conv, naming: dict, key: list, table) -> Conv:
-    """`_canon_node` of a Conv, computed in full."""
-    out = _rank(naming, node.out_index)
-    inn = _rank(naming, node.in_index)
-    key.append(f"C[{node.kind},i{out},i{inn}](")
-    inner = _canon_node(node.inner, naming, key, table)
-    key.append(")")
-    return Conv(node.kind, out, inn, inner)
 
 
 def canonicalize(t: Term) -> Term:
@@ -496,11 +447,8 @@ def canonicalize(t: Term) -> Term:
     walk of the input tree spells it as pieces; each product's child shapes
     and tie-break serializations render slices of those pieces, and one
     pass over the ordered tree names the indices, builds the renamed tree
-    and records its serialization as `_key`.  That pass takes each sealed
-    G * [...] factor of a product from the memo, keyed by its child shape,
-    when it has met that shape in the same context before, with the same
-    tree and text it would compute.  Nested products must already be in
-    canonical child order (see the module docstring)."""
+    and records its serialization as `_key`.  Nested products must already
+    be in canonical child order (see the module docstring)."""
     table = _walk(t.node)
     validate(index_census(t.node))
     key: list = []
@@ -514,72 +462,120 @@ def canonical_key(t: Term) -> str:
     return canonicalize(t)._key
 
 
-def _factor(t: Term) -> tuple:
-    """(node, shape, size, free) of a recursion factor, kept on t: its
-    canonical node; its `_child_shape` in a vertex product, its key with i0
-    (linked to a gamma) spelled *LINK* and each i{j} l{j-1}, or None unless
-    it is a Leaf or a Conv whose one free index is i0; its index count; and
-    the free entries of its `index_census`."""
+class _Placed:
+    """A recursion factor in canonical form, its indices named from its out
+    index n on: its `node`, its serialization `text`, its index count
+    `size`, and `parts`, the (kind, a, b, c) of the `_join` that built it
+    (each factor as placed inside it), or None.  `shape` is its
+    `_child_shape` in a product: its text with i{n} spelled *LINK* and
+    i{n+1+j} l{j}."""
+
+    __slots__ = ("node", "text", "size", "parts", "_shape")
+
+    def __init__(self, node: Node, text: str, size: int, parts=None):
+        self.node, self.text, self.size, self.parts = node, text, size, parts
+        self._shape = None
+
+    @property
+    def shape(self) -> str:
+        if self._shape is None:
+            n = next(index_occurrences(self.node))[0]
+            self._shape = re.sub(r"i(\d+)", lambda m: "*LINK*" if int(m[1]) == n
+                                 else f"l{int(m[1]) - n - 1}", self.text)
+        return self._shape
+
+
+# (n, shape) -> the `_Placed` form of a factor of that shape whose indices
+# are named from n on; the recursion alone fills it, and `ORDER_CEILING`
+# bounds it (1,121 entries once F_6 of both branches is built)
+_sealed: dict = {}
+
+
+def _place(f: _Placed, n: int) -> _Placed:
+    """f as a factor of a product, its indices named from n on (its out
+    index first: the gamma naming it comes later), kept in `_sealed` under
+    (n, shape): `_join` of f's parts, or, if no join built f, `_canon_node`
+    of f under n placeholder names (negative, so none is an index of f)."""
+    key = n, f.shape
+    got = _sealed.get(key)
+    if got is None:
+        if f.parts is not None:
+            got = _join(f.parts, n)
+        else:
+            text: list = []
+            got = _Placed(_canon_node(f.node, dict(zip(range(-n, 0), range(n))),
+                                      text, _walk(f.node)), "".join(text), f.size)
+        _sealed[key] = got
+    return got
+
+
+def _join(parts: tuple, base: int) -> _Placed:
+    """The monomial G * [(a g_mu b) g^mu c] of parts = (kind, a, b, c), three
+    placed factors, as `_canon_node` forms it with its out index named base:
+    `tie_orders` puts the factors before the gammas, and each factor is
+    placed by `_place`, with names running on from base + 2."""
+    kind, a, b, c = parts
+    fs = a, None, b, None, c
+    # the gammas' shapes: (g_mu)^a_b, and (g^mu)^rho'_c or (g^mu)^c_rho'
+    rho = base + 1
+    shapes = [a.shape, "g[*LINK*,*LINK*,*LINK*]", b.shape,
+              f"g[*LINK*,@i{rho},*LINK*]" if kind == GPSI
+              else f"g[*LINK*,*LINK*,@i{rho}]", c.shape]
+    layouts = []
+    for order in tie_orders(range(5), shapes, "*LINK*"):
+        first, n = {}, base + 2
+        for i in order[:3]:
+            first[i], n = n, n + fs[i].size
+        g = (n, first[0], first[2]) + ((n, rho, first[4]) if kind == GPSI
+                                       else (n, first[4], rho))
+        # factors of one shape are spelled alike, so two orders'
+        # serializations differ only in the gammas that follow the factors
+        layouts.append(("g[i%d,i%d,i%d],g[i%d,i%d,i%d]," % g, order, first, g))
+    text, order, first, g = min(layouts, key=lambda layout: layout[0])
+    placed = {i: _place(fs[i], first[i]) for i in order[:3]}
+    node = Conv(kind, base, rho, Prod((*[p.node for p in placed.values()],
+                                       Gamma(*g[:3]), Gamma(*g[3:]))))
+    text = "".join([f"C[{kind},i{base},i{rho}](P("]
+                   + [p.text + "," for p in placed.values()] + [text, "))"])
+    return _Placed(node, text, g[0] + 1 - base,
+                   (kind, placed[0], placed[2], placed[4]))
+
+
+def _factor(t: Term, pol: int) -> _Placed | None:
+    """t's `_Placed` form at base 0, kept on t: the one `vertex_term` left
+    on it, else one made from t's canonical form; None unless t is a leaf
+    or a convolution whose one free index is its out.  InvariantError
+    unless t has exactly one free spinor index, of polarity pol."""
     got = t.__dict__.get("_factor")
     if got is None:
         c = t if hasattr(t, "_key") else canonicalize(t)
         census = index_census(c.node)
-        free = {i: occ for i, occ in census.items() if len(occ) == 1}
-        sealed = c.node.__class__ in (Leaf, Conv) and list(free) == [0]
-        shape = re.sub(r"i(\d+)", lambda m: f"l{int(m[1]) - 1}" if m[1] != "0"
-                       else "*LINK*", c._key) if sealed else None
-        got = c.node, shape, len(census), free
-        object.__setattr__(t, "_factor", got)
+        if (c.node.__class__ in (Leaf, Conv)
+                and [i for i, occ in census.items() if len(occ) == 1] == [0]):
+            got = _Placed(c.node, c._key, len(census))
+            object.__setattr__(t, "_factor", got)
+    if got is None or next(index_occurrences(got.node))[1] != pol:
+        sole_free_index(index_census(t.node), pol)
     return got
 
 
 def vertex_term(ta: Term, tb: Term, tc: Term, kind: str = GPSI) -> Term:
     """One cubic interaction monomial G * [(ta g_mu tb) g^mu tc] in canonical
     form, carrying its `_key`: ta is a cospinor-branch term, tb a spinor one
-    and tc spinor for G_psi, cospinor for G_psibar.  It is `canonicalize` of
-    the raw product, joined from the canonical factors: `tie_orders` puts
-    the factors before the gammas, each factor's names run on from 2 and its
-    tree and text come from `_sealed`, or from `_canon_node` on the factor
-    under placeholder names (negative, so none is an index of the factor)."""
-    fs = _factor(ta), None, _factor(tb), None, _factor(tc)
-    sole_free_index(fs[0][3], DOWN)
-    sole_free_index(fs[2][3], UP)
+    and tc spinor for G_psi, cospinor for G_psi_bar.  It is `canonicalize` of
+    the raw product, joined from the factors' placed forms by `_join` at
+    base 0 with no raw tree; the result keeps its own in `_factor`."""
+    a, b = _factor(ta, DOWN), _factor(tb, UP)
     if kind not in (GPSI, GPSIBAR):
         raise InvariantError(f"unknown branch propagator {kind!r}")
-    sole_free_index(fs[4][3], UP if kind == GPSI else DOWN)
-    # the gammas' shapes: (g_mu)^a_b, and (g^mu)^rho'_c or (g^mu)^c_rho'
-    shapes = [fs[0][1], "g[*LINK*,*LINK*,*LINK*]", fs[2][1],
-              "g[*LINK*,@i1,*LINK*]" if kind == GPSI
-              else "g[*LINK*,*LINK*,@i1]", fs[4][1]]
-    if None in shapes:
+    c = _factor(tc, UP if kind == GPSI else DOWN)
+    if None in (a, b, c):
         raise InvariantError("a recursion factor must be a leaf or a "
                              "convolution whose one free index is its out")
-    layouts = []
-    for order in tie_orders(range(5), shapes, "*LINK*"):
-        first, n = {}, 2
-        for i in order[:3]:
-            first[i], n = n, n + fs[i][2]
-        g = (n, first[0], first[2]) + ((n, 1, first[4]) if kind == GPSI
-                                       else (n, first[4], 1))
-        # twin factors are one term, so two orders' serializations differ
-        # only in the gammas that follow the factors
-        layouts.append(("g[i%d,i%d,i%d],g[i%d,i%d,i%d]," % g, order, first, g))
-    text, order, first, g = min(layouts, key=lambda layout: layout[0])
-    key, kids = [f"C[{kind},i0,i1](P("], []
-    for i in order[:3]:
-        node, shape, _, _ = fs[i]
-        n = first[i]  # out_index unnamed: the gamma naming it comes later
-        hit = ((Leaf(node.species, n), f"L[{node.species},i{n}]")
-               if node.__class__ is Leaf else _sealed.get(f"{n} None {shape}"))
-        if hit is None:
-            part: list = []
-            hit = _canon_node(node, dict(zip(range(-n, 0), range(n))), part,
-                              _walk(node), shape), part[0]
-        kids.append(hit[0])
-        key.append(hit[1] + ",")
-    out = Term(ta.coeff * tb.coeff * tc.coeff, Conv(kind, 0, 1, Prod(
-        (*kids, Gamma(*g[:3]), Gamma(*g[3:])))))
-    object.__setattr__(out, "_key", "".join(key) + text + "))")
+    got = _join((kind, a, b, c), 0)
+    out = Term(ta.coeff * tb.coeff * tc.coeff, got.node)
+    object.__setattr__(out, "_key", got.text)
+    object.__setattr__(out, "_factor", got)
     return out
 
 

@@ -51,6 +51,9 @@ ARGVS = sorted(set(
         "expand --order 4 --format tex",
         "expand --order 5 --branch psibar --format json",
         "expand --order 5 --format json",
+        # order 6, where a wrong placement of a factor first moves bytes
+        "expand --order 6 --branch psibar --format json",
+        "expand --order 6 --format json",
         "expect --order 3",
         "expect --order 3 --format json",
         "expect --order 4 --branch psibar --format json",

@@ -62,9 +62,10 @@ def _factor_triples(series, K):
                                 yield ta, tb, tc, kind
 
 
-# Whether `_assert_same_canonical_form` empties the sealed-subtree memo of
-# `terms` before each term, so that every subtree is computed in full, or,
-# warm, keeps what the cold pass and the rest of the run put in it.
+# Whether a test empties the placement memo of `terms` (which
+# `vertex_term` fills, and `canonicalize` never reads) before each term, so
+# that every factor is placed in full, or, warm, keeps what the cold pass
+# and the rest of the run put in it.
 MEMO_PASSES = (True, False)
 
 
@@ -274,9 +275,11 @@ def _context_pairs():
 
 
 def test_sealed_subtree_memo_keys_on_its_context():
-    """The memo of sealed subtrees keys on the offset of the naming and on
-    the rank of out_index, and takes no subtree linked outside itself;
-    warm, each term below finds the factor of the others in the memo."""
+    """The canonical form of a sealed factor depends on the offset of the
+    naming and on whether its out_index is named before it, and a factor
+    with an index named before it is not sealed; `canonicalize`, which
+    keeps no memo, gives the reference's form for each such context,
+    twice over, and the string order moves the factor behind 3 others."""
     crafted = [_offset_factor(n) for n in range(5)] + _context_pairs()
     for cold in MEMO_PASSES:
         for t in crafted + crafted:
@@ -288,13 +291,68 @@ def test_sealed_subtree_memo_keys_on_its_context():
 
 
 def test_sealed_subtree_memo_holds_only_factors_of_products():
-    """A root Conv is canonicalized in full and never enters the memo, so
-    building spinor F_5 from an empty memo stores no entry at offset 0
-    with its out_index unnamed, only the factors G * [...] of products."""
+    """The memo holds the placed forms of recursion factors under (offset,
+    shape); a monomial's own join at offset 0 never enters it, and every
+    factor is named from offset 2 on, so building spinor F_5 from an empty
+    memo stores 274 entries, none below offset 2."""
     terms._sealed.clear()
     expand(5).coefficient(5, SPINOR)
-    assert [k for k in terms._sealed if k.startswith("0 None ")] == []
-    assert len(terms._sealed) == 229
+    assert [k for k in terms._sealed if k[0] < 2] == []
+    assert len(terms._sealed) == 274
+
+
+class _NoMemo:
+    """Stands in for `terms._sealed` and fails any read or write of it."""
+
+    def _used(self, *args):
+        raise AssertionError("canonicalize used the placement memo")
+
+    __getattr__ = __getitem__ = __setitem__ = __contains__ = _used
+    __len__ = __iter__ = _used
+
+
+def test_canonicalize_reads_no_memo(series, monkeypatch):
+    """`canonicalize` is a plain engine: with the placement memo replaced
+    by one that fails on any use, it still canonicalizes every F_0..F_4
+    monomial of both branches (each its own fixed point), 300 random terms
+    and the crafted context terms above."""
+    held = [t for k in range(5) for b in BRANCHES
+            for t in series.coefficient(k, b)]
+    rng = random.Random(16)
+    drawn = [properties.random_term(rng) for _ in range(300)]
+    crafted = [_offset_factor(n) for n in range(5)] + _context_pairs()
+    monkeypatch.setattr(terms, "_sealed", _NoMemo())
+    for t in held:
+        assert canonicalize(t)._key == t._key
+    for t in drawn + crafted:
+        canonicalize(t)
+
+
+def test_factors_that_no_join_built_are_placed_alike(series):
+    """A factor that carries no join, such as `canonicalize` of a
+    recursion monomial, is placed by `_canon_node` under placeholder
+    names: with every convolution factor of F_1..F_4 rebuilt that way,
+    `vertex_term` equals the join of the held factors and the canonical
+    form of the raw monomial, with the memo emptied before each join and
+    with it warm."""
+    for cold in MEMO_PASSES:
+        for ta, tb, tc, kind in _factor_triples(series, 4):
+            rebuilt = [canonicalize(t) if isinstance(t.node, Conv) else t
+                       for t in (ta, tb, tc)]
+            assert all("_factor" not in t.__dict__ for t in rebuilt
+                       if isinstance(t.node, Conv))
+            if cold:
+                terms._sealed.clear()
+            got = vertex_term(*rebuilt, kind)
+            if cold:
+                terms._sealed.clear()
+            joined = vertex_term(ta, tb, tc, kind)
+            want = canonicalize(ref_vertex_term(ta, tb, tc, kind))
+            assert (got.node, got._key, got.coeff) == (
+                joined.node, joined._key, joined.coeff)
+            assert (got.node, got._key, got.coeff) == (
+                want.node, want._key, want.coeff)
+            assert all(t.__dict__["_factor"].parts is None for t in rebuilt)
 
 
 def test_random_terms_and_their_convolutions_match_the_reference():
