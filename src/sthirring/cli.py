@@ -11,7 +11,7 @@ codes: 0 success, else that of the `errors` class raised: 2 usage error
 flag would refuse, an unwritable output file, a bad STHIRRING_THREADS, a
 --trials at kernel-check --dim 2, which runs one fixed bump, or a
 resource limit: an order above the ceiling, a canonical-form search
-past its budget, or a kernel-check mass past what the polar rule
+past its budget, or a kernel-check mass past what the radial rule
 resolves), 3 invariant violation, 4 numerical failure.
 """
 

@@ -18,23 +18,19 @@ For d = 2 the scalar Green function of (-Laplace + m^2) is the modified
 Bessel kernel K_0(m r)/(2 pi), logarithmic at m = 0; it is validated
 against a convolution identity rather than asserted, with the source
 (-Laplace + m^2) f of the bump taken from its closed form in 1/(1 - t^2).
-The convolution is a polar rule over the bump's support disk: centred at
-the evaluation point, with r = R(theta) u^2 absorbing the r log r
-singularity, Gauss-Legendre in u and the periodic trapezoid rule in theta.
-It runs on (angle x radial node) grids of scalars, with 1 - t^2 and
-|x - y| written in R(theta) and r (no cancellation near the edge), so no
-array of points is built; at the centre nothing depends on theta, and one
-angle is exact.
+The convolution is taken at the bump's centre, where both the bump and
+the kernel are radial: 2 pi int_0^rho G(r) (-Laplace + m^2) f(r) r dr, a
+radial rule in u with r = rho u^2, which absorbs the r log r singularity,
+and 1 - t^2 = (1 - u^2)(1 + u^2) with no cancellation near the edge.
 All three fixed rules run at two resolutions and raise NumericalError
 unless the two agree (a NaN never agrees).  The first-order Dirac kernel
 built from the Green function scales like 1/r, matching the d-1 scaling
 degree that drives the power counting.  K_0 and K_1 come from
 `bessel_k01`: the power series for x <= 2 and the trapezoid rule on the
-integral representation above it (Abramowitz & Stegun 9.6.13 and 9.6.24);
-the Green function takes K_0 alone by the same steps.  The Gauss-Legendre
-rules are built by Newton's method on the Legendre recurrence
-(`_gauss_legendre`), in O(n^2) operations where an eigenvalue solver
-takes O(n^3).  `kernel_check` runs kernel-check: trials, report, verdict.
+integral representation above it (Abramowitz & Stegun 9.6.13 and 9.6.24).
+The Gauss-Legendre rules are built by Newton's method on the Legendre
+recurrence (`_gauss_legendre`), in O(n^2) operations where an eigenvalue
+solver takes O(n^3).  `kernel_check` runs kernel-check: trials, report, verdict.
 """
 
 from __future__ import annotations
@@ -52,11 +48,11 @@ from .errors import NumericalError, UsageError
 
 QUAD_TOL_1D = 1e-10
 QUAD_TOL_2D = 1e-8
-# Gauss-Legendre nodes per subinterval in q_kernel_1d, and (radial, angular)
-# nodes of the polar rule in greens_identity_residual.  Each rule also runs
-# at twice these counts; the two results must agree within the tolerance.
+# Gauss-Legendre nodes per subinterval in q_kernel_1d, and of the radial
+# rule in greens_identity_residual.  Each rule also runs at twice these
+# counts; the two results must agree within the tolerance.
 Q_KERNEL_1D_NODES = 64
-GREEN_2D_NODES = (128, 256)
+GREEN_2D_NODES = 128
 # Step of the tanh-sinh rule in clipped_integral (also run at half the
 # step), and the half-width of its node range in the rule's variable.
 TANH_SINH_STEP = 1.0 / 16
@@ -65,7 +61,6 @@ _TANH_SINH_T = 3.5
 # range PROBE_LAMBDAS.
 PROBE_LAMBDAS = (1e-4, 1e-1)
 PROBE_SAMPLES = 40
-_ANGLE_CHUNK = 32  # angles per block; bounds the polar rule's arrays to ~1 MB
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def _radial_green(m: float, r):
     (-Laplace + m^2) on the plane, at distance r > 0, elementwise on
     arrays."""
     if m > 0:
-        return _bessel_k(m * r, False)[0] / (2.0 * np.pi)
+        return bessel_k01(m * r)[0] / (2.0 * np.pi)
     return -np.log(r) / (2.0 * np.pi)
 
 
@@ -242,15 +237,9 @@ def bessel_k01(x):
     is within about 1e-14 relative of the Cephes library's k0/k1 on
     [1e-10, 700].
     """
-    return _bessel_k(x, True)
-
-
-def _bessel_k(x, with_k1: bool) -> tuple:
-    """(K_0(x),), or (K_0(x), K_1(x)) when with_k1, by the series and
-    trapezoid rules of `bessel_k01`; K_0 takes the same steps either way."""
     x = np.asarray(x, dtype=float)
     flat = np.atleast_1d(x).ravel()
-    out = np.empty((1 + with_k1, flat.size))
+    out = np.empty((2, flat.size))
     small = flat <= 2.0
     # a branch that takes every x runs on flat itself: no gather, no scatter
     lo, hi = ((slice(None), None) if small.all() else
@@ -258,17 +247,14 @@ def _bessel_k(x, with_k1: bool) -> tuple:
     if lo is not None:
         s = flat[lo]
         q = s * s / 4.0
-        series = _K_SERIES[:, :2 * len(out)]  # K_0 reads the first two
-        acc = np.empty((2 * len(out), s.size))
-        acc[:] = series[-1]
-        for row in series[-2::-1]:  # Horner in q, all the series at once
+        acc = np.empty((4, s.size))
+        acc[:] = _K_SERIES[-1]
+        for row in _K_SERIES[-2::-1]:  # Horner in q, all the series at once
             acc *= q
             acc += row
         log_term = np.log(s / 2.0) + _EULER_GAMMA
         out[0, lo] = acc[1] - log_term * acc[0]
-        if with_k1:
-            out[1, lo] = 1.0 / s + (s / 2.0) * (log_term * acc[2]
-                                                - acc[3] / 2.0)
+        out[1, lo] = 1.0 / s + (s / 2.0) * (log_term * acc[2] - acc[3] / 2.0)
     if hi is not None:
         b = flat[hi][:, None]
         t_max = np.arccosh(1.0 + 45.0 / b)
@@ -278,8 +264,7 @@ def _bessel_k(x, with_k1: bool) -> tuple:
         e[:, [0, -1]] *= 0.5
         scale = np.exp(-b[:, 0]) * t_max[:, 0] / _K_TRAPEZOID_NODES
         out[0, hi] = scale * e.sum(axis=1)
-        if with_k1:
-            out[1, hi] = scale * (e * np.cosh(t)).sum(axis=1)
+        out[1, hi] = scale * (e * np.cosh(t)).sum(axis=1)
     return tuple(k.reshape(x.shape)[()] for k in out)
 
 
@@ -336,35 +321,24 @@ def _legendre(n: int, x: np.ndarray):
     return p1, n * (x * p1 - p0) / ((x - 1) * (x + 1))
 
 
-def _polar_origin(f: TestFunction, x: np.ndarray):
-    """(o - centre, radius^2 - |o - centre|^2) for the polar rule's origin
-    o: x when x lies inside the bump's support disk, else the centre."""
-    d = x - np.asarray(f.center)
-    gap = f.radius ** 2 - float(d @ d)
-    if gap <= 0.0:  # x outside the support (or on its edge)
-        return np.zeros(2), f.radius ** 2
-    return d, gap
-
-
-def polar_mass_limit(f: TestFunction, x) -> float:
-    """The largest mass m whose Green identity at x the polar rule of
+def polar_mass_limit(f: TestFunction) -> float:
+    """The largest mass m whose Green identity the radial rule of
     `greens_identity_residual` can resolve within QUAD_TOL_2D.
 
-    The coarse rule's first radial node is r_1 = R u_1^2, with R the
-    longest ray from the rule's origin to the disk's edge and u_1 the first
-    of GREEN_2D_NODES[0] Gauss-Legendre nodes.  Below r_1 the rule does not
-    see the kernel K_0(m r), and the two rules' disagreement grows like
-    A (m r_1)^2, A the bump's amplitude (as m^2, as R^2 and as n_r^-8).
-    So the rules can agree only while A (m r_1)^2 <= QUAD_TOL_2D.  For the
-    bump of radius 0.4 at its centre, with A = 1, that is m <= 3.3e4; the
-    two rules begin to disagree past m = 5.9e4.  A = 0 resolves every mass.
+    The coarse rule's first node is r_1 = rho u_1^2, with rho the bump's
+    radius and u_1 the first of GREEN_2D_NODES Gauss-Legendre nodes.  Below
+    r_1 the rule does not see the kernel K_0(m r), and the two rules'
+    disagreement grows like A (m r_1)^2, A the bump's amplitude (as m^2, as
+    rho^2 and as n^-8).  So the rules can agree only while
+    A (m r_1)^2 <= QUAD_TOL_2D.  For the bump of radius 0.4, with A = 1,
+    that is m <= 3.3e4; the two rules begin to disagree past m = 5.9e4.
+    A = 0 resolves every mass.
     """
     if f.amplitude == 0.0:
         return np.inf
-    d, _ = _polar_origin(f, np.asarray(x, dtype=float))
-    reach = f.radius + float(np.hypot(d[0], d[1]))
-    u1 = _gauss_legendre(GREEN_2D_NODES[0])[0][0]
-    return float(np.sqrt(QUAD_TOL_2D / abs(f.amplitude)) / (reach * u1 * u1))
+    u1 = _gauss_legendre(GREEN_2D_NODES)[0][0]
+    return float(np.sqrt(QUAD_TOL_2D / abs(f.amplitude))
+                 / (f.radius * u1 * u1))
 
 
 def _bump_source(f: TestFunction, v, m: float):
@@ -379,70 +353,41 @@ def _bump_source(f: TestFunction, v, m: float):
         f.dim - 2.0 * (v - 1.0) * (v - 2.0)) / f.radius ** 2)
 
 
-def _polar_integral(params: KernelParams, f: TestFunction, x: np.ndarray,
-                    n_r: int, n_theta: int):
-    """int G(x-y) (-Lap + m^2) f(y) dy by the polar rule of
-    `greens_identity_residual`, n_r nodes in u and n_theta in theta, on
-    (angle, radial node) grids of scalars: no point y is formed.
+def _radial_integral(params: KernelParams, f: TestFunction, n: int):
+    """int G(c - y) (-Lap + m^2) f(y) dy at the bump's centre c by the
+    radial rule of `greens_identity_residual` on n nodes.
 
-    With d = o - centre, b = e.d and r = R u^2, where R (R + 2b) = gap,
-    rho^2 - |d + r e|^2 = (R - r)(R + r + 2b); so 1 - t^2 is
-    (1 - u^2)(gap + R^2 u^2)/rho^2, positive with no cancellation up to
-    the edge.  |x - y| is r when o is x, else |x - o - r e|.  At the centre
-    (d = off = 0) R = rho and b = 0 for every theta, so each angle gives
-    the same row and the trapezoid sum is 2 pi times that one row.
+    With r = rho u^2, t = u^2 and r dr = 2 rho^2 u^3 du, the integral is
+    2 pi rho^2 int_0^1 G(rho u^2) (-Lap + m^2) f 2 u^3 du, and
+    1 - t^2 = (1 - u^2)(1 + u^2) is positive with no cancellation up to
+    the edge.
     """
-    d, gap = _polar_origin(f, x)
-    off = x - np.asarray(f.center) - d  # x - o: zero when o is x
-    if not (d.any() or off.any()):
-        n_theta = 1
-    u, w = _gauss_legendre(n_r)
+    u, w = _gauss_legendre(n)
     u2 = u * u
-    weight = 2.0 * u2 * u * w  # r dr = 2 R^2 u^3 du, R^2 taken per angle
-    total = 0.0
-    for start in range(0, n_theta, _ANGLE_CHUNK):
-        theta = (2.0 * np.pi / n_theta) * np.arange(
-            start, min(start + _ANGLE_CHUNK, n_theta))
-        c, s = np.cos(theta), np.sin(theta)
-        b = c * d[0] + s * d[1]
-        root = np.sqrt(b * b + gap)
-        # positive root of R^2 + 2bR - gap, without cancellation
-        R = np.where(b > 0.0, gap / (root + b), root - b)
-        r = R[:, None] * u2
-        v = f.radius ** 2 / ((1.0 - u2) * (gap + R[:, None] * r))
-        if off.any():  # |off - r e|^2 = |off|^2 - r (2 e.off - r)
-            eo = (c * off[0] + s * off[1])[:, None]
-            r = np.sqrt(off @ off - r * (2.0 * eo - r))
-        g = _radial_green(params.m, r) * _bump_source(f, v, params.m)
-        total += (g @ weight) @ (R * R)
-    return total * (2.0 * np.pi / n_theta)
+    v = 1.0 / ((1.0 - u2) * (1.0 + u2))
+    g = _radial_green(params.m, f.radius * u2) * _bump_source(f, v, params.m)
+    return (g @ (2.0 * u2 * u * w)) * f.radius ** 2 * (2.0 * np.pi)
 
 
-def greens_identity_residual(params: KernelParams, f: TestFunction,
-                             x) -> float:
-    """| int G(x-y) (-Lap + m^2) f(y) dy  -  f(x) | for a 2d bump.
+def greens_identity_residual(params: KernelParams, f: TestFunction) -> float:
+    """| int G(c-y) (-Lap + m^2) f(y) dy  -  f(c) | for a 2d bump at its
+    centre c.
 
-    The integral runs over the bump's support disk in polar coordinates
-    y = o + r e(theta), r in [0, R(theta)], where R(theta) is where the ray
-    leaves the disk.  The origin o is x when x lies inside the disk; then
-    r = R u^2 turns the r log r behaviour of r G(r) at r = 0 into
-    u^3 log u, which Gauss-Legendre in u integrates to high order.
-    Otherwise o is the bump's centre and the kernel is smooth on the disk.
-    Theta uses the periodic trapezoid rule, on one angle when x is the
-    centre, where the integrand does not depend on theta.  Raises
-    NumericalError when the rule at GREEN_2D_NODES and at twice as many
-    nodes per axis disagree by more than QUAD_TOL_2D.
+    Both the bump and the kernel are radial about c, so the integral is
+    2 pi times a radial one over [0, rho].  The substitution r = rho u^2
+    turns the r log r behaviour of r G(r) at r = 0 into u^3 log u, which
+    Gauss-Legendre in u integrates to high order.  Raises NumericalError
+    when the rule at GREEN_2D_NODES and at twice as many nodes disagree by
+    more than QUAD_TOL_2D.
     """
     if params.d != 2 or f.dim != 2:
         raise UsageError("needs d = 2 data")
-    x = np.asarray(x, dtype=float)
-    n_r, n_theta = GREEN_2D_NODES
-    coarse = _polar_integral(params, f, x, n_r, n_theta)
-    val = _polar_integral(params, f, x, 2 * n_r, 2 * n_theta)
+    coarse = _radial_integral(params, f, GREEN_2D_NODES)
+    val = _radial_integral(params, f, 2 * GREEN_2D_NODES)
     if not abs(val - coarse) <= QUAD_TOL_2D:
         raise NumericalError(
             f"2d polar rules disagree by {abs(val - coarse):g}")
-    return abs(val - float(f(x)))
+    return abs(val - float(f(f.center)))
 
 
 @cache
@@ -552,11 +497,11 @@ def kernel_check(dim: int, mass: float, trials: int, seed: int) -> dict:
         report["pass"] = worst <= 1.0
     else:
         f = TestFunction((0.3, -0.2), 0.4, 1.0)
-        limit = polar_mass_limit(f, f.center)
+        limit = polar_mass_limit(f)
         if mass > limit:  # refused before any quadrature
             raise UsageError(f"mass {mass:g} above {limit:.3g}, the "
                              f"largest the 2d polar rule resolves")
-        res = greens_identity_residual(params, f, f.center)
+        res = greens_identity_residual(params, f)
         # probe at r << 1/m, where the massive kernel still goes like 1/r
         x0 = np.array([1.0, 0.7]) / max(1.0, mass)
         probe = scaling_degree_probe(lambda x: dirac_kernel_2d(params, x), x0)

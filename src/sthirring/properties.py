@@ -146,7 +146,7 @@ def check_grading_additivity(rng: random.Random, trials: int) -> dict:
     return {"name": "grading_additivity", "trials": trials, "failures": failures}
 
 
-def run_all(seed: int, trials: int = 30) -> dict:
+def run_all(seed: int, trials: int) -> dict:
     rng = random.Random(seed)
     checks = [
         check_linearity(rng, trials),

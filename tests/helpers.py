@@ -49,10 +49,11 @@ command line in-process, for the digest manifest.  `bump_laplacian` is
 the analytic Laplacian of a `kernels.TestFunction` bump, written term by
 term from g(s) = exp(-1/(1-s)) and its derivatives: the oracle of the
 one-pass source (-Laplace + m^2) f of the d = 2 Green identity.
-`ref_polar_integral` is that identity's polar rule point by point: it
-builds every node y, takes the source from `bump_laplacian` and f(y) and
-the distance by hypot, the oracle of `kernels._polar_integral`, which
-works on grids of scalars.
+`ref_polar_integral` is that identity's polar rule point by point, at
+any point x: it builds every node y, takes the source from
+`bump_laplacian` and f(y) and the distance by hypot.  At the bump's
+centre it is the oracle of the radial rule `kernels._radial_integral`;
+off the centre the tests check the identity by it alone.
 """
 
 from fractions import Fraction
@@ -797,10 +798,13 @@ def bump_laplacian(f, x):
 
 
 def ref_polar_integral(params, f, x, n_r, n_theta):
-    """int G(x-y) (-Lap + m^2) f(y) dy by the polar rule of
-    `kernels.greens_identity_residual` at every node y = o + r e(theta),
-    r = R(theta) u^2, with the origin o at x inside the support disk and at
-    the centre outside it; the source is -bump_laplacian + m^2 f at y."""
+    """int G(x-y) (-Lap + m^2) f(y) dy by a polar rule over the bump's
+    support disk, at every node y = o + r e(theta), r = R(theta) u^2 with
+    R(theta) where the ray leaves the disk: Gauss-Legendre in u, n_r nodes,
+    and the periodic trapezoid rule in theta, n_theta angles.  The origin o
+    is x inside the support disk and the centre outside it; the source is
+    -bump_laplacian + m^2 f at y.  At the centre every angle gives the
+    radial rule of `kernels.greens_identity_residual`."""
     x = np.asarray(x, dtype=float)
     centre = np.asarray(f.center)
     origin, d = x, x - centre

@@ -244,8 +244,7 @@ def test_criterion_10_d2_green_identity():
     with _Timer(10, "d=2 Green identity", 5.0):
         f = TestFunction((0.3, -0.2), 0.4, 1.0)
         for m in (0.0, 1.0):  # the kernel-check case, for both masses
-            assert greens_identity_residual(KernelParams(2, m), f,
-                                            (0.3, -0.2)) <= 1e-6
+            assert greens_identity_residual(KernelParams(2, m), f) <= 1e-6
 
 
 def test_criterion_11_counterterms_at_order_5():

@@ -511,7 +511,7 @@ def test_kernel_check_d2_failure_reports_false(monkeypatch):
     import numpy as np
     from sthirring import kernels
     monkeypatch.setattr(kernels, "greens_identity_residual",
-                        lambda params, f, x: np.float64(1.0))
+                        lambda params, f: np.float64(1.0))
     rc, out = run_cli("kernel-check", "--dim", "2")
     assert rc == 4
     assert json.loads(out)["pass"] is False

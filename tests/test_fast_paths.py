@@ -62,17 +62,16 @@ def _factor_triples(series, K):
                                 yield ta, tb, tc, kind
 
 
-# Whether a test empties the placement memo of `terms` (which
-# `vertex_term` fills, and `canonicalize` never reads) before each term, so
-# that every factor is placed in full, or, warm, keeps what the cold pass
-# and the rest of the run put in it.
+# Whether a test of `vertex_term` empties the placement memo of `terms`
+# (which `vertex_term` fills) before each join, so that every factor is
+# placed in full, or, warm, keeps what the cold pass and the rest of the run
+# put in it.  Tests of `canonicalize` alone run once: it reads no memo
+# (test_canonicalize_reads_no_memo).
 MEMO_PASSES = (True, False)
 
 
-def _assert_same_canonical_form(t, cold):
+def _assert_same_canonical_form(t):
     """canonicalize(t) against ref_canonicalize(t); returns the latter."""
-    if cold:
-        terms._sealed.clear()
     got, want = canonicalize(t), ref_canonicalize(t)
     assert got.coeff == want.coeff
     assert got.node == want.node
@@ -93,7 +92,7 @@ def test_vertex_term_and_its_canonical_form_match_the_references(series):
                 terms._sealed.clear()
             got = vertex_term(ta, tb, tc, kind)
             want = _assert_same_canonical_form(
-                ref_vertex_term(ta, tb, tc, kind), cold)
+                ref_vertex_term(ta, tb, tc, kind))
             assert (got.coeff, got.node, got._key) == (
                 want.coeff, want.node, want._key)
             calls += 1
@@ -181,12 +180,11 @@ def test_order_5_monomials_that_are_not_fixed_points_keep_their_forms(series):
     moved = {b: [t for t in series.coefficient(5, b)
                  if canonicalize(t).node != t.node] for b in BRANCHES}
     assert {b: len(ts) for b, ts in moved.items()} == {SPINOR: 4, COSPINOR: 5}
-    for cold in MEMO_PASSES:
-        for t in moved[SPINOR] + moved[COSPINOR]:
-            _assert_same_canonical_form(t, cold)
-            once = canonicalize(t)
-            _assert_same_canonical_form(once, cold)
-            assert canonicalize(once)._key == t._key != once._key
+    for t in moved[SPINOR] + moved[COSPINOR]:
+        _assert_same_canonical_form(t)
+        once = canonicalize(t)
+        _assert_same_canonical_form(once)
+        assert canonicalize(once)._key == t._key != once._key
 
 
 def test_order_5_monomials_that_are_not_fixed_points_deform_as_held(series):
@@ -226,18 +224,17 @@ def test_nested_product_shuffles_match_the_reference(series):
     """The canonical form requires nested products in canonical order
     (ROADMAP item 10); shuffling them moves the key of 49 of these 720
     terms, and the fast path moves the same ones to the same forms."""
-    for cold in MEMO_PASSES:
-        rng = random.Random(1)
-        moved = n = 0
-        for branch in BRANCHES:
-            for k in range(5):
-                for t in series.coefficient(k, branch).terms():
-                    for _ in range(5):
-                        u = Term(t.coeff, _shuffle_nested(t.node, rng))
-                        _assert_same_canonical_form(u, cold)
-                        moved += canonicalize(u)._key != t._key
-                        n += 1
-        assert (moved, n) == (49, 720)
+    rng = random.Random(1)
+    moved = n = 0
+    for branch in BRANCHES:
+        for k in range(5):
+            for t in series.coefficient(k, branch).terms():
+                for _ in range(5):
+                    u = Term(t.coeff, _shuffle_nested(t.node, rng))
+                    _assert_same_canonical_form(u)
+                    moved += canonicalize(u)._key != t._key
+                    n += 1
+    assert (moved, n) == (49, 720)
 
 
 def _offset_factor(n):
@@ -281,9 +278,8 @@ def test_sealed_subtree_memo_keys_on_its_context():
     keeps no memo, gives the reference's form for each such context,
     twice over, and the string order moves the factor behind 3 others."""
     crafted = [_offset_factor(n) for n in range(5)] + _context_pairs()
-    for cold in MEMO_PASSES:
-        for t in crafted + crafted:
-            _assert_same_canonical_form(t, cold)
+    for t in crafted + crafted:
+        _assert_same_canonical_form(t)
     factors = [rename_indices(canonicalize(_offset_factor(n)).node
                               .children[-1], lambda i, n=n: i - 2 * n)
                for n in range(5)]
@@ -356,21 +352,20 @@ def test_factors_that_no_join_built_are_placed_alike(series):
 
 
 def test_random_terms_and_their_convolutions_match_the_reference():
-    for cold in MEMO_PASSES:
-        rng = random.Random(16)
-        convolved = 0
-        for _ in range(300):
-            t = properties.random_term(rng)
-            _assert_same_canonical_form(t, cold)
-            # a product that is not yet canonical, in both factor orders
-            u = properties.random_term(rng)
-            _assert_same_canonical_form(product(t, u), cold)
-            _assert_same_canonical_form(product(u, t), cold)
-            w = wrapped(t)
-            if w is not None:
-                _assert_same_canonical_form(w, cold)
-                convolved += 1
-        assert convolved > 50
+    rng = random.Random(16)
+    convolved = 0
+    for _ in range(300):
+        t = properties.random_term(rng)
+        _assert_same_canonical_form(t)
+        # a product that is not yet canonical, in both factor orders
+        u = properties.random_term(rng)
+        _assert_same_canonical_form(product(t, u))
+        _assert_same_canonical_form(product(u, t))
+        w = wrapped(t)
+        if w is not None:
+            _assert_same_canonical_form(w)
+            convolved += 1
+    assert convolved > 50
 
 
 def _error(fn, t):
@@ -493,7 +488,7 @@ _CALLS = {
         q_kernel_1d(KernelParams(1, 1.0), _BUMP_1D),
         clipped_integral(KernelParams(1, 1.0), _BUMP_1D)],
     "greens_identity_residual": lambda: [greens_identity_residual(
-        KernelParams(2, 1.0), _BUMP_2D, _BUMP_2D.center)],
+        KernelParams(2, 1.0), _BUMP_2D)],
     "scaling_degree_probe(dirac_kernel_2d)": lambda: scaling_degree_probe(
         lambda x: dirac_kernel_2d(KernelParams(2, 1.0), x),
         np.array([1.0, 0.7])),

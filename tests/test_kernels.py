@@ -307,17 +307,33 @@ def test_bump_source_matches_the_analytic_laplacian(f, m):
     assert np.max(np.abs(got - want[inside])) <= 1e-13 * np.max(np.abs(want))
 
 
+# The reference polar rule runs on the radial rule's node count and
+# REF_ANGLES angles, and on twice both.  Off the bump's centre it alone
+# checks the identity, with kernel-check's tolerance on the two's agreement.
+REF_ANGLES = 256
+
+
+def ref_green_identity_residual(p, f, x):
+    """| int G(x-y) (-Lap + m^2) f(y) dy  -  f(x) | at any point x, by
+    `ref_polar_integral` at two resolutions that must agree."""
+    n_r = kernels.GREEN_2D_NODES
+    coarse = ref_polar_integral(p, f, x, n_r, REF_ANGLES)
+    val = ref_polar_integral(p, f, x, 2 * n_r, 2 * REF_ANGLES)
+    assert abs(val - coarse) <= kernels.QUAD_TOL_2D
+    return abs(val - f(x))
+
+
 @pytest.mark.parametrize("m", [0.0, 1.0])
 def test_green_convolution_identity(m):
     p = KernelParams(2, m)
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
     x = (0.32, -0.18)
-    assert greens_identity_residual(p, f, x) <= 1e-6
+    assert ref_green_identity_residual(p, f, x) <= 1e-6
 
 
 # the bump of test_green_convolution_identity has its support edge at x = 0.7
 @pytest.mark.parametrize("x", [
-    (0.3, -0.2),                # the bump's centre
+    (0.3, -0.2),                # the bump's centre, by the radial rule
     (0.45, -0.1),               # off-centre
     (0.69, -0.2),               # 0.01 inside the edge
     (0.7, -0.2),                # on the edge
@@ -326,76 +342,68 @@ def test_green_convolution_identity(m):
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0])
 def test_green_identity_polar_rule(m, x):
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
-    assert greens_identity_residual(KernelParams(2, m), f, x) <= 1e-6
+    p = KernelParams(2, m)
+    if x == f.center:
+        assert greens_identity_residual(p, f) <= 1e-6
+    else:
+        assert ref_green_identity_residual(p, f, x) <= 1e-6
 
 
-@pytest.mark.parametrize("x", [(0.3, -0.2), (0.45, -0.1), (0.75, 0.1)])
-def test_polar_rule_resolves_masses_up_to_its_limit(x):
+def test_polar_rule_resolves_masses_up_to_its_limit():
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
-    m = polar_mass_limit(f, x)
-    assert greens_identity_residual(KernelParams(2, m), f, x) <= 1e-6
+    m = polar_mass_limit(f)
+    assert greens_identity_residual(KernelParams(2, m), f) <= 1e-6
 
 
 def test_polar_mass_limit_is_near_where_the_rules_part():
-    """At the bump's centre the bound is within a factor 4 of the mass
-    where the two rules stop agreeing; it halves with twice the reach."""
+    """The bound is within a factor 4 of the mass where the two rules stop
+    agreeing; it halves with twice the radius."""
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
-    m = polar_mass_limit(f, f.center)
+    m = polar_mass_limit(f)
     with pytest.raises(NumericalError):
-        greens_identity_residual(KernelParams(2, 4 * m), f, f.center)
+        greens_identity_residual(KernelParams(2, 4 * m), f)
     wide = TestFunction((0.3, -0.2), 0.8, 1.0)
-    assert polar_mass_limit(wide, f.center) == pytest.approx(m / 2)
+    assert polar_mass_limit(wide) == pytest.approx(m / 2)
 
 
-# Each polar integral gives f(x) from parts about as large as the bump's
-# peak A/e (near the edge and outside, f(x) is 1.6e-9 and 0), so the
-# integrals are compared on the scale of that peak.
-@pytest.mark.parametrize("x", [
-    (0.3, -0.2), (0.32, -0.18), (0.45, -0.1), (0.69, -0.2), (0.9, 0.4),
-], ids=["centre", "near-centre", "off-centre", "near-edge", "outside"])
+# The integral gives f(c) = A/e from parts about as large as that peak, so
+# the rules are compared on its scale.  The reference runs on all its
+# angles, so that it does not lean on the integrand being radial.
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0, "limit"])
-def test_polar_integral_matches_the_per_point_reference(m, x):
+def test_polar_integral_matches_the_per_point_reference(m):
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
-    x = np.array(x)
-    p = KernelParams(2, polar_mass_limit(f, x) if m == "limit" else m)
-    n_r, n_theta = kernels.GREEN_2D_NODES
+    p = KernelParams(2, polar_mass_limit(f) if m == "limit" else m)
+    n = kernels.GREEN_2D_NODES
     for k in (1, 2):  # both resolutions of greens_identity_residual
-        got = kernels._polar_integral(p, f, x, k * n_r, k * n_theta)
-        want = ref_polar_integral(p, f, x, k * n_r, k * n_theta)
+        got = kernels._radial_integral(p, f, k * n)
+        want = ref_polar_integral(p, f, f.center, k * n, k * REF_ANGLES)
         assert abs(got - want) <= 1e-13 * f(f.center)
 
 
 def test_a_zero_bump_is_resolved_at_every_mass():
     f = TestFunction((0.0, 0.0), 0.4, 0.0)
-    assert polar_mass_limit(f, (0.0, 0.0)) == np.inf
-    assert greens_identity_residual(KernelParams(2, 1e9), f, (0.1, 0.0)) == 0
+    assert polar_mass_limit(f) == np.inf
+    assert greens_identity_residual(KernelParams(2, 1e9), f) == 0
 
 
 def test_d2_kernel_check_peak_memory_is_bounded():
-    """_ANGLE_CHUNK bounds the polar rule's arrays: off the centre the
-    traced peak of the Green identity stays within 1.25 MB (about 0.74 MB
-    in chunks of 32).  The d = 2 check, at the centre, runs one angle row
-    and stays within 0.25 MB (about 0.04 MB)."""
+    """The d = 2 check runs one row of radial nodes per resolution, and its
+    traced peak stays within 0.25 MB (about 0.04 MB)."""
     import tracemalloc
-    f = TestFunction((0.3, -0.2), 0.4, 1.0)
-    for run, bound in [
-        (lambda: kernels.kernel_check(2, 1.0, 20, 0), 0.25e6),
-        (lambda: greens_identity_residual(KernelParams(2, 1.0), f,
-                                          (0.45, -0.1)), 1.25e6),
-    ]:
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+    tracemalloc.start()
+    try:
+        kernels.kernel_check(2, 1.0, 20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25e6
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0])
 def test_polar_rule_evaluates_one_angle_row_at_the_centre(monkeypatch, m):
-    """At the bump's centre each resolution evaluates the Green function on
-    n_r radial nodes; at any other point, on all n_r * n_theta nodes."""
+    """At the bump's centre nothing depends on the angle, so the rule is
+    one row of radial nodes: the Green identity evaluates the Green
+    function on n_r nodes, then on 2 n_r."""
     sizes = []
     real = kernels._radial_green
 
@@ -405,20 +413,16 @@ def test_polar_rule_evaluates_one_angle_row_at_the_centre(monkeypatch, m):
 
     monkeypatch.setattr(kernels, "_radial_green", counting)
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
-    n_r, n_theta = kernels.GREEN_2D_NODES
-    for x, per_angle in [(f.center, False), ((0.45, -0.1), True)]:
-        for k in (1, 2):  # both resolutions of greens_identity_residual
-            sizes.clear()
-            kernels._polar_integral(KernelParams(2, m), f, np.array(x),
-                                    k * n_r, k * n_theta)
-            assert sum(sizes) == k * n_r * (k * n_theta if per_angle else 1)
+    greens_identity_residual(KernelParams(2, m), f)
+    n_r = kernels.GREEN_2D_NODES
+    assert sizes == [n_r, 2 * n_r]
 
 
 def test_green_identity_rules_disagreeing_raise(monkeypatch):
-    monkeypatch.setattr(kernels, "GREEN_2D_NODES", (4, 8))
+    monkeypatch.setattr(kernels, "GREEN_2D_NODES", 4)
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
     with pytest.raises(NumericalError):
-        greens_identity_residual(KernelParams(2, 1.0), f, (0.32, -0.18))
+        greens_identity_residual(KernelParams(2, 1.0), f)
 
 
 def _probe_samples(evaluator, x0):
@@ -517,7 +521,7 @@ def test_dirac_kernel_builds_the_gamma_rep_once(monkeypatch):
 @pytest.mark.parametrize("check, center", [
     (q_kernel_1d, (0.2,)),
     (clipped_integral, (0.2,)),
-    (lambda p, f: greens_identity_residual(p, f, (0.32, -0.18)), (0.3, -0.2)),
+    (greens_identity_residual, (0.3, -0.2)),
 ], ids=["q_kernel_1d", "clipped_integral", "greens_identity_residual"])
 def test_two_resolution_checks_fail_closed_on_nan(check, center):
     """A NaN bump gives NaN at both resolutions; NaN is no agreement."""
