@@ -3,16 +3,17 @@ numerics: kernel-check's trials and verdict are `kernels.kernel_check`,
 as gamma-check's are `properties.run_all`.
 
 Subcommands: expand, expect, correlate, power-count, kernel-check,
-gamma-check, counterterms.  A config file of `key = value` lines supplies
-defaults to the subcommands with an option of that name; flags override
-them.  The same configuration and seed give the same output bytes.  Exit
-codes: 0 success, else that of the `errors` class raised: 2 usage error
-(an unreadable, non-UTF-8 or malformed config file, a config value its
-flag would refuse, an unwritable output file, a bad STHIRRING_THREADS, a
+gamma-check, counterterms; a run builds only its command's parser.  A
+config file of `key = value` lines supplies defaults to the subcommands
+with an option of that name; flags override them.  The same
+configuration and seed give the same output bytes.  Exit codes: 0
+success, else that of the `errors` class raised: 2 usage error (an
+unreadable, non-UTF-8 or malformed config file, a config value its flag
+would refuse, an unwritable output file, a bad STHIRRING_THREADS, a
 --trials at kernel-check --dim 2, which runs one fixed bump, or a
-resource limit: an order above the ceiling, a canonical-form search
-past its budget, or a kernel-check mass past what the radial rule
-resolves), 3 invariant violation, 4 numerical failure.
+resource limit: an order above the ceiling, a canonical-form search past
+its budget, or a kernel-check mass past what the radial rule resolves),
+3 invariant violation, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -310,7 +311,11 @@ def _cmd_counterterms(args) -> None:
 # parser
 # --------------------------------------------------------------------------
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None,
+                 command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the command line, config entries as defaults.  A known
+    `command` builds its subcommand alone under the same usage line, so an
+    argv naming it parses as with all of them; any other builds them all."""
     # usage wrapped at 78 columns (argparse's width when stdout is not a
     # terminal) whatever COLUMNS says, so a usage error has fixed bytes
     parser = partial(argparse.ArgumentParser, formatter_class=partial(
@@ -320,13 +325,55 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         description="Symbolic perturbation and power counting for the "
                     "stochastic Thirring model.")
     p.add_argument("--config", help="key = value defaults file")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=parser)
 
-    def common(sp, fn, *required):
-        """The options every subcommand has, its handler fn, and the
-        options it cannot run without (`main` checks them)."""
-        sp.add_argument("--output", help="write to file instead of stdout")
-        sp.add_argument("--seed", type=int, default=0)
+    def opt(flag, **kwargs):
+        return flag, kwargs
+
+    def fmt(*choices):
+        return opt("--format", choices=choices, default=choices[0])
+
+    order = opt("--order", type=int)
+    branch = opt("--branch", choices=("psi", "psibar"), default="psi")
+    # name: help, handler, the options it cannot run without (`main` checks
+    # them) and its own options, which --output and --seed follow
+    commands = {
+        "expand": ("perturbative coefficients", _cmd_expand, ("order",),
+                   [order, branch, fmt("tex", "json", "dot")]),
+        "expect": ("expectation value at a given order", _cmd_expect,
+                   ("order",), [order, branch, fmt("text", "json")]),
+        "correlate": ("two-point function diagrams", _cmd_correlate,
+                      ("order",), [order, opt("--branches", choices=(
+                          "psi-psibar", "psibar-psi", "psi-psi",
+                          "psibar-psibar"), default="psi-psibar"),
+                          fmt("json", "dot")]),
+        "power-count": ("divergence classification", _cmd_power_count,
+                        ("dim", "max_order"), [opt("--dim", type=int), opt(
+                            "--max-order", type=int), fmt("table", "json")]),
+        "kernel-check": ("numerical kernel identities", _cmd_kernel_check,
+                         ("dim",), [opt("--dim", type=int, choices=(1, 2)),
+                                    opt("--mass", type=float, default=1.0),
+                                    opt("--trials", type=int), fmt("json")]),
+        "gamma-check": ("deformation-map property trials", _cmd_gamma_check,
+                        (), [opt("--trials", type=int, default=25), opt(
+                            "--export-rep", type=int, metavar="D", help=(
+                                "include the Cl(D) gamma matrices as "
+                                "[re, im] arrays")), fmt("json")]),
+        "counterterms": ("renormalized-equation operators", _cmd_counterterms,
+                         ("order",), [order, fmt("json")]),
+    }
+    common = [opt("--output", help="write to file instead of stdout"),
+              opt("--seed", type=int, default=0)]
+    # one built subcommand still lists every name in the usage line; the
+    # full build keeps the dest, `command`, as the name its errors give
+    one = command in commands
+    sub = p.add_subparsers(
+        dest="command", required=True, parser_class=parser,
+        metavar="{%s}" % ",".join(commands) if one else None)
+    for name in [command] if one else commands:
+        help_, fn, required, options = commands[name]
+        sp = sub.add_parser(name, help=help_)
+        for flag, kwargs in options + common:
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(fn=fn, required=required)
         if config:
             # a config entry is a default only where an option has its
@@ -338,52 +385,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             # main checks the config values against them
             sp.set_defaults(config_choices=[
                 (a.dest, a.choices) for a in sp._actions if a.choices])
-
-    sp = sub.add_parser("expand", help="perturbative coefficients")
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--branch", choices=("psi", "psibar"), default="psi")
-    sp.add_argument("--format", choices=("tex", "json", "dot"), default="tex")
-    common(sp, _cmd_expand, "order")
-
-    sp = sub.add_parser("expect", help="expectation value at a given order")
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--branch", choices=("psi", "psibar"), default="psi")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    common(sp, _cmd_expect, "order")
-
-    sp = sub.add_parser("correlate", help="two-point function diagrams")
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--branches", default="psi-psibar",
-                    choices=("psi-psibar", "psibar-psi", "psi-psi",
-                             "psibar-psibar"))
-    sp.add_argument("--format", choices=("json", "dot"), default="json")
-    common(sp, _cmd_correlate, "order")
-
-    sp = sub.add_parser("power-count", help="divergence classification")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--max-order", type=int)
-    sp.add_argument("--format", choices=("table", "json"), default="table")
-    common(sp, _cmd_power_count, "dim", "max_order")
-
-    sp = sub.add_parser("kernel-check", help="numerical kernel identities")
-    sp.add_argument("--dim", type=int, choices=(1, 2))
-    sp.add_argument("--mass", type=float, default=1.0)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--format", choices=("json",), default="json")
-    common(sp, _cmd_kernel_check, "dim")
-
-    sp = sub.add_parser("gamma-check", help="deformation-map property trials")
-    sp.add_argument("--trials", type=int, default=25)
-    sp.add_argument("--export-rep", type=int, metavar="D",
-                    help="include the Cl(D) gamma matrices as [re, im] arrays")
-    sp.add_argument("--format", choices=("json",), default="json")
-    common(sp, _cmd_gamma_check)
-
-    sp = sub.add_parser("counterterms", help="renormalized-equation operators")
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--format", choices=("json",), default="json")
-    common(sp, _cmd_counterterms, "order")
-
     return p
 
 
@@ -399,12 +400,12 @@ def main(argv=None) -> int:
     try:
         pre = argparse.ArgumentParser(add_help=False)
         pre.add_argument("--config")
-        known, _ = pre.parse_known_args(argv)
+        known, rest = pre.parse_known_args(argv)
         # config values stay strings: argparse applies each option's `type`
         # to a string default, as it does to a flag
         config = _read_config(known.config) if known.config else None
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
+        # the first token --config leaves names the command, if it is one
+        args = build_parser(config, rest[0] if rest else None).parse_args(argv)
         missing = [name for name in args.required
                    if getattr(args, name) is None]
         if missing:

@@ -12,7 +12,7 @@ dimensionally but are internally consistent with the clipped-integral
 identity.  `q_kernel_1d` integrates the literal kernels by Gauss-Legendre
 on the bump's support split at +-m; `clipped_integral`, its independent
 oracle, integrates f directly over [-m, m] by the tanh-sinh rule
-(Takahasi & Mori 1974).
+(Takahasi & Mori 1974), whose half step reuses every node of the step.
 
 For d = 2 the scalar Green function of (-Laplace + m^2) is the modified
 Bessel kernel K_0(m r)/(2 pi), logarithmic at m = 0; it is validated
@@ -23,14 +23,16 @@ the kernel are radial: 2 pi int_0^rho G(r) (-Laplace + m^2) f(r) r dr, a
 radial rule in u with r = rho u^2, which absorbs the r log r singularity,
 and 1 - t^2 = (1 - u^2)(1 + u^2) with no cancellation near the edge.
 All three fixed rules run at two resolutions and raise NumericalError
-unless the two agree (a NaN never agrees).  The first-order Dirac kernel
-built from the Green function scales like 1/r, matching the d-1 scaling
-degree that drives the power counting.  K_0 and K_1 come from
-`bessel_k01`: the power series for x <= 2 and the trapezoid rule on the
-integral representation above it (Abramowitz & Stegun 9.6.13 and 9.6.24).
-The Gauss-Legendre rules are built by Newton's method on the Legendre
-recurrence (`_gauss_legendre`), in O(n^2) operations where an eigenvalue
-solver takes O(n^3).  `kernel_check` runs kernel-check: trials, report, verdict.
+unless the two agree (a NaN never agrees); each 1-D pair evaluates its
+integrand once, for both rules.  The first-order Dirac kernel built from
+the Green function scales like 1/r, matching the d-1 scaling degree that
+drives the power counting; the probe evaluates it at every dilation at
+once.  K_0 and K_1 come from `bessel_k01`: the power series for x <= 2
+and the trapezoid rule on the integral representation above it
+(Abramowitz & Stegun 9.6.13 and 9.6.24).  The Gauss-Legendre rules are
+built by Newton's method on the Legendre recurrence (`_gauss_legendre`),
+in O(n^2) operations where an eigenvalue solver takes O(n^3).
+`kernel_check` runs kernel-check: trials, report, verdict.
 """
 
 from __future__ import annotations
@@ -150,14 +152,14 @@ def q_kernel_1d(params: KernelParams, f: TestFunction) -> float:
     m = params.m
     cuts = np.array([lo, *sorted(p for p in (-m, m) if lo < p < hi), hi])
     starts, widths = cuts[:-1, None], np.diff(cuts)[:, None]
-
-    def rule(n):
-        u, w = _gauss_legendre(n)
-        x = starts + widths * u  # one row of nodes per subinterval
-        g, gbar = propagator_1d(params, x)
-        return float(np.sum((g * gbar).real * f(x) * widths * w))
-
-    coarse, val = rule(Q_KERNEL_1D_NODES), rule(2 * Q_KERNEL_1D_NODES)
+    n = Q_KERNEL_1D_NODES
+    (u1, w1), (u2, w2) = _gauss_legendre(n), _gauss_legendre(2 * n)
+    # one row per subinterval: the coarse rule's nodes, then the fine one's
+    x = starts + widths * np.concatenate((u1, u2))
+    g, gbar = propagator_1d(params, x)
+    gf = (g * gbar).real * f(x)
+    coarse, val = (float(np.sum(gf[:, cols] * widths * w))
+                   for cols, w in ((slice(n), w1), (slice(n, None), w2)))
     if not abs(val - coarse) <= _tol_1d(val):
         raise NumericalError(f"1d Gauss-Legendre rules disagree by "
                              f"{abs(val - coarse):g} on value {val:g}")
@@ -177,15 +179,15 @@ def clipped_integral(params: KernelParams, f: TestFunction) -> float:
     if a >= b:
         return 0.0
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-
-    def rule(h):
-        n = np.ceil(_TANH_SINH_T / h)
-        t = h * np.arange(-n, n + 1)
-        s = 0.5 * np.pi * np.sinh(t)
-        w = 0.5 * np.pi * np.cosh(t) / np.cosh(s) ** 2
-        return float(half * h * np.sum(w * f(mid + half * np.tanh(s))))
-
-    coarse, val = rule(TANH_SINH_STEP), rule(TANH_SINH_STEP / 2.0)
+    # the rule at half the step, whose even nodes h k = (h/2)(2k) are exact
+    h = TANH_SINH_STEP / 2.0
+    n = 2 * np.ceil(_TANH_SINH_T / TANH_SINH_STEP)
+    t = h * np.arange(-n, n + 1)
+    s = 0.5 * np.pi * np.sinh(t)
+    w = 0.5 * np.pi * np.cosh(t) / np.cosh(s) ** 2
+    wf = w * f(mid + half * np.tanh(s))
+    coarse = float(half * TANH_SINH_STEP * np.sum(wf[::2]))
+    val = float(half * h * np.sum(wf))
     if not abs(val - coarse) <= _tol_1d(val):
         raise NumericalError(f"1d tanh-sinh rules disagree by "
                              f"{abs(val - coarse):g} on value {val:g}")
@@ -399,12 +401,13 @@ def _gamma_rep_2d():
 
 def dirac_kernel_2d(params: KernelParams, x) -> np.ndarray:
     """First-order massive kernel (i gamma^mu d_mu + m) G applied to the
-    scalar Green function; the matrix whose entries scale like 1/r."""
+    scalar Green function; the matrix whose entries scale like 1/r.  The
+    points lie along the last axis: shape (..., 2) in, (..., 2, 2) out."""
     if params.d != 2:
         raise UsageError("dirac_kernel_2d needs d = 2")
     x = np.asarray(x, dtype=float)
-    r = float(np.hypot(x[0], x[1]))
-    if r == 0.0:
+    r = np.hypot(x[..., 0], x[..., 1])
+    if np.any(r == 0.0):
         raise UsageError("Dirac kernel evaluated on the diagonal")
     rep = _gamma_rep_2d()
     m = params.m
@@ -413,10 +416,10 @@ def dirac_kernel_2d(params: KernelParams, x) -> np.ndarray:
         g0, dg = k0 / (2.0 * np.pi), -m * k1 / (2.0 * np.pi)
     else:
         g0, dg = _radial_green(m, r), -1.0 / (2.0 * np.pi * r)
-    grad = dg * x / r
-    out = m * g0 * rep.identity.astype(complex)
+    grad = dg[..., None] * x / r[..., None]
+    out = (m * g0)[..., None, None] * rep.identity.astype(complex)
     for mu in range(2):
-        out = out + 1j * rep.gammas[mu] * grad[mu]
+        out = out + 1j * rep.gammas[mu] * grad[..., mu, None, None]
     return out
 
 
@@ -436,16 +439,12 @@ def scaling_degree_probe(evaluator, x0) -> ProbeResult:
     log lam (sampled at the PROBE_LAMBDAS dilations) is -s, so the
     estimate is minus the fitted slope.  A poor linear fit (non-power-law
     behaviour, e.g. logarithms) is reported as inconclusive rather than
-    raised.
-    """
+    raised.  The evaluator takes all (PROBE_SAMPLES, 2) dilated points at
+    once; |u| is each sample's max |.|, or a scalar result at every one."""
     lams = np.geomspace(*PROBE_LAMBDAS, PROBE_SAMPLES)
-    x0 = np.asarray(x0, dtype=float)
-    vals = []
-    for lam in lams:
-        v = evaluator(lam * x0)
-        vals.append(abs(complex(v)) if np.isscalar(v) or np.asarray(v).ndim == 0
-                    else float(np.max(np.abs(v))))
-    vals = np.asarray(vals)
+    v = np.abs(evaluator(lams[:, None] * np.asarray(x0, dtype=float)))
+    vals = (np.full(PROBE_SAMPLES, v) if v.ndim == 0
+            else v.reshape(PROBE_SAMPLES, -1).max(axis=1))
     if np.any(vals <= 0):
         # identically vanishing or sign-crossing samples: treat as degree 0
         return ProbeResult(0.0, 0.0, 0.0, bool(np.all(vals == vals[0])), 1.0)

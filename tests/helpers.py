@@ -54,6 +54,10 @@ any point x: it builds every node y, takes the source from
 `bump_laplacian` and f(y) and the distance by hypot.  At the bump's
 centre it is the oracle of the radial rule `kernels._radial_integral`;
 off the centre the tests check the identity by it alone.
+`ref_q_kernel_rules` and `ref_tanh_sinh_rules` are the 1-D rule pairs of
+`kernels.q_kernel_1d` and `kernels.clipped_integral` with each rule on
+its own evaluation of the integrand: the oracles of the one evaluation
+that each pair shares.
 """
 
 from fractions import Fraction
@@ -825,3 +829,41 @@ def ref_polar_integral(params, f, x, n_r, n_theta):
     jacobian = 2.0 * R * R * u ** 3  # r dr = 2 R^2 u^3 du
     total = np.sum(kernels._radial_green(params.m, dist) * src * jacobian * w)
     return total * (2.0 * np.pi / n_theta)
+
+
+def ref_q_kernel_rules(params, f) -> tuple[float, float]:
+    """The Gauss-Legendre sums of `kernels.q_kernel_1d` at
+    Q_KERNEL_1D_NODES and at twice as many, each rule on its own nodes."""
+    (lo,), (hi,) = f.support()
+    m = params.m
+    cuts = np.array([lo, *sorted(p for p in (-m, m) if lo < p < hi), hi])
+    starts, widths = cuts[:-1, None], np.diff(cuts)[:, None]
+
+    def rule(n):
+        u, w = kernels._gauss_legendre(n)
+        x = starts + widths * u  # one row of nodes per subinterval
+        g, gbar = kernels.propagator_1d(params, x)
+        return float(np.sum((g * gbar).real * f(x) * widths * w))
+
+    n = kernels.Q_KERNEL_1D_NODES
+    return rule(n), rule(2 * n)
+
+
+def ref_tanh_sinh_rules(params, f) -> tuple[float, float] | None:
+    """The tanh-sinh sums of `kernels.clipped_integral` at TANH_SINH_STEP
+    and at half of it, each rule on its own nodes; None where supp f
+    misses [-m, m]."""
+    (lo,), (hi,) = f.support()
+    a, b = max(lo, -params.m), min(hi, params.m)
+    if a >= b:
+        return None
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+
+    def rule(h):
+        n = np.ceil(kernels._TANH_SINH_T / h)
+        t = h * np.arange(-n, n + 1)
+        s = 0.5 * np.pi * np.sinh(t)
+        w = 0.5 * np.pi * np.cosh(t) / np.cosh(s) ** 2
+        return float(half * h * np.sum(w * f(mid + half * np.tanh(s))))
+
+    return rule(kernels.TANH_SINH_STEP), rule(kernels.TANH_SINH_STEP / 2.0)

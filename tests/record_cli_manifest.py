@@ -82,6 +82,12 @@ ARGVS = sorted(set(
         # usage errors that argparse reports: a usage block and one line
         "expand --order 2 --format xml",
         "correlate --order 1 --branches psi-chi",
+        # the top-level usage line, the invalid-choice message and both
+        # levels of help text
+        "expand --order 2 --bogus",
+        "bogus --order 1",
+        "-h",
+        "expand -h",
     ]))
 
 

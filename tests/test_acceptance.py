@@ -218,8 +218,8 @@ def test_criterion_8_d1_kernel_identity():
 
 def test_criterion_9_scaling_degree_probe():
     with _Timer(9, "scaling-degree probe", 30.0):
-        inv = scaling_degree_probe(lambda x: 1.0 / np.hypot(x[0], x[1]),
-                                   (1.0, 0.7))
+        inv = scaling_degree_probe(
+            lambda x: 1.0 / np.hypot(x[..., 0], x[..., 1]), (1.0, 0.7))
         assert inv.conclusive and abs(inv.sd - 1.0) <= 0.01
         const = scaling_degree_probe(lambda x: 3.7, (1.0, 0.7))
         assert const.conclusive and abs(const.sd) <= 0.01

@@ -319,17 +319,19 @@ def test_no_output_reads_the_order_a_sum_is_held_in(monkeypatch):
 def test_manifest_covers_the_recorded_command_lines():
     from record_cli_manifest import ARGVS
     assert sorted(MANIFEST) == ARGVS
-    # every symbolic command, and the usage errors (exit 2, stdout empty)
+    # every symbolic command, an unknown one, top-level help, and the usage
+    # errors (exit 2, stdout empty)
     commands = {argv.split()[0] for argv in ARGVS}
     assert commands == {"expand", "expect", "correlate", "counterterms",
-                        "power-count", "gamma-check", "kernel-check"}
+                        "power-count", "gamma-check", "kernel-check",
+                        "bogus", "-h"}
     empty = hashlib.sha256(b"").hexdigest()
     errors = [e for e in MANIFEST.values() if e["rc"] != 0]
-    assert len(errors) == 13
+    assert len(errors) == 15
     assert all(e["rc"] == 2 and e["stdout_sha256"] == empty for e in errors)
-    # 11 that main reports in one line, 2 that argparse reports
+    # 11 that main reports in one line, 4 that argparse reports
     assert sum(e["stderr"].startswith("usage error: ") for e in errors) == 11
-    assert sum(e["stderr"].startswith("usage: sthirring ") for e in errors) == 2
+    assert sum(e["stderr"].startswith("usage: sthirring ") for e in errors) == 4
 
 
 def test_benchmark_digests_agree_with_the_manifest():
@@ -339,6 +341,69 @@ def test_benchmark_digests_agree_with_the_manifest():
     for argv, digest in pinned.items():
         assert MANIFEST[argv] == {"rc": 0, "stderr": "",
                                   "stdout_sha256": digest}
+
+
+# argv through every branch of main's choice of parser: help at both
+# levels, no command, an unknown or abbreviated command, an option before
+# the command, --config before and after it, abbreviated options, "--",
+# and arguments that the command does not take
+_PARSER_ARGVS = [
+    "", "-h", "--help", "expand -h", "kernel-check --dim 2 --help",
+    "bogus --order 1", "exp --order 1", "expand expect --order 1",
+    "--seed 3 expand --order 1", "-1 expand --order 1",
+    "--config {cfg} expand", "--config={cfg} expect --format text",
+    "--conf {cfg} correlate", "expand --config {cfg}",
+    "expand --order 1 --config {cfg} --format tex", "--config",
+    "--config {cfg}", "--config {cfg} -h", "expand --ord 1 --form json",
+    "power-count --dim 2 --max 2", "gamma-check --export 2 --trials 0",
+    "-- expand --order 1", "--config {cfg} -- expand", "expand -- --order 1",
+    "expand --order 1 --", "expand --order 2 extra", "expand --order",
+    "kernel-check --dim 3", "counterterms --order x",
+]
+
+
+def _echo(args):
+    """A handler that writes the parsed arguments instead of running."""
+    print(sorted((k, repr(v)) for k, v in vars(args).items() if k != "fn"))
+
+
+@pytest.mark.parametrize("argv", sorted(MANIFEST) + _PARSER_ARGVS)
+def test_one_subcommand_parser_parses_as_every_subcommand(argv, tmp_path,
+                                                         monkeypatch):
+    """main builds the parser of the command that argv names and no other;
+    that gives the same stdout, stderr and exit code as every subcommand
+    built.  Each handler writes its arguments, so a parse that differs
+    writes different bytes."""
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("order = 1\nformat = json\n")
+    argv = argv.replace("{cfg}", str(cfg))
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, _echo)
+    one = run_argv(argv)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda config, command=None: build_parser(config))
+    assert run_argv(argv) == one
+
+
+def test_main_builds_only_the_parser_of_its_command(monkeypatch, capsys):
+    """A known command costs 3 parsers: the --config pre-parser, the top
+    level and that command's.  With every subcommand built it was 9."""
+    import argparse
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["expand", "--order", "0"]) == 0
+    assert made == [None, "sthirring", "sthirring expand"]
+    made.clear()
+    with pytest.raises(SystemExit):  # an unknown command builds them all
+        main(["bogus"])
+    assert len(made) == 9
 
 
 def test_deep_checks_have_one_digest_each():
@@ -371,7 +436,9 @@ def test_each_subcommand_names_its_missing_options(argv, flags):
                    f"(flag or config entry)\n")
 
 
+# the help entries exit 0 too, from inside the parse
 _JSON_ARGVS = [argv for argv in sorted(MANIFEST) if MANIFEST[argv]["rc"] == 0
+               and "-h" not in argv.split()
                and build_parser().parse_args(argv.split()).format == "json"]
 
 

@@ -11,12 +11,16 @@ from sthirring.kernels import (
     propagator_1d, q_kernel_1d, scaling_degree_probe, theta,
 )
 
-from helpers import bump_laplacian, ref_polar_integral
+from helpers import (
+    bump_laplacian, ref_polar_integral, ref_q_kernel_rules,
+    ref_tanh_sinh_rules,
+)
 
 
 def green_2d(p, x):
-    """The d=2 Green function at one point x != 0."""
-    return float(kernels._radial_green(p.m, np.hypot(*x)))
+    """The d=2 Green function at points x != 0 along the last axis."""
+    x = np.asarray(x, dtype=float)
+    return kernels._radial_green(p.m, np.hypot(x[..., 0], x[..., 1]))
 
 
 def test_propagator_product_is_indicator():
@@ -462,10 +466,28 @@ def test_probe_fit_of_an_exact_power_law():
 
 
 def test_probe_self_tests():
-    inv = scaling_degree_probe(lambda x: 1.0 / np.hypot(x[0], x[1]), (1.0, 0.7))
+    inv = scaling_degree_probe(lambda x: 1.0 / np.hypot(x[..., 0], x[..., 1]),
+                               (1.0, 0.7))
     assert inv.conclusive and abs(inv.sd - 1.0) < 1e-9
-    const = scaling_degree_probe(lambda x: 3.7, (1.0, 0.7))
+    const = scaling_degree_probe(lambda x: np.full(x.shape[:-1], 3.7),
+                                 (1.0, 0.7))
     assert const.conclusive and abs(const.sd) < 1e-9
+
+
+def test_probe_evaluates_every_dilation_in_one_call():
+    """The evaluator sees the (PROBE_SAMPLES, 2) dilated points once; a
+    scalar result is every sample's |u|."""
+    seen = []
+
+    def evaluator(x):
+        seen.append(x.copy())
+        return -2.5
+
+    probe = scaling_degree_probe(evaluator, (1.0, 0.7))
+    assert len(seen) == 1
+    lams = np.geomspace(*kernels.PROBE_LAMBDAS, kernels.PROBE_SAMPLES)
+    assert np.array_equal(seen[0], [lam * np.array([1.0, 0.7]) for lam in lams])
+    assert probe == ProbeResult(0.0, 0.0, 0.0, True, 1.0)
 
 
 def test_probe_massive_dirac_kernel():
@@ -493,6 +515,28 @@ def test_params_validation():
         TestFunction((0.0,), float("nan"))
 
 
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0, 3e4])
+def test_dirac_kernel_on_a_batch_equals_the_per_point_calls_bit_for_bit(m):
+    """The probe's dilations at this mass and points past r = 2/m, where
+    bessel_k01 takes its other branch, in one (3, 20, 2) batch."""
+    p = KernelParams(2, m)
+    lams = np.geomspace(*kernels.PROBE_LAMBDAS, 40)[:, None]
+    x0 = np.array([1.0, 0.7]) / max(1.0, m)
+    rng = np.random.default_rng(5)
+    far = rng.uniform(-3.0, 3.0, (20, 2)) * 4.0 / max(1.0, m)
+    pts = np.concatenate((lams * x0, far)).reshape(3, 20, 2)
+    got = dirac_kernel_2d(p, pts)
+    assert got.shape == (3, 20, 2, 2)
+    for idx in np.ndindex(3, 20):
+        assert got[idx].tobytes() == dirac_kernel_2d(p, pts[idx]).tobytes()
+
+
+def test_dirac_kernel_refuses_a_batch_with_a_point_on_the_diagonal():
+    pts = np.array([[0.3, -0.4], [0.0, 0.0], [1.0, 0.7]])
+    with pytest.raises(UsageError, match="evaluated on the diagonal"):
+        dirac_kernel_2d(KernelParams(2, 1.0), pts)
+
+
 def test_dirac_kernel_builds_the_gamma_rep_once(monkeypatch):
     from sthirring import clifford
     calls = []
@@ -516,6 +560,51 @@ def test_dirac_kernel_builds_the_gamma_rep_once(monkeypatch):
     assert np.array_equal(dirac_kernel_2d(p, 0.5 * x), vals[1])
     assert calls == [2, 2]
 
+
+
+def _bench_bumps_1d():
+    """The bumps of the benchmark's job kernel-check --dim 1 --mass 1.0
+    --trials 20 --seed 3, drawn as `kernels.kernel_check` draws them."""
+    rng = random.Random(3)
+    for _ in range(20):
+        center = rng.uniform(-2.0, 2.0)
+        radius, amp = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)
+        yield TestFunction((center,), radius, amp)
+
+
+def _pins_the_rule_gap(monkeypatch, check, params, f, gap):
+    """check passes with its tolerance at `gap` and raises one ulp below,
+    so its two rules differ by exactly `gap`."""
+    monkeypatch.setattr(kernels, "_tol_1d", lambda v: gap)
+    check(params, f)
+    monkeypatch.setattr(kernels, "_tol_1d",
+                        lambda v: np.nextafter(gap, -np.inf))
+    with pytest.raises(NumericalError):
+        check(params, f)
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("check, reference", [
+    (q_kernel_1d, ref_q_kernel_rules),
+    (clipped_integral, ref_tanh_sinh_rules),
+], ids=["q_kernel_1d", "clipped_integral"])
+def test_shared_rule_evaluation_matches_the_separate_rules_bit_for_bit(
+        monkeypatch, check, reference):
+    """Each 1-D pair evaluates its integrand once, for both rules; its
+    value is the separate fine rule's, bit for bit, and its two rules are
+    as far apart as the separate ones."""
+    params = KernelParams(1, 1.0)
+    seen = 0
+    for f in _bench_bumps_1d():
+        rules = reference(params, f)
+        if rules is None:  # supp f misses [-m, m]: no rule runs
+            assert check(params, f) == 0.0
+            continue
+        coarse, val = rules
+        assert check(params, f) == val
+        _pins_the_rule_gap(monkeypatch, check, params, f, abs(val - coarse))
+        seen += 1
+    assert seen >= 10
 
 
 @pytest.mark.parametrize("check, center", [
