@@ -174,6 +174,8 @@ def clipped_integral(params: KernelParams, f: TestFunction) -> float:
     at TANH_SINH_STEP and at half of it.  Raises NumericalError when the
     two differ by more than `_tol_1d` of the value.
     """
+    if params.d != 1 or f.dim != 1:
+        raise UsageError("clipped_integral needs d = 1 data")
     (lo,), (hi,) = f.support()
     a, b = max(lo, -params.m), min(hi, params.m)
     if a >= b:
@@ -388,7 +390,7 @@ def greens_identity_residual(params: KernelParams, f: TestFunction) -> float:
     val = _radial_integral(params, f, 2 * GREEN_2D_NODES)
     if not abs(val - coarse) <= QUAD_TOL_2D:
         raise NumericalError(
-            f"2d polar rules disagree by {abs(val - coarse):g}")
+            f"2d radial rules disagree by {abs(val - coarse):g}")
     return abs(val - float(f(f.center)))
 
 

@@ -23,18 +23,17 @@ canonicalize to the identical tree.  Product children are sorted by a
 shape key; groups of children that remain tied *and* are coupled through
 shared indices are resolved by brute-force permutation, taking the
 lexicographically smallest serialization.  Tied groups in this model are
-tiny (at most a few identical branches), so the search is cheap.  One walk
-of the input tree spells its serialization as pieces, with each index left
-unnamed, and records each subtree's span of pieces and each index's
-positions.  A child's shape and a candidate order's serialization render
-slices of those pieces under their own namings, so no subtree is walked
-again.  The canonical tree has its indices renamed 0, 1, 2, ... in order
-of first occurrence, so the pass that orders the products also assigns
-those names, builds the renamed tree and spells its serialization, which
-is its key: `canonicalize` records it on the returned term and
-`TermSum.add` merges under it, with no second search and no second
-serialization.  `index_occurrences` is the one table of each index slot's polarity and
-kind, and `canonicalize` validates the `index_census` it gives.
+tiny (at most a few identical branches), so the search is cheap.  One
+speller, `_text`, spells a subtree in input order under a naming of its
+indices: a child's shape, a candidate order's serialization and the key.
+The canonical tree has its indices renamed 0, 1, 2, ... in order of first
+occurrence, so the pass that orders the products also assigns those
+names and builds the renamed tree; its serialization is its key, which
+`canonicalize` records on the returned term and `TermSum.add` merges
+under.  `index_occurrences` is the one table of each index slot's
+polarity and kind, and `canonicalize` validates the `index_census` it
+gives; a child's shape reads whether an index is local, free or a link
+off that census and the child's own.
 
 The recursion puts every lower-order monomial, as a factor G * [...],
 into many higher-order ones.  Such a factor is sealed: each of its
@@ -61,7 +60,6 @@ and so does every monomial `vertex_term` returns.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -293,99 +291,49 @@ def convolve(kind: str, t: Term) -> Term:
 # canonical form
 # --------------------------------------------------------------------------
 
-def _walk(node: Node):
-    """(pieces, span, where) from one pre-order walk of node.
-
-    pieces spell node's serialization with each index left as the index
-    itself (every other piece is a str); span[id(n)] is the half-open
-    range of the pieces of subtree n, and where[i] lists the pieces that
-    hold index i."""
-    table = pieces, span, where = [], {}, {}
-    _walk_node(node, pieces, span, where)
-    return table
-
-
-def _walk_index(i, pieces, where) -> None:
-    where.setdefault(i, []).append(len(pieces))
-    pieces.append(i)
+def _text(node: Node, name) -> str:
+    """node's serialization in input order, each index spelled name(index);
+    name is called on the indices in the order they are spelled."""
+    if isinstance(node, Leaf):
+        return f"L[{node.species},{name(node.index)}]"
+    if isinstance(node, Gamma):
+        return f"g[{name(node.mu)},{name(node.row)},{name(node.col)}]"
+    if isinstance(node, Conv):
+        return (f"C[{node.kind},{name(node.out_index)},{name(node.in_index)}]"
+                f"({_text(node.inner, name)})")
+    if isinstance(node, Prod):
+        return "P(%s)" % "".join([_text(c, name) + "," for c in node.children])
+    raise TypeError(node)
 
 
-def _walk_node(n, pieces, span, where) -> None:
-    """One step of `_walk`: a module-level function, so no closure cycle
-    keeps the walk's tables alive after it returns."""
-    lo = len(pieces)
-    if isinstance(n, Leaf):
-        pieces.append(f"L[{n.species},")
-        _walk_index(n.index, pieces, where)
-        pieces.append("]")
-    elif isinstance(n, Gamma):
-        pieces.append("g[")
-        _walk_index(n.mu, pieces, where)
-        pieces.append(",")
-        _walk_index(n.row, pieces, where)
-        pieces.append(",")
-        _walk_index(n.col, pieces, where)
-        pieces.append("]")
-    elif isinstance(n, Conv):
-        pieces.append(f"C[{n.kind},")
-        _walk_index(n.out_index, pieces, where)
-        pieces.append(",")
-        _walk_index(n.in_index, pieces, where)
-        pieces.append("](")
-        _walk_node(n.inner, pieces, span, where)
-        pieces.append(")")
-    elif isinstance(n, Prod):
-        pieces.append("P(")
-        for c in n.children:
-            _walk_node(c, pieces, span, where)
-            pieces.append(",")
-        pieces.append(")")
-    else:
-        raise TypeError(n)
-    span[id(n)] = (lo, len(pieces))
-
-
-def _render(table, node: Node, name) -> str:
-    """The serialization of a subtree of the walked term, in its input
-    order, with each index spelled name(index)."""
-    pieces, span, _ = table
-    lo, hi = span[id(node)]
-    return "".join([p if p.__class__ is str else name(p)
-                    for p in pieces[lo:hi]])
-
-
-def _child_shape(child: Node, table, naming: dict) -> str:
+def _child_shape(child: Node, census: dict, naming: dict) -> str:
     """The order key for a product child.
 
     Indices already named in the enclosing context keep their names; indices
-    local to the child get positional names; indices linking to siblings
-    (or free elsewhere) are reduced to link/free markers so that the key is
-    independent of sibling identity.  Whether an index is local is read
-    off the positions of its pieces, so naming the child walks nothing.
+    local to the child (both occurrences inside it) get positional names;
+    indices linking to siblings (or free elsewhere, by the whole term's
+    `index_census`) are reduced to link/free markers so that the key is
+    independent of sibling identity.
     """
-    where = table[2]
-    lo, hi = table[1][id(child)]
+    own = index_census(child)
     local = {}
 
     def name(idx):
         r = naming.get(idx)
         if r is not None:
             return f"@i{r}"
-        at = where[idx]
-        if len(at) == 2:
-            p, q = at
-            if lo <= p < hi and lo <= q < hi:
-                if idx not in local:
-                    local[idx] = f"l{len(local)}"
-                return local[idx]
-        return "*FREE*" if len(at) == 1 else "*LINK*"
+        if len(own[idx]) == 2:
+            if idx not in local:
+                local[idx] = f"l{len(local)}"
+            return local[idx]
+        return "*FREE*" if len(census[idx]) == 1 else "*LINK*"
 
-    return _render(table, child, name)
+    return _text(child, name)
 
 
-def _order_prod(kids: tuple, naming: dict, table) -> tuple:
+def _order_prod(kids: tuple, naming: dict, census: dict) -> tuple:
     """Canonical order of a product's children under the current naming."""
-    orders = tie_orders(kids, [_child_shape(c, table, naming) for c in kids],
+    orders = tie_orders(kids, [_child_shape(c, census, naming) for c in kids],
                         "*LINK*")
     if len(orders) == 1:
         return orders[0]
@@ -396,7 +344,7 @@ def _order_prod(kids: tuple, naming: dict, table) -> tuple:
         def name(idx):
             return f"i{_rank(names, idx)}"
 
-        return "".join([_render(table, c, name) + "," for c in cand])
+        return "".join([_text(c, name) + "," for c in cand])
 
     return min(orders, key=serialization)
 
@@ -409,52 +357,38 @@ def _rank(naming: dict, idx) -> int:
     return r
 
 
-def _canon_node(node: Node, naming: dict, key: list, table) -> Node:
+def _canon_node(node: Node, naming: dict, census: dict) -> Node:
     """node with its products ordered and its indices renamed by first
-    occurrence into naming; appends the serialization of the result to
-    key."""
+    occurrence into naming; census is the `index_census` of the whole
+    term."""
     if isinstance(node, Leaf):
-        i = _rank(naming, node.index)
-        key.append(f"L[{node.species},i{i}]")
-        return Leaf(node.species, i)
+        return Leaf(node.species, _rank(naming, node.index))
     if isinstance(node, Gamma):
-        mu = _rank(naming, node.mu)
-        row = _rank(naming, node.row)
-        col = _rank(naming, node.col)
-        key.append(f"g[i{mu},i{row},i{col}]")
-        return Gamma(mu, row, col)
+        return Gamma(_rank(naming, node.mu), _rank(naming, node.row),
+                     _rank(naming, node.col))
     if isinstance(node, Conv):
         out = _rank(naming, node.out_index)
         inn = _rank(naming, node.in_index)
-        key.append(f"C[{node.kind},i{out},i{inn}](")
-        inner = _canon_node(node.inner, naming, key, table)
-        key.append(")")
+        inner = _canon_node(node.inner, naming, census)
         return Conv(node.kind, out, inn, inner)
     if isinstance(node, Prod):
-        key.append("P(")
-        kids = []
-        for c in _order_prod(_flatten(node.children), naming, table):
-            kids.append(_canon_node(c, naming, key, table))
-            key.append(",")
-        key.append(")")
-        return Prod(tuple(kids))
+        kids = _order_prod(_flatten(node.children), naming, census)
+        return Prod(tuple([_canon_node(c, naming, census) for c in kids]))
     raise TypeError(node)  # pragma: no cover
 
 
 def canonicalize(t: Term) -> Term:
     """Canonical representative: sorted products, indices renamed 0,1,2,...
-    in order of first occurrence, once its `index_census` validates.  One
-    walk of the input tree spells it as pieces; each product's child shapes
-    and tie-break serializations render slices of those pieces, and one
-    pass over the ordered tree names the indices, builds the renamed tree
-    and records its serialization as `_key`.  Nested products must already
-    be in canonical child order (see the module docstring)."""
-    table = _walk(t.node)
-    validate(index_census(t.node))
-    key: list = []
-    node = _canon_node(t.node, {}, key, table)
+    in order of first occurrence, once its `index_census` validates.  Each
+    product's child shapes and tie-break serializations spell its children
+    by `_text`, and the renamed tree's serialization is recorded as
+    `_key`.  Nested products must already be in canonical child order (see
+    the module docstring)."""
+    census = index_census(t.node)
+    validate(census)
+    node = _canon_node(t.node, {}, census)
     out = Term(t.coeff, node)
-    object.__setattr__(out, "_key", "".join(key))
+    object.__setattr__(out, "_key", _text(node, "i{}".format))
     return out
 
 
@@ -467,8 +401,8 @@ class _Placed:
     index n on: its `node`, its serialization `text`, its index count
     `size`, and `parts`, the (kind, a, b, c) of the `_join` that built it
     (each factor as placed inside it), or None.  `shape` is its
-    `_child_shape` in a product: its text with i{n} spelled *LINK* and
-    i{n+1+j} l{j}."""
+    `_child_shape` in a product: its node spelled by `_text` with index n
+    as *LINK* and index n+1+j as l{j}."""
 
     __slots__ = ("node", "text", "size", "parts", "_shape")
 
@@ -480,8 +414,8 @@ class _Placed:
     def shape(self) -> str:
         if self._shape is None:
             n = next(index_occurrences(self.node))[0]
-            self._shape = re.sub(r"i(\d+)", lambda m: "*LINK*" if int(m[1]) == n
-                                 else f"l{int(m[1]) - n - 1}", self.text)
+            self._shape = _text(self.node, lambda i: "*LINK*" if i == n
+                                else f"l{i - n - 1}")
         return self._shape
 
 
@@ -502,9 +436,9 @@ def _place(f: _Placed, n: int) -> _Placed:
         if f.parts is not None:
             got = _join(f.parts, n)
         else:
-            text: list = []
-            got = _Placed(_canon_node(f.node, dict(zip(range(-n, 0), range(n))),
-                                      text, _walk(f.node)), "".join(text), f.size)
+            node = _canon_node(f.node, dict(zip(range(-n, 0), range(n))),
+                               index_census(f.node))
+            got = _Placed(node, _text(node, "i{}".format), f.size)
         _sealed[key] = got
     return got
 

@@ -31,10 +31,13 @@ diagram with its path.
 The `ref_*` functions are the walk-per-question forms of fast paths in
 the package, kept as their oracles: `ref_canonicalize` re-emits a
 product child's subtree for each shape and candidate serialization and
-renames the ordered tree in a second pass, `ref_graph_counts`
-counts the skeleton's children over `iter_children` (the check of the
-graph view that `graph_counts` counts), `ref_diagram_for_matching`
-halves the coefficient once per tagged coincident pair,
+renames the ordered tree in a second pass, `ref_placed_shape` rewrites
+the names in a placed recursion factor's text into its shape (the
+oracle of `terms._Placed.shape`, which spells the factor's tree),
+`ref_graph_counts` counts the skeleton's children over `iter_children`
+(the check of the graph view that `graph_counts` counts),
+`ref_diagram_for_matching` halves the coefficient once per tagged
+coincident pair,
 `ref_gamma_Q`, `ref_expectation_report` and `ref_two_point` walk the
 orbits of each term or monomial pair on its own (`per_term_walk`), the
 references for the walk once per leaf census, and `ref_canonical` is the
@@ -60,6 +63,7 @@ its own evaluation of the integrand: the oracles of the one evaluation
 that each pair shares.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product as iproduct
 from math import prod
@@ -573,6 +577,13 @@ def ref_canonicalize(t: Term) -> Term:
     out = Term(t.coeff, rename_indices(ordered, rank.__getitem__))
     object.__setattr__(out, "_key", "".join(tokens))
     return out
+
+
+def ref_placed_shape(text: str, n: int) -> str:
+    """The shape of a recursion factor placed with its out index named n,
+    from its serialization text: i{n} becomes *LINK* and i{n+1+j} l{j}."""
+    return re.sub(r"i(\d+)", lambda m: "*LINK*" if int(m[1]) == n
+                  else f"l{int(m[1]) - n - 1}", text)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ ARGVS = sorted(set(
     + [f"correlate --order 3 --branches {b}" for b in _BRANCH_PAIRS]
     + [f"counterterms --order {k}" for k in range(1, 5)]
     + [f"power-count --dim {d} --max-order 4" for d in (1, 2, 3)]
-    + [f"gamma-check --seed {s}" for s in (1, 3, 7)]
+    + [f"gamma-check --seed {s}" for s in (1, 3, 7, 11, 12)]
     + [
         # the entries once pinned in test_cli.GOLDEN
         "correlate --order 2 --branches psibar-psi",

@@ -1,6 +1,7 @@
-"""Each one-walk fast path of the series census against its walk-per-question
+"""Each fast path of the series census against its walk-per-question
 reference in `helpers`: term canonicalization, `vertex_term` (against the
-canonical form of the raw monomial), power counting's census counts and
+canonical form of the raw monomial), the shape of a placed recursion
+factor (against a rewrite of its text), power counting's census counts and
 the coefficient of a matching's diagram; `graph_counts`, which counts the
 exported graph of `to_graph`, against a count over the skeleton; and that
 the symbolic and numerical layers leave no reference cycle behind a call."""
@@ -37,7 +38,7 @@ from helpers import (
     all_contractions, contractions, diagram_to_json, iter_children,
     maximal_diagrams, partial_matchings, ref_canonicalize,
     ref_diagram_for_matching, ref_graph_counts, ref_index_occurrences,
-    ref_vertex_term, wrapped,
+    ref_placed_shape, ref_vertex_term, wrapped,
 )
 
 BRANCHES = (SPINOR, COSPINOR)
@@ -295,6 +296,21 @@ def test_sealed_subtree_memo_holds_only_factors_of_products():
     expand(5).coefficient(5, SPINOR)
     assert [k for k in terms._sealed if k[0] < 2] == []
     assert len(terms._sealed) == 274
+
+
+def test_placed_shapes_match_the_text_rewrite():
+    """`_Placed.shape` spells a placed factor's tree; for every entry of
+    the placement memo once F_6 of both branches is built from an empty
+    memo (1,121, leaves included), placed at offset n, it equals the
+    factor's text with i{n} spelled *LINK* and i{n+1+j} l{j}."""
+    terms._sealed.clear()
+    s = expand(6)
+    for b in BRANCHES:
+        s.coefficient(6, b)
+    assert len(terms._sealed) == 1121
+    assert any(isinstance(p.node, Leaf) for p in terms._sealed.values())
+    for (n, _), placed in terms._sealed.items():
+        assert placed.shape == ref_placed_shape(placed.text, n)
 
 
 class _NoMemo:

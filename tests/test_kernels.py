@@ -425,7 +425,7 @@ def test_polar_rule_evaluates_one_angle_row_at_the_centre(monkeypatch, m):
 def test_green_identity_rules_disagreeing_raise(monkeypatch):
     monkeypatch.setattr(kernels, "GREEN_2D_NODES", 4)
     f = TestFunction((0.3, -0.2), 0.4, 1.0)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="2d radial rules disagree"):
         greens_identity_residual(KernelParams(2, 1.0), f)
 
 
@@ -513,6 +513,11 @@ def test_params_validation():
         TestFunction((0.0,), -0.5)
     with pytest.raises(UsageError):
         TestFunction((0.0,), float("nan"))
+    # the tanh-sinh oracle integrates d = 1 data only, as q_kernel_1d does
+    for params, f in ((KernelParams(1, 1.0), TestFunction((0.0, 0.0), 0.5)),
+                      (KernelParams(2, 1.0), TestFunction((0.0,), 0.5))):
+        with pytest.raises(UsageError, match="clipped_integral needs d = 1 data"):
+            clipped_integral(params, f)
 
 
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0, 3e4])
